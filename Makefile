@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-hot bench-compare bench-fleet bench-hier bench-train bench-constrained fuzz profile quick serve-smoke bench-serving clean
+.PHONY: all build test race vet bench bench-hot bench-compare bench-fleet bench-hier bench-train bench-constrained fuzz profile quick serve-smoke bench-serving same-output clean
 
 all: build test
 
@@ -136,6 +136,14 @@ serve-smoke: build
 # number tracked in results/BENCH_serving.json).
 bench-serving: build
 	./scripts/serve_smoke.sh -bench
+
+# same-output checks that a change alters no arithmetic: it builds fltrain
+# and flexperiments from PARENT (a checkout of the parent commit, made with
+# git clone or git archive) and from this tree, and compares the saved
+# agents, CSVs and tables byte for byte (scripts/same_output.sh).
+same-output:
+	@if [ -z "$(PARENT)" ]; then echo "usage: make same-output PARENT=<parent checkout>"; exit 2; fi
+	./scripts/same_output.sh $(PARENT)
 
 # profile runs a short profiled training workload; inspect with
 #   go tool pprof cpu.pprof / mem.pprof   and   go tool trace exec.trace

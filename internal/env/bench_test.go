@@ -32,36 +32,9 @@ func benchEnv(b *testing.B, n int) *Env {
 	return e
 }
 
-// BenchmarkEnvStep measures one environment transition (frequency mapping,
-// one synchronous FL iteration over the traces, next-state construction) at
-// the paper's simulation scale N=50, H=5.
-func BenchmarkEnvStep(b *testing.B) {
-	e := benchEnv(b, 50)
-	if _, err := e.ResetAt(0); err != nil {
-		b.Fatal(err)
-	}
-	action := tensor.NewVector(e.ActionDim())
-	for i := range action {
-		action[i] = 0.3
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(action); err != nil {
-			b.Fatal(err)
-		}
-		if i%e.Cfg.EpisodeLen == e.Cfg.EpisodeLen-1 {
-			b.StopTimer()
-			if _, err := e.ResetAt(0); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	}
-}
-
-// BenchmarkEnvStepInto measures the zero-allocation transition on the same
-// N=50 workload as BenchmarkEnvStep.
+// BenchmarkEnvStepInto measures one environment transition (frequency
+// mapping, one synchronous FL iteration over the traces, next-state
+// construction) at the paper's simulation scale N=50, H=5.
 func BenchmarkEnvStepInto(b *testing.B) {
 	e := benchEnv(b, 50)
 	if _, err := e.ResetAt(0); err != nil {
@@ -102,7 +75,7 @@ func BenchmarkEpisode(b *testing.B) {
 			b.Fatal(err)
 		}
 		for k := 0; k < e.Cfg.EpisodeLen; k++ {
-			if _, err := e.Step(action); err != nil {
+			if _, err := e.StepInto(action); err != nil {
 				b.Fatal(err)
 			}
 		}

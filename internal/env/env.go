@@ -150,7 +150,7 @@ type Env struct {
 	freqBuf  []float64
 }
 
-// New builds an environment; Reset must be called before Step.
+// New builds an environment; Reset must be called before StepInto.
 func New(sys *fl.System, cfg Config, rng *rand.Rand) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -296,15 +296,10 @@ func BuildStateInto(dst tensor.Vector, scratch []float64, sys *fl.System, clock 
 	return dst, scratch
 }
 
-// FreqsFromAction maps a raw Gaussian action vector (one value per device,
+// MapAction maps a raw Gaussian action vector (one value per device,
 // nominally in (−1, 1) but unbounded when sampled) to feasible frequencies:
 // each component is clipped to [−1, 1] and scaled affinely onto
-// [MinFreqFrac·δmax, δmax].
-func (e *Env) FreqsFromAction(a tensor.Vector) ([]float64, error) {
-	return MapAction(e.Sys, a, e.Cfg.MinFreqFrac)
-}
-
-// MapAction is the package-level form of FreqsFromAction (see there).
+// [minFreqFrac·δmax, δmax].
 func MapAction(sys *fl.System, a tensor.Vector, minFreqFrac float64) ([]float64, error) {
 	return MapActionInto(nil, sys, a, minFreqFrac)
 }
@@ -377,46 +372,17 @@ func (c Config) ConstraintCosts(it fl.IterationStats) [NumCostSignals]float64 {
 	return costs
 }
 
-// Step applies the action, simulates one synchronous FL iteration, advances
-// the wall clock, and returns the transition. The returned State is a fresh
-// vector owned by the caller and the iteration is recorded in the session
-// history; StepInto is the allocation-free alternative.
-func (e *Env) Step(action tensor.Vector) (StepResult, error) {
-	if e.ses == nil {
-		return StepResult{}, fmt.Errorf("env: Step before Reset")
-	}
-	if e.step >= e.Cfg.EpisodeLen {
-		return StepResult{}, fmt.Errorf("env: episode finished; call Reset")
-	}
-	freqs, err := MapActionInto(e.freqBuf, e.Sys, action, e.Cfg.MinFreqFrac)
-	if err != nil {
-		return StepResult{}, err
-	}
-	e.freqBuf = freqs
-	it, err := e.ses.Step(freqs)
-	if err != nil {
-		return StepResult{}, err
-	}
-	e.step++
-	return StepResult{
-		State:  e.State(),
-		Reward: fl.Reward(it) / e.Cfg.RewardScale,
-		Done:   e.step >= e.Cfg.EpisodeLen,
-		Costs:  e.Cfg.ConstraintCosts(it),
-		Iter:   it,
-	}, nil
-}
-
-// StepInto is Step on the zero-allocation hot path: the returned State and
-// Iter.Devices alias per-environment scratch that the next StepInto (or
-// Reset) overwrites, and the iteration is not recorded in the session
-// history. Callers that retain the transition — like the trainer's replay
-// buffer — must clone what they keep before the next call. In steady state
-// (fault-free, after the first call warms the buffers) it allocates
-// nothing.
+// StepInto applies the action, simulates one synchronous FL iteration,
+// advances the wall clock, and returns the transition. It is the
+// zero-allocation hot path: the returned State and Iter.Devices alias
+// per-environment scratch that the next StepInto (or Reset) overwrites, and
+// the iteration is not recorded in the session history. Callers that retain
+// the transition — like the trainer's replay buffer — must clone what they
+// keep before the next call. In steady state (fault-free, after the first
+// call warms the buffers) it allocates nothing.
 func (e *Env) StepInto(action tensor.Vector) (StepResult, error) {
 	if e.ses == nil {
-		return StepResult{}, fmt.Errorf("env: Step before Reset")
+		return StepResult{}, fmt.Errorf("env: StepInto before Reset")
 	}
 	if e.step >= e.Cfg.EpisodeLen {
 		return StepResult{}, fmt.Errorf("env: episode finished; call Reset")

@@ -140,12 +140,12 @@ func TestStateMatchesTraceHistory(t *testing.T) {
 func TestFreqsFromActionMapping(t *testing.T) {
 	e := newEnv(t)
 	// a = +1 (and beyond) → δmax; a = −1 (and below) → MinFreqFrac·δmax.
-	hi, err := e.FreqsFromAction(tensor.Vector{1, 2, 100})
+	hi, err := MapAction(e.Sys, tensor.Vector{1, 2, 100}, e.Cfg.MinFreqFrac)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, _ := e.FreqsFromAction(tensor.Vector{-1, -2, -100})
-	mid, _ := e.FreqsFromAction(tensor.Vector{0, 0, 0})
+	lo, _ := MapAction(e.Sys, tensor.Vector{-1, -2, -100}, e.Cfg.MinFreqFrac)
+	mid, _ := MapAction(e.Sys, tensor.Vector{0, 0, 0}, e.Cfg.MinFreqFrac)
 	for i, d := range e.Sys.Devices {
 		if !testutil.Within(hi[i], d.MaxFreqHz, 1e-6) {
 			t.Fatalf("a=+1 freq %v != δmax %v", hi[i], d.MaxFreqHz)
@@ -158,7 +158,7 @@ func TestFreqsFromActionMapping(t *testing.T) {
 			t.Fatalf("a=0 freq %v want %v", mid[i], wantMid)
 		}
 	}
-	if _, err := e.FreqsFromAction(tensor.Vector{0}); err == nil {
+	if _, err := MapAction(e.Sys, tensor.Vector{0}, e.Cfg.MinFreqFrac); err == nil {
 		t.Fatal("wrong action dim accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestStepRewardNegatesCost(t *testing.T) {
 	if _, err := e.ResetAt(10); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Step(tensor.Vector{0.5, -0.5, 0})
+	res, err := e.StepInto(tensor.Vector{0.5, -0.5, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEpisodeTermination(t *testing.T) {
 	}
 	a := tensor.Vector{1, 1, 1}
 	for k := 0; k < 3; k++ {
-		res, err := e.Step(a)
+		res, err := e.StepInto(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,22 +200,22 @@ func TestEpisodeTermination(t *testing.T) {
 			t.Fatalf("done flag wrong at step %d", k)
 		}
 	}
-	if _, err := e.Step(a); err == nil {
+	if _, err := e.StepInto(a); err == nil {
 		t.Fatal("step past episode end accepted")
 	}
 	// Reset allows a fresh episode.
 	if _, err := e.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(a); err != nil {
+	if _, err := e.StepInto(a); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStepBeforeResetFails(t *testing.T) {
 	e := newEnv(t)
-	if _, err := e.Step(tensor.Vector{0, 0, 0}); err == nil {
-		t.Fatal("Step before Reset accepted")
+	if _, err := e.StepInto(tensor.Vector{0, 0, 0}); err == nil {
+		t.Fatal("StepInto before Reset accepted")
 	}
 	defer func() {
 		if recover() == nil {
@@ -230,7 +230,7 @@ func TestClockAdvancesWithIterations(t *testing.T) {
 	if _, err := e.ResetAt(5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Step(tensor.Vector{1, 1, 1})
+	res, err := e.StepInto(tensor.Vector{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,14 @@ func TestLowerFrequencyLowersEnergy(t *testing.T) {
 	if _, err := e.ResetAt(0); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := e.Step(tensor.Vector{1, 1, 1})
+	fast, err := e.StepInto(tensor.Vector{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.ResetAt(0); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := e.Step(tensor.Vector{-0.5, -0.5, -0.5})
+	slow, err := e.StepInto(tensor.Vector{-0.5, -0.5, -0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

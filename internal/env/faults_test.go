@@ -94,11 +94,11 @@ func TestFaultyEpisodeDeterminism(t *testing.T) {
 			}
 			states = append(states, s)
 			for {
-				res, err := e.Step(tensor.NewVector(e.ActionDim()))
+				res, err := e.StepInto(tensor.NewVector(e.ActionDim()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				states = append(states, res.State)
+				states = append(states, res.State.Clone())
 				rewards = append(rewards, res.Reward)
 				survivors = append(survivors, res.Iter.Survivors)
 				if res.Done {
@@ -138,7 +138,7 @@ func TestDownDevicesMaskedInState(t *testing.T) {
 	}
 	// After iteration 0 every device has crashed (CrashProb 1); the state
 	// for iteration 1 must be all zeros.
-	res, err := e.Step(tensor.NewVector(e.ActionDim()))
+	res, err := e.StepInto(tensor.NewVector(e.ActionDim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestResetAtFaultSeedsDiffer(t *testing.T) {
 		}
 		var surv []int
 		for {
-			res, err := e.Step(tensor.NewVector(e.ActionDim()))
+			res, err := e.StepInto(tensor.NewVector(e.ActionDim()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,13 +4,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fl"
 	"repro/internal/tensor"
 )
 
-// TestStepIntoMatchesStep pins the zero-allocation path to the allocating
-// one: over a whole episode with varying actions, StepInto must produce
-// bit-identical states, rewards, and iteration stats to Step — the only
-// differences are buffer ownership and the missing history record.
+// TestStepIntoMatchesStep pins the zero-allocation path to an allocating
+// step written out here from the public pieces: MapAction, the recording
+// Session.Step, the freshly built State and fl.Reward. Over a whole episode
+// with varying actions, StepInto must produce bit-identical states,
+// rewards, costs and iteration stats — the only differences are buffer
+// ownership and the missing history record.
 func TestStepIntoMatchesStep(t *testing.T) {
 	mk := func() *Env {
 		e, err := New(benchSystem(5), DefaultConfig(), rand.New(rand.NewSource(3)))
@@ -39,16 +42,28 @@ func TestStepIntoMatchesStep(t *testing.T) {
 		for i := range action {
 			action[i] = rng.Float64()*2 - 1
 		}
-		ra, err := ea.Step(action)
+		freqs, err := MapAction(ea.Sys, action, ea.Cfg.MinFreqFrac)
 		if err != nil {
 			t.Fatal(err)
+		}
+		it, err := ea.Session().Step(freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra := StepResult{
+			State:  ea.State(),
+			Reward: fl.Reward(it) / ea.Cfg.RewardScale,
+			Done:   k+1 >= ea.Cfg.EpisodeLen,
+			Costs:  ea.Cfg.ConstraintCosts(it),
+			Iter:   it,
 		}
 		rb, err := eb.StepInto(action)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ra.Reward != rb.Reward || ra.Done != rb.Done {
-			t.Fatalf("step %d: reward/done %v/%v vs %v/%v", k, ra.Reward, ra.Done, rb.Reward, rb.Done)
+		if ra.Reward != rb.Reward || ra.Done != rb.Done || ra.Costs != rb.Costs {
+			t.Fatalf("step %d: reward/done/costs %v/%v/%v vs %v/%v/%v", k,
+				ra.Reward, ra.Done, ra.Costs, rb.Reward, rb.Done, rb.Costs)
 		}
 		if ra.Iter.Cost != rb.Iter.Cost || ra.Iter.Duration != rb.Iter.Duration ||
 			ra.Iter.ComputeEnergy != rb.Iter.ComputeEnergy || ra.Iter.TxEnergy != rb.Iter.TxEnergy {
@@ -66,6 +81,9 @@ func TestStepIntoMatchesStep(t *testing.T) {
 	}
 	if eb.Session().K() != ea.Session().K() {
 		t.Fatalf("K diverges: %d vs %d", eb.Session().K(), ea.Session().K())
+	}
+	if len(ea.Session().History) != ea.Cfg.EpisodeLen {
+		t.Fatalf("Session.Step recorded %d history entries, want %d", len(ea.Session().History), ea.Cfg.EpisodeLen)
 	}
 	if len(eb.Session().History) != 0 {
 		t.Fatalf("StepInto recorded %d history entries", len(eb.Session().History))

@@ -73,8 +73,8 @@ func (s *System) RunAsync(startTime float64, freqs []float64, totalUpdates int) 
 		return AsyncResult{}, fmt.Errorf("fl: negative start time %v", startTime)
 	}
 	for i, d := range s.Devices {
-		if freqs[i] <= 0 || freqs[i] > d.MaxFreqHz*(1+1e-9) {
-			return AsyncResult{}, fmt.Errorf("fl: device %d frequency %v outside (0, %v]", i, freqs[i], d.MaxFreqHz)
+		if err := checkFreq(i, freqs[i], d); err != nil {
+			return AsyncResult{}, err
 		}
 	}
 

@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/device"
 	"repro/internal/fault"
 )
 
-// This file grows the synchronous engine toward realistic fleets: a barrier
-// deadline with partial aggregation (devices that miss the deadline are
-// dropped from the round instead of holding the barrier hostage, the
-// FedCS-style remedy), retry-with-backoff on blacked-out uploads, and
-// composition with the seeded fault processes of internal/fault. The
-// zero-valued IterOptions reproduce the paper's fault-free engine
-// bit-for-bit — RunIteration is now a thin wrapper over RunIterationOpts.
+// This file holds the one kernel of the synchronous iteration, eqs. (1)-(6),
+// that every entry point runs: RunIteration, Session.Step and
+// Session.StepInto all call RunIterationOptsInto. Its IterOptions grow the
+// paper's engine toward realistic fleets: a barrier deadline with partial
+// aggregation (devices that miss the deadline are dropped from the round
+// instead of holding the barrier hostage, the FedCS-style remedy),
+// retry-with-backoff on blacked-out uploads, composition with the seeded
+// fault processes of internal/fault, and client selection by participation
+// mask. The zero-valued IterOptions reproduce the paper's fault-free engine
+// bit-for-bit.
 
 // DefaultRetryBackoffSec is the wait before the first upload retry when
 // IterOptions.RetryBackoffSec is left zero; each further retry doubles it.
@@ -35,6 +39,15 @@ type IterOptions struct {
 	// DefaultRetryBackoffSec (only relevant when a fault schedule injects
 	// upload failures).
 	RetryBackoffSec float64
+	// Participants is the client-selection mask (Nishio & Yonetani [38],
+	// cited in §VI), the other lever against stragglers: rather than
+	// slowing fast devices down, the server excludes slow ones from the
+	// round. Only masked devices compute, upload and burn energy, and the
+	// barrier (eq. 5) ranges over them. A non-participant is skipped
+	// before its fault lookup and gets zero stats (not Down), so its
+	// IdleTime is the whole round and its frequency is ignored. nil means
+	// every device participates.
+	Participants []bool
 }
 
 // Validate checks the options against a system.
@@ -44,6 +57,9 @@ func (o IterOptions) Validate(s *System) error {
 	}
 	if o.RetryBackoffSec < 0 || math.IsNaN(o.RetryBackoffSec) || math.IsInf(o.RetryBackoffSec, 0) {
 		return fmt.Errorf("fl: invalid retry backoff %v", o.RetryBackoffSec)
+	}
+	if o.Participants != nil && len(o.Participants) != s.N() {
+		return fmt.Errorf("fl: %d participation masks for %d devices", len(o.Participants), s.N())
 	}
 	if o.Faults != nil && o.Faults.N() != s.N() {
 		return fmt.Errorf("fl: fault schedule for %d devices, system has %d", o.Faults.N(), s.N())
@@ -76,11 +92,21 @@ func (o IterOptions) retryWait(failed int) float64 {
 	return wait
 }
 
-// RunIterationOpts simulates iteration k starting at startTime with the
-// given per-device frequencies under the fault-tolerance options. With the
-// zero IterOptions it is bit-identical to the original RunIteration.
+// RunIterationOptsInto simulates iteration k starting at startTime with the
+// given per-device frequencies under the options, writing the per-device
+// stats into a caller-provided buffer: devs is resliced to N() entries
+// (reallocated only when its capacity is short) and the returned
+// IterationStats.Devices aliases it. With an adequate buffer the engine
+// performs no allocation — the zero-allocation contract of the simulation
+// hot path (DESIGN.md §10). Callers that retain iteration stats across
+// calls (e.g. a session history) must keep passing nil.
 //
-// Semantics under faults:
+// Frequencies must lie in (0, δ_i^max]; the engine reports an error rather
+// than silently clamping so schedulers stay honest about the action space.
+//
+// Semantics under the options:
+//   - A non-participant (Participants mask) sits the round out with zero
+//     stats and is not counted as a survivor.
 //   - A Down device sits the round out: zero stats, Down marked, no energy.
 //   - FailedUploads delay a device's upload start by the exponential-backoff
 //     wait; the blacked-out attempts transmit nothing and burn no tx energy.
@@ -92,17 +118,6 @@ func (o IterOptions) retryWait(failed int) float64 {
 //     time that fit before the deadline, AvgBandwidth measured over that
 //     window. The paper's cost (eq. 9) keeps charging their wasted energy.
 //   - An iteration with zero survivors lasts exactly Deadline.
-func (s *System) RunIterationOpts(k int, startTime float64, freqs []float64, opts IterOptions) (IterationStats, error) {
-	return s.RunIterationOptsInto(k, startTime, freqs, opts, nil)
-}
-
-// RunIterationOptsInto is RunIterationOpts writing the per-device stats into
-// a caller-provided buffer: devs is resliced to N() entries (reallocated
-// only when its capacity is short) and the returned IterationStats.Devices
-// aliases it. With an adequate buffer the engine performs no allocation —
-// the zero-allocation contract of the simulation hot path (DESIGN.md §10).
-// Callers that retain iteration stats across calls (e.g. a session history)
-// must keep passing nil.
 func (s *System) RunIterationOptsInto(k int, startTime float64, freqs []float64, opts IterOptions, devs []DeviceIterStats) (IterationStats, error) {
 	if err := s.Validate(); err != nil {
 		return IterationStats{}, err
@@ -123,7 +138,14 @@ func (s *System) RunIterationOptsInto(k int, startTime float64, freqs []float64,
 		StartTime: startTime,
 		Devices:   devs,
 	}
+	skipped := 0
 	for i, d := range s.Devices {
+		if opts.Participants != nil && !opts.Participants[i] {
+			// Not selected: stale stats from a reused buffer must go too.
+			it.Devices[i] = DeviceIterStats{}
+			skipped++
+			continue
+		}
 		var df fault.DeviceFault
 		if opts.Faults != nil {
 			df = opts.Faults.At(k, i)
@@ -136,11 +158,8 @@ func (s *System) RunIterationOptsInto(k int, startTime float64, freqs []float64,
 			continue
 		}
 		f := freqs[i]
-		// !(f > 0) rather than f <= 0: NaN fails both orderings, and a NaN
-		// frequency must be rejected here, not propagated into the timing
-		// model (+Inf is caught by the upper bound).
-		if !(f > 0) || f > d.MaxFreqHz*(1+1e-9) {
-			return IterationStats{}, fmt.Errorf("fl: device %d frequency %v outside (0, %v]", i, f, d.MaxFreqHz)
+		if err := checkFreq(i, f, d); err != nil {
+			return IterationStats{}, err
 		}
 		tcmp := d.ComputeTime(s.Tau, f)
 		computeE := d.ComputeEnergy(s.Tau, f)
@@ -203,7 +222,10 @@ func (s *System) RunIterationOptsInto(k int, startTime float64, freqs []float64,
 			it.Duration = ds.TotalTime
 		}
 	}
-	it.Survivors = s.N() - it.Down - it.Dropped
+	if skipped == s.N() {
+		return IterationStats{}, fmt.Errorf("fl: no participating devices in iteration %d", k)
+	}
+	it.Survivors = s.N() - skipped - it.Down - it.Dropped
 	if it.Survivors == 0 {
 		if opts.Deadline == 0 {
 			return IterationStats{}, fmt.Errorf("fl: no live devices in iteration %d", k)
@@ -219,15 +241,24 @@ func (s *System) RunIterationOptsInto(k int, startTime float64, freqs []float64,
 	return it, nil
 }
 
-// StepOpts runs the next iteration under the given options and advances the
-// session clock. Step is equivalent to StepOpts with the session's Opts.
-func (ses *Session) StepOpts(freqs []float64, opts IterOptions) (IterationStats, error) {
-	it, err := ses.Sys.RunIterationOpts(ses.steps, ses.Clock, freqs, opts)
-	if err != nil {
-		return IterationStats{}, err
+// checkFreq rejects a frequency outside (0, δ_i^max]. !(f > 0) rather than
+// f <= 0: NaN fails both orderings, and a NaN frequency must be rejected
+// here, not propagated into the timing model (+Inf is caught by the upper
+// bound).
+func checkFreq(i int, f float64, d *device.Device) error {
+	if !(f > 0) || f > d.MaxFreqHz*(1+1e-9) {
+		return fmt.Errorf("fl: device %d frequency %v outside (0, %v]", i, f, d.MaxFreqHz)
 	}
-	ses.Clock += it.Duration
-	ses.History = append(ses.History, it)
-	ses.steps++
-	return it, nil
+	return nil
+}
+
+// Participants extracts the mask's participating-device indices.
+func Participants(mask []bool) []int {
+	var out []int
+	for i, p := range mask {
+		if p {
+			out = append(out, i)
+		}
+	}
+	return out
 }

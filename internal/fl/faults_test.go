@@ -9,8 +9,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// Zero options must reproduce the fault-free engine bit-for-bit — the
-// contract that lets RunIteration delegate to RunIterationOpts.
+// Options that change nothing — an all-true participation mask, a reused
+// buffer holding stale stats — must reproduce the fault-free engine
+// bit-for-bit.
 func TestZeroOptsBitIdentical(t *testing.T) {
 	s := testSystem()
 	fs := maxFreqs(s)
@@ -18,7 +19,12 @@ func TestZeroOptsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opted, err := s.RunIterationOpts(3, 17.25, fs, IterOptions{})
+	stale := make([]DeviceIterStats, s.N())
+	for i := range stale {
+		stale[i] = DeviceIterStats{Down: true, Dropped: true, Retries: 7, IdleTime: 1}
+	}
+	all := []bool{true, true, true}
+	opted, err := s.RunIterationOptsInto(3, 17.25, fs, IterOptions{Participants: all}, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +42,7 @@ func TestDeadlineDropsStraggler(t *testing.T) {
 	for _, d := range s.Devices {
 		d.TxEnergyPerSec = 0.1
 	}
-	it, err := s.RunIterationOpts(0, 0, fs, IterOptions{Deadline: 10})
+	it, err := s.RunIterationOptsInto(0, 0, fs, IterOptions{Deadline: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestDeadlineDropsStraggler(t *testing.T) {
 func TestDeadlineGenerousKeepsEveryone(t *testing.T) {
 	s := testSystem()
 	fs := maxFreqs(s)
-	it, err := s.RunIterationOpts(0, 0, fs, IterOptions{Deadline: 100})
+	it, err := s.RunIterationOptsInto(0, 0, fs, IterOptions{Deadline: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +96,7 @@ func TestAllCrashedRoundLastsDeadline(t *testing.T) {
 	// strictly below 1) regardless of seed.
 	sched := fault.MustNewSchedule(fault.Config{CrashProb: 1, RejoinProb: 0.5}, s.N(), 7)
 	opts := IterOptions{Deadline: 12, Faults: sched}
-	it, err := s.RunIterationOpts(1, 0, fs, opts)
+	it, err := s.RunIterationOptsInto(1, 0, fs, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestStragglerSpikeStretchesComputeAndEnergy(t *testing.T) {
 	fs := maxFreqs(s)
 	// StragglerProb 1 spikes every device every iteration at the default ×4.
 	sched := fault.MustNewSchedule(fault.Config{StragglerProb: 1}, s.N(), 3)
-	it, err := s.RunIterationOpts(0, 0, fs, IterOptions{Faults: sched})
+	it, err := s.RunIterationOptsInto(0, 0, fs, IterOptions{Faults: sched}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +159,7 @@ func TestBlackoutRetriesDelayUpload(t *testing.T) {
 	if k < 0 {
 		t.Fatal("no double blackout in 200 iterations at p=0.9")
 	}
-	it, err := s.RunIterationOpts(k, 0, fs, IterOptions{Faults: sched, RetryBackoffSec: 0.5})
+	it, err := s.RunIterationOptsInto(k, 0, fs, IterOptions{Faults: sched, RetryBackoffSec: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +200,10 @@ func TestIterOptionsValidate(t *testing.T) {
 		{RetryBackoffSec: -0.1},
 		{Faults: fault.MustNewSchedule(fault.Config{}, 5, 1)},                                // wrong fleet size
 		{Faults: fault.MustNewSchedule(fault.Config{CrashProb: 0.5, RejoinProb: 0.5}, 3, 1)}, // crashes need deadline
+		{Participants: []bool{true, true}},                                                   // wrong mask length
 	}
 	for i, o := range bad {
-		if _, err := s.RunIterationOpts(0, 0, fs, o); err == nil {
+		if _, err := s.RunIterationOptsInto(0, 0, fs, o, nil); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
 	}
@@ -254,5 +261,48 @@ func TestSessionOptsAdvanceClock(t *testing.T) {
 	testutil.AssertWithin(t, "clock", ses.Clock, 5+it.Duration, 0)
 	if it.Dropped != 1 { // device 2 needs 14 s
 		t.Fatalf("deadline not applied through session: %+v", it)
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN frequency passes a `f <= 0` check and
+// a NaN start time passes the `t0 < 0` clamp, and either one used to reach
+// the trace's segment lookup and panic with an index out of range. Every
+// entry point must return an error instead.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	s := testSystem()
+	nanFreq := maxFreqs(s)
+	nanFreq[1] = math.NaN()
+	mask := []bool{true, true, false}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"mask/nan-freq", func() error {
+			_, err := s.RunIterationOptsInto(0, 0, nanFreq, IterOptions{Participants: mask}, nil)
+			return err
+		}},
+		{"async/nan-freq", func() error {
+			_, err := s.RunAsync(0, nanFreq, 5)
+			return err
+		}},
+		{"async/nan-start", func() error {
+			_, err := s.RunAsync(math.NaN(), maxFreqs(s), 5)
+			return err
+		}},
+		{"iteration/nan-start", func() error {
+			_, err := s.RunIteration(0, math.NaN(), maxFreqs(s))
+			return err
+		}},
+		{"iteration/inf-start", func() error {
+			_, err := s.RunIteration(0, math.Inf(1), maxFreqs(s))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil {
+				t.Fatal("non-finite input accepted")
+			}
+		})
 	}
 }

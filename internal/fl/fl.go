@@ -125,12 +125,11 @@ func (it *IterationStats) TotalEnergy() float64 {
 }
 
 // RunIteration simulates iteration k starting at startTime with the given
-// per-device frequencies (Hz). Frequencies must lie in (0, δ_i^max]; the
-// engine reports an error rather than silently clamping so schedulers stay
-// honest about the action space. It is the fault-free special case of
-// RunIterationOpts (see faults.go).
+// per-device frequencies (Hz) in the paper's fault-free engine: it is
+// RunIterationOptsInto (faults.go) with the zero IterOptions and a fresh
+// stats buffer.
 func (s *System) RunIteration(k int, startTime float64, freqs []float64) (IterationStats, error) {
-	return s.RunIterationOpts(k, startTime, freqs, IterOptions{})
+	return s.RunIterationOptsInto(k, startTime, freqs, IterOptions{}, nil)
 }
 
 // Session drives a System across iterations, advancing the wall clock per
@@ -142,7 +141,8 @@ type Session struct {
 	// History holds the stats of completed iterations in order. StepInto
 	// advances the session without recording here.
 	History []IterationStats
-	// Opts are the fault-tolerance options applied to every Step. The zero
+	// Opts are the iteration options (deadline, faults, retry backoff,
+	// participation mask) applied to every Step and StepInto. The zero
 	// value keeps the paper's fault-free engine.
 	Opts IterOptions
 
@@ -167,13 +167,21 @@ func NewSession(sys *System, startTime float64) (*Session, error) {
 }
 
 // Step runs the next iteration with the given frequencies under the
-// session's Opts and advances the clock.
+// session's Opts, advances the clock and records the iteration (with its
+// own copy of the per-device stats) in History.
 func (ses *Session) Step(freqs []float64) (IterationStats, error) {
-	return ses.StepOpts(freqs, ses.Opts)
+	it, err := ses.StepInto(freqs)
+	if err != nil {
+		return IterationStats{}, err
+	}
+	it.Devices = append([]DeviceIterStats(nil), it.Devices...)
+	ses.History = append(ses.History, it)
+	return it, nil
 }
 
 // StepInto is Step without the history record: the returned stats' Devices
-// alias a per-session scratch buffer that the next StepInto overwrites, and
+// alias a per-session scratch buffer that the next Step or StepInto
+// overwrites, and
 // nothing is appended to History. In steady state the call performs no
 // allocation, which is what keeps the RL training loop's environment step
 // allocation-free (the trainer consumes each iteration's stats immediately

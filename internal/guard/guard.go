@@ -519,7 +519,7 @@ func (g *Guard) Frequencies(ctx sched.Context) ([]float64, error) {
 				g.violation(&d, lv, "")
 				continue
 			}
-			if g.ood != nil && g.ood.open {
+			if g.ood != nil && g.ood.gate.Open() {
 				// The gate, unlike the breaker, is input hysteresis: the
 				// actor is bypassed, not blamed.
 				g.aud.note(&d, lv.name+":ood-bypass")

@@ -73,29 +73,16 @@ func ProbeReference(sys *fl.System, cfg env.Config, samples int) (*Reference, er
 // than dwarfing the windowed average and masking when it recovers.
 const zCap = 20.0
 
-// oodDetector scores live states against a Reference and runs the
-// open/close hysteresis gate: the gate opens when the windowed mean drift
-// score exceeds the threshold and re-closes only once it falls below
-// hysteresis·threshold, so a score oscillating around the threshold
-// cannot flap the actor in and out of service.
+// oodDetector scores live states against a Reference and feeds the scores
+// through a Hysteresis gate, so a drift score oscillating around the
+// threshold cannot flap the actor in and out of service.
 type oodDetector struct {
-	ref        *Reference
-	threshold  float64
-	hysteresis float64
-
-	win  []float64 // ring buffer of recent per-decision scores
-	pos  int
-	n    int
-	open bool
+	ref  *Reference
+	gate *Hysteresis
 }
 
 func newOODDetector(ref *Reference, threshold, hysteresis float64, window int) *oodDetector {
-	return &oodDetector{
-		ref:        ref,
-		threshold:  threshold,
-		hysteresis: hysteresis,
-		win:        make([]float64, window),
-	}
+	return &oodDetector{ref: ref, gate: NewHysteresis(threshold, hysteresis, window)}
 }
 
 // score computes the mean capped |z| of the state against the reference.
@@ -116,26 +103,59 @@ func (o *oodDetector) score(s tensor.Vector) float64 {
 	return sum / float64(len(s))
 }
 
-// observe folds one per-decision score into the window and advances the
-// gate. It returns "open" or "close" on a transition, "" otherwise.
-func (o *oodDetector) observe(score float64) string {
-	o.win[o.pos] = score
-	o.pos = (o.pos + 1) % len(o.win)
-	if o.n < len(o.win) {
-		o.n++
+// observe folds one per-decision score into the gate (Hysteresis.Observe).
+func (o *oodDetector) observe(score float64) string { return o.gate.Observe(score) }
+
+// Hysteresis is a windowed open/close gate over a stream of scores: it opens
+// when the mean of the last window scores exceeds the threshold and
+// re-closes only once that mean falls below hysteresis·threshold. A NaN
+// score (an unscorable observation) does not advance the window. The OOD
+// layer runs one over live drift scores; online.Loop runs one over the
+// scores parsed back from the audit log, so the training side reaches the
+// drift verdict the serving side reached from the audit bytes alone.
+type Hysteresis struct {
+	threshold  float64
+	hysteresis float64
+
+	win  []float64 // ring buffer of recent scores
+	pos  int
+	n    int
+	open bool
+}
+
+// NewHysteresis builds a closed gate. threshold > 0, hysteresis in (0,1]
+// and window ≥ 1 are the caller's to check, as Config.Validate does for the
+// OOD layer.
+func NewHysteresis(threshold, hysteresis float64, window int) *Hysteresis {
+	return &Hysteresis{threshold: threshold, hysteresis: hysteresis, win: make([]float64, window)}
+}
+
+// Observe folds one score into the window and advances the gate. It returns
+// "open" or "close" on a transition, "" otherwise.
+func (h *Hysteresis) Observe(score float64) string {
+	if math.IsNaN(score) {
+		return ""
+	}
+	h.win[h.pos] = score
+	h.pos = (h.pos + 1) % len(h.win)
+	if h.n < len(h.win) {
+		h.n++
 	}
 	var sum float64
-	for i := 0; i < o.n; i++ {
-		sum += o.win[i]
+	for i := 0; i < h.n; i++ {
+		sum += h.win[i]
 	}
-	avg := sum / float64(o.n)
+	avg := sum / float64(h.n)
 	switch {
-	case !o.open && avg > o.threshold:
-		o.open = true
+	case !h.open && avg > h.threshold:
+		h.open = true
 		return "open"
-	case o.open && avg < o.hysteresis*o.threshold:
-		o.open = false
+	case h.open && avg < h.hysteresis*h.threshold:
+		h.open = false
 		return "close"
 	}
 	return ""
 }
+
+// Open reports whether the gate is open.
+func (h *Hysteresis) Open() bool { return h.open }

@@ -395,9 +395,9 @@ func (e *Engine) runRegions() {
 // regionRound simulates region r's local round dispatched at the current
 // clock: cohort selection, per-device compute+upload timing against the
 // shared trace pool, the regional device barrier, and the aggregator's
-// uplink to the cloud. The per-device arithmetic mirrors fl.RunIterationOpts
-// expression by expression so the 1-region engine stays bit-identical to
-// the flat barrier.
+// uplink to the cloud. The per-device arithmetic mirrors
+// fl.RunIterationOptsInto expression by expression so the 1-region engine
+// stays bit-identical to the flat barrier.
 func (e *Engine) regionRound(r int) {
 	lo, hi := e.Top.Region(r)
 	size := hi - lo

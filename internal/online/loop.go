@@ -29,8 +29,8 @@ type Config struct {
 	// BufferCap bounds the replay buffer (0 → DefaultBufferCap).
 	BufferCap int
 	// DriftThreshold/DriftHysteresis/DriftWindow parameterize the retrain
-	// gate over parsed drift scores, mirroring the guard's OOD gate
-	// semantics (0 → the documented defaults).
+	// gate over parsed drift scores, the same guard.Hysteresis the serving
+	// side's OOD layer runs (0 → the documented defaults).
 	DriftThreshold  float64
 	DriftHysteresis float64
 	DriftWindow     int
@@ -150,7 +150,7 @@ type Loop struct {
 
 	rep  *Replayer
 	buf  *Buffer
-	gate *DriftGate
+	gate *guard.Hysteresis
 
 	sinceAttempt int
 	skipped      int
@@ -182,7 +182,7 @@ func NewLoop(sys *fl.System, agent *core.Agent, cfg Config) (*Loop, error) {
 		agent:        agent,
 		rep:          rep,
 		buf:          NewBuffer(cfg.BufferCap),
-		gate:         NewDriftGate(cfg.DriftThreshold, cfg.DriftHysteresis, cfg.DriftWindow),
+		gate:         guard.NewHysteresis(cfg.DriftThreshold, cfg.DriftHysteresis, cfg.DriftWindow),
 		sinceAttempt: cfg.Cooldown, // an already-drifted log retrains as soon as MinSamples arrive
 	}, nil
 }

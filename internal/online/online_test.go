@@ -89,7 +89,7 @@ func TestBufferFIFO(t *testing.T) {
 }
 
 func TestDriftGateHysteresis(t *testing.T) {
-	g := online.NewDriftGate(4, 0.5, 2)
+	g := guard.NewHysteresis(4, 0.5, 2)
 	if ev := g.Observe(10); ev != "open" {
 		t.Fatalf("high score: %q, want open", ev)
 	}

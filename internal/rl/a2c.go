@@ -74,25 +74,22 @@ type A2C struct {
 	actorOpt  *nn.Adam
 	criticOpt *nn.Adam
 
-	// Data-parallel engine state, created on the first Update when the actor
-	// implements ShardedPolicy; reused across updates so the steady-state
-	// path allocates nothing (pinned by TestA2CUpdateSteadyStateAllocs).
-	engine                    *shardEngine
-	arena                     *tensor.Arena
-	scratch                   *ppoScratch
-	actorParams, criticParams []nn.Param
+	// Data-parallel engine state, created on the first Update and reused
+	// across updates so the steady-state path allocates nothing (pinned by
+	// TestA2CUpdateSteadyStateAllocs).
+	engine  *shardEngine
+	arena   *tensor.Arena
+	scratch ppoScratch
 }
 
-// NewA2C wires the actor and critic to fresh Adam optimizers.
+// NewA2C wires the actor and critic to fresh Adam optimizers. Like NewPPO it
+// requires a ShardedPolicy actor.
 func NewA2C(cfg A2CConfig, actor Policy, critic *nn.MLP) (*A2C, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if critic.OutDim() != 1 {
-		return nil, fmt.Errorf("rl: critic must output one value, has %d", critic.OutDim())
-	}
-	if critic.InDim() != actor.StateDim() {
-		return nil, fmt.Errorf("rl: actor/critic state dims differ: %d vs %d", actor.StateDim(), critic.InDim())
+	if err := checkActorCritic(actor, critic); err != nil {
+		return nil, err
 	}
 	return &A2C{
 		Cfg:       cfg,
@@ -113,78 +110,42 @@ func (a *A2C) Value(s tensor.Vector) float64 {
 //	∇J = E[ A·∇log π(a|s) ] + c_e·∇H − c_v·∇MSE(V, returns)
 //
 // Because A2C takes a single step per batch it must sample fresh data every
-// update — the sample-inefficiency PPO's clipped re-use fixes.
-//
-// Actors implementing ShardedPolicy run through the same deterministic
-// data-parallel engine as PPO (bit-identical at any Cfg.Workers, zero
-// steady-state allocations); other actors use the per-sample loop.
+// update — the sample-inefficiency PPO's clipped re-use fixes. It runs on the
+// same deterministic data-parallel engine as PPO (bit-identical at any
+// Cfg.Workers, zero steady-state allocations).
 func (a *A2C) Update(batch *Batch) (UpdateStats, error) {
 	n := batch.Len()
 	if n == 0 {
 		return UpdateStats{}, fmt.Errorf("rl: empty batch")
 	}
-	sp, sharded := a.Actor.(ShardedPolicy)
-	if a.actorParams == nil {
-		if sharded {
-			a.engine = newShardEngine(sp, a.Critic, a.Cfg.Workers)
-			a.arena = tensor.NewArena()
-			a.scratch = &ppoScratch{}
-			a.actorParams = a.engine.actorParams
-			a.criticParams = a.engine.criticParams
-		} else {
-			a.actorParams = a.Actor.Params()
-			a.criticParams = a.Critic.Params()
-		}
+	if a.engine == nil {
+		a.engine = newShardEngine(a.Actor.(ShardedPolicy), a.Critic, a.Cfg.Workers)
+		a.arena = tensor.NewArena()
 	}
-	actorParams, criticParams := a.actorParams, a.criticParams
+	actorParams, criticParams := a.engine.actorParams, a.engine.criticParams
 	var stats UpdateStats
 	size := float64(n)
-	if sharded {
-		a.arena.Reset()
-		sc := a.scratch
-		sc.carve(a.arena, n, a.Actor.StateDim(), a.Actor.ActionDim())
-		for k := 0; k < n; k++ {
-			copy(sc.S.Row(k), batch.States[k])
-			copy(sc.A.Row(k), batch.Actions[k])
-		}
-		V := a.engine.forward(sc.S, sc.A, sc.logp, true)
-		for k := 0; k < n; k++ {
-			adv := batch.Advantages[k]
-			// Ascend A·log π ⇒ descend −A·log π.
-			sc.upstream[k] = -adv / size
-			stats.PolicyLoss += -adv * sc.logp[k]
-			verr := V[k] - batch.Returns[k]
-			stats.ValueLoss += verr * verr
-			sc.dV.Data[k] = 2 * verr / size
-		}
-		a.engine.backward(sc.upstream, sc.dV, nil, true)
-	} else {
-		a.Actor.ZeroGrad()
-		a.Critic.ZeroGrad()
-		dv := tensor.NewVector(1)
-		for k := 0; k < n; k++ {
-			s := batch.States[k]
-			act := batch.Actions[k]
-			adv := batch.Advantages[k]
-			// Ascend A·log π ⇒ descend −A·log π.
-			logp := a.Actor.BackwardLogProb(s, act, -adv/size)
-			stats.PolicyLoss += -adv * logp
-			v := a.Critic.Forward(s)[0]
-			verr := v - batch.Returns[k]
-			stats.ValueLoss += verr * verr
-			dv[0] = 2 * verr / size
-			a.Critic.Backward(dv)
-		}
+	a.arena.Reset()
+	sc := &a.scratch
+	sc.carve(a.arena, n, a.Actor.StateDim(), a.Actor.ActionDim())
+	for k := 0; k < n; k++ {
+		copy(sc.S.Row(k), batch.States[k])
+		copy(sc.A.Row(k), batch.Actions[k])
 	}
+	V := a.engine.forward(sc.S, sc.A, sc.logp, true)
+	for k := 0; k < n; k++ {
+		adv := batch.Advantages[k]
+		// Ascend A·log π ⇒ descend −A·log π.
+		sc.upstream[k] = -adv / size
+		stats.PolicyLoss += -adv * sc.logp[k]
+		verr := V[k] - batch.Returns[k]
+		stats.ValueLoss += verr * verr
+		sc.dV.Data[k] = 2 * verr / size
+	}
+	a.engine.backward(sc.upstream, sc.dV, nil, true)
 	a.Actor.AddEntropyGrad(-a.Cfg.EntropyCoef)
-	var actorNorm, criticNorm float64
-	if sharded {
-		actorNorm = nn.GradNorm(actorParams)
-		criticNorm = nn.GradNorm(criticParams)
-	} else {
-		actorNorm = nn.ClipGradNorm(actorParams, a.Cfg.MaxGradNorm)
-		criticNorm = nn.ClipGradNorm(criticParams, a.Cfg.MaxGradNorm)
-	}
+	actorNorm := nn.GradNorm(actorParams)
+	criticNorm := nn.GradNorm(criticParams)
 	// NaN guard (same contract as PPO): a poisoned batch must not corrupt
 	// the parameters — skip the step and report it.
 	if !finite(stats.PolicyLoss) || !finite(stats.ValueLoss) ||
@@ -195,13 +156,8 @@ func (a *A2C) Update(batch *Batch) (UpdateStats, error) {
 		stats.EpochsRun = 1
 		return stats, nil
 	}
-	if sharded {
-		a.actorOpt.StepScaled(actorParams, nn.ClipScale(actorNorm, a.Cfg.MaxGradNorm))
-		a.criticOpt.StepScaled(criticParams, nn.ClipScale(criticNorm, a.Cfg.MaxGradNorm))
-	} else {
-		a.actorOpt.Step(actorParams)
-		a.criticOpt.Step(criticParams)
-	}
+	a.actorOpt.StepScaled(actorParams, nn.ClipScale(actorNorm, a.Cfg.MaxGradNorm))
+	a.criticOpt.StepScaled(criticParams, nn.ClipScale(criticNorm, a.Cfg.MaxGradNorm))
 
 	stats.PolicyLoss /= size
 	stats.ValueLoss /= size

@@ -8,10 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// seqOnly hides the BatchPolicy methods of a policy so PPO.Update takes the
-// per-sample fallback path.
-type seqOnly struct{ Policy }
-
 func randomBatchFor(actor Policy, critic *nn.MLP, n int, rng *rand.Rand) *Batch {
 	buf := NewBuffer(n)
 	for !buf.Full() {
@@ -24,66 +20,6 @@ func randomBatchFor(actor Policy, critic *nn.MLP, n int, rng *rand.Rand) *Batch 
 			LogProb: logp, Value: critic.Forward(s)[0], Done: rng.Intn(17) == 0})
 	}
 	return MakeBatch(buf, 0, 0.95, 0.95)
-}
-
-// buildPPO constructs an actor/critic/PPO triple deterministically from seed.
-func buildPPO(t *testing.T, arch string, seed int64, sequential bool) (*PPO, Policy, *nn.MLP) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var actor Policy
-	switch arch {
-	case "joint":
-		actor = NewGaussianPolicy(12, 4, []int{16, 16}, 0.4, rng)
-	case "shared":
-		actor = NewSharedGaussianPolicy(4, 3, []int{8, 8}, 0.4, rng)
-	default:
-		t.Fatalf("unknown arch %q", arch)
-	}
-	critic := nn.NewMLP([]int{12, 16, 16, 1}, nn.Tanh, nn.Identity, rng)
-	cfg := DefaultPPOConfig()
-	cfg.Epochs = 3
-	cfg.MinibatchSize = 7 // force a short trailing minibatch
-	cfg.TargetKL = 0
-	trainActor := actor
-	if sequential {
-		trainActor = seqOnly{actor}
-	}
-	p, err := NewPPO(cfg, trainActor, critic, rand.New(rand.NewSource(seed+1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, actor, critic
-}
-
-// TestPPOUpdateBatchedMatchesSequential is the contract behind the batched
-// kernels: running the same update through the matrix path and through the
-// per-sample path must produce bit-identical statistics and parameters.
-func TestPPOUpdateBatchedMatchesSequential(t *testing.T) {
-	for _, arch := range []string{"joint", "shared"} {
-		t.Run(arch, func(t *testing.T) {
-			pb, actorB, criticB := buildPPO(t, arch, 3, false)
-			ps, actorS, criticS := buildPPO(t, arch, 3, true)
-			if _, ok := ps.Actor.(BatchPolicy); ok {
-				t.Fatal("sequential wrapper still batch-capable")
-			}
-			batchRng := rand.New(rand.NewSource(99))
-			batch := randomBatchFor(actorB, criticB, 33, batchRng)
-
-			stB, err := pb.Update(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stS, err := ps.Update(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stB != stS {
-				t.Fatalf("stats diverge:\nbatched    %+v\nsequential %+v", stB, stS)
-			}
-			compareParams(t, "actor", actorB.Params(), actorS.Params())
-			compareParams(t, "critic", criticB.Params(), criticS.Params())
-		})
-	}
 }
 
 func compareParams(t *testing.T, label string, a, b []nn.Param) {
@@ -104,7 +40,7 @@ func compareParams(t *testing.T, label string, a, b []nn.Param) {
 // batched log-density evaluation for both policy architectures.
 func TestLogProbBatchMatchesLogProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pols := []BatchPolicy{
+	pols := []ShardedPolicy{
 		NewGaussianPolicy(10, 3, []int{8}, 0.5, rng),
 		NewSharedGaussianPolicy(5, 2, []int{8}, 0.5, rng),
 	}
@@ -131,9 +67,9 @@ func TestLogProbBatchMatchesLogProb(t *testing.T) {
 // TestBackwardLogProbBatchMatchesSequential checks gradient accumulation
 // equivalence, including skipped zero-upstream rows.
 func TestBackwardLogProbBatchMatchesSequential(t *testing.T) {
-	mk := func(seed int64) []BatchPolicy {
+	mk := func(seed int64) []ShardedPolicy {
 		rng := rand.New(rand.NewSource(seed))
-		return []BatchPolicy{
+		return []ShardedPolicy{
 			NewGaussianPolicy(6, 2, []int{8}, 0.5, rng),
 			NewSharedGaussianPolicy(3, 2, []int{8}, 0.5, rng),
 		}

@@ -82,17 +82,12 @@ func (c ConstraintConfig) Validate() error {
 	return nil
 }
 
-// NewConstrainedPPO wires a Lagrangian PPO: like NewPPO plus a cost critic
-// with one output per constraint and the multiplier state. The actor must
-// implement ShardedPolicy (both built-in policies do) — the constrained
-// update exists only on the data-parallel engine path, which is what keeps
-// it worker-count invariant and allocation-free.
+// NewConstrainedPPO wires a Lagrangian PPO: like NewPPO (including its
+// ShardedPolicy requirement) plus a cost critic with one output per
+// constraint and the multiplier state.
 func NewConstrainedPPO(cfg PPOConfig, actor Policy, critic, costCritic *nn.MLP, rng *rand.Rand) (*PPO, error) {
 	if !cfg.Constraint.Enabled {
 		return nil, fmt.Errorf("rl: NewConstrainedPPO with Constraint.Enabled=false")
-	}
-	if _, ok := actor.(ShardedPolicy); !ok {
-		return nil, fmt.Errorf("rl: constrained PPO requires a sharded policy, have %T", actor)
 	}
 	if costCritic.OutDim() != NumConstraints {
 		return nil, fmt.Errorf("rl: cost critic must output %d values, has %d", NumConstraints, costCritic.OutDim())

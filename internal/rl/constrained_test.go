@@ -140,7 +140,7 @@ func TestNewConstrainedPPOValidation(t *testing.T) {
 	if _, err := NewConstrainedPPO(off, actor, critic, costCritic, rng); err == nil {
 		t.Error("Enabled=false accepted")
 	}
-	if _, err := NewConstrainedPPO(cfg, seqOnly{actor}, critic, costCritic, rng); err == nil {
+	if _, err := NewConstrainedPPO(cfg, plainPolicy{actor}, critic, costCritic, rng); err == nil {
 		t.Error("non-sharded actor accepted")
 	}
 	badOut := nn.NewMLP([]int{12, 16, NumConstraints + 1}, nn.Tanh, nn.Identity, rng)

@@ -20,11 +20,28 @@ import (
 // collector (core.Config.Workers) and the hierarchical federation engine
 // already keep: parallelism changes wall-clock time, never results.
 
-// ShardedPolicy is implemented by policies that can produce gradient
-// replicas for the data-parallel update engine. Both built-in policies
-// implement it.
+// ShardedPolicy is implemented by policies the data-parallel update engine
+// can train: they evaluate and backpropagate a whole block of samples in
+// one matrix pass and produce gradient replicas. Both built-in policies
+// implement it, and PPO and A2C accept no other actor. Per-row batched
+// results are bit-identical to the per-sample Policy methods, and batched
+// gradient accumulation is bit-identical to BackwardLogProb applied in
+// ascending row order (pinned by TestLogProbBatchMatchesLogProb and
+// TestBackwardLogProbBatchMatchesSequential).
 type ShardedPolicy interface {
-	BatchPolicy
+	Policy
+	// LogProbBatch stores log π(a_i|s_i) for every row pair into out. It
+	// additionally caches the forward pass it runs.
+	LogProbBatch(S, A *tensor.Matrix, out tensor.Vector)
+	// BackwardLogProbBatch accumulates Σ_i upstream[i]·∇log π(a_i|s_i)
+	// into the parameter gradients. Rows with upstream[i] == 0 must
+	// contribute no gradient. When called with the same S matrix as an
+	// immediately preceding LogProbBatch — with parameters and S contents
+	// unchanged in between, as in the engine's block waves — it reuses the
+	// cached forward pass instead of recomputing it; callers that mutate
+	// S.Data or the parameters between the two calls must not interleave
+	// them this way.
+	BackwardLogProbBatch(S, A *tensor.Matrix, upstream tensor.Vector)
 	// CloneGradShard returns a replica sharing this policy's parameters
 	// (network weights, biases, log-σ) but owning private gradient
 	// accumulators and forward caches. Replicas run serial kernels and

@@ -29,7 +29,7 @@ type GaussianPolicy struct {
 
 	// lastS/lastMu cache the most recent LogProbBatch forward pass so an
 	// immediately following BackwardLogProbBatch on the same S skips the
-	// duplicate forward (see the BatchPolicy contract). dmuBuf is the
+	// duplicate forward (see the ShardedPolicy contract). dmuBuf is the
 	// reusable upstream-gradient buffer for the batched backward; sigBuf
 	// holds the per-dimension σ hoisted out of the row loops.
 	lastS  *tensor.Matrix
@@ -156,7 +156,7 @@ func (p *GaussianPolicy) sigmas() tensor.Vector {
 	return sig
 }
 
-// LogProbBatch implements BatchPolicy: it computes log π(a|s) for every
+// LogProbBatch implements ShardedPolicy: it computes log π(a|s) for every
 // (state, action) row pair with one batched network pass. out[i] is
 // bit-identical to LogProb(S.Row(i), A.Row(i)).
 func (p *GaussianPolicy) LogProbBatch(S, A *tensor.Matrix, out tensor.Vector) {
@@ -174,7 +174,7 @@ func (p *GaussianPolicy) LogProbBatch(S, A *tensor.Matrix, out tensor.Vector) {
 	}
 }
 
-// BackwardLogProbBatch implements BatchPolicy: it accumulates
+// BackwardLogProbBatch implements ShardedPolicy: it accumulates
 // Σ_i upstream[i]·∇log π(a_i|s_i) into the parameter gradients with one
 // batched forward/backward pass. Rows with upstream 0 contribute no
 // gradient, mirroring a skipped per-sample BackwardLogProb call.

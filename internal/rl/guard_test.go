@@ -31,6 +31,15 @@ func guardBatch(n, stateDim, actionDim int, seed int64) *Batch {
 	return b
 }
 
+// snapshotParams deep-copies parameter values (not gradients).
+func snapshotParams(params []nn.Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.W...)
+	}
+	return out
+}
+
 func guardPPO(t *testing.T, cfg PPOConfig) *PPO {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))

@@ -40,31 +40,6 @@ type Policy interface {
 	CopyFrom(src Policy)
 }
 
-// BatchPolicy is implemented by policies that can evaluate and
-// backpropagate a whole minibatch in one matrix pass. The contract is
-// strict: per-row results and gradient accumulation must be bit-identical
-// to the per-sample Policy methods applied in ascending row order, so the
-// PPO update can take the batched fast path without changing training
-// output. Both built-in policies implement it.
-type BatchPolicy interface {
-	Policy
-	// LogProbBatch stores log π(a_i|s_i) for every row pair into out. It
-	// additionally caches the forward pass it runs.
-	LogProbBatch(S, A *tensor.Matrix, out tensor.Vector)
-	// BackwardLogProbBatch accumulates Σ_i upstream[i]·∇log π(a_i|s_i)
-	// into the parameter gradients. Rows with upstream[i] == 0 must
-	// contribute no gradient. When called with the same S matrix as an
-	// immediately preceding LogProbBatch — with parameters and S contents
-	// unchanged in between, as in the PPO minibatch loop — it reuses the
-	// cached forward pass instead of recomputing it; callers that mutate
-	// S.Data or the parameters between the two calls must not interleave
-	// them this way.
-	BackwardLogProbBatch(S, A *tensor.Matrix, upstream tensor.Vector)
-}
-
-var _ BatchPolicy = (*SharedGaussianPolicy)(nil)
-var _ BatchPolicy = (*GaussianPolicy)(nil)
-
 // SharedGaussianPolicy applies one small per-device network to each
 // device's slice of the state (its H+1 bandwidth-slot history), producing
 // that device's action mean; a single log-σ is shared by all devices. With
@@ -84,7 +59,7 @@ type SharedGaussianPolicy struct {
 
 	// lastS/lastMu cache the most recent LogProbBatch forward pass so an
 	// immediately following BackwardLogProbBatch on the same S skips the
-	// duplicate forward (see the BatchPolicy contract). dmuBuf is the
+	// duplicate forward (see the ShardedPolicy contract). dmuBuf is the
 	// reusable upstream-gradient buffer for the batched backward; devView
 	// is the persistent header deviceRows reinterprets batches through.
 	lastS   *tensor.Matrix
@@ -212,7 +187,7 @@ func (p *SharedGaussianPolicy) BackwardLogProb(s, a tensor.Vector, upstream floa
 	return logp
 }
 
-// LogProbBatch implements BatchPolicy. The batch of full states (one row
+// LogProbBatch implements ShardedPolicy. The batch of full states (one row
 // per sample, N·perDev wide) is reinterpreted — zero-copy, thanks to
 // row-major layout — as a (n·N)×perDev matrix of per-device histories and
 // pushed through the shared network in one pass. out[i] is bit-identical to
@@ -232,7 +207,7 @@ func (p *SharedGaussianPolicy) LogProbBatch(S, A *tensor.Matrix, out tensor.Vect
 	}
 }
 
-// BackwardLogProbBatch implements BatchPolicy: one batched forward/backward
+// BackwardLogProbBatch implements ShardedPolicy: one batched forward/backward
 // over all n·N device rows, accumulating gradients in (sample, device)
 // order — the same order the per-sample BackwardLogProb loop uses.
 func (p *SharedGaussianPolicy) BackwardLogProbBatch(S, A *tensor.Matrix, upstream tensor.Vector) {

@@ -138,32 +138,27 @@ type PPO struct {
 	lambda    CostVec // Lagrange multipliers λ_j
 	rng       *rand.Rand
 
-	// Data-parallel engine state, created on the first Update when the
-	// actor implements ShardedPolicy. Everything below is reused across
-	// updates so the steady-state update path allocates nothing (pinned by
-	// TestPPOUpdateSteadyStateAllocs).
-	engine                    *shardEngine
-	arena                     *tensor.Arena
-	scratch                   *ppoScratch // minibatch staging
-	fullScratch               *ppoScratch // full-batch KL staging
-	idx                       []int
-	swap                      func(i, j int)
-	actorParams, criticParams []nn.Param
-	costParams                []nn.Param
-	actorSnap, criticSnap     [][]float64
-	costSnap                  [][]float64
+	// Data-parallel engine state, created on the first Update. Everything
+	// below is reused across updates so the steady-state update path
+	// allocates nothing (pinned by TestPPOUpdateSteadyStateAllocs).
+	engine                          *shardEngine
+	arena                           *tensor.Arena
+	scratch                         ppoScratch // minibatch staging
+	fullScratch                     ppoScratch // full-batch KL staging
+	idx                             []int
+	swap                            func(i, j int)
+	actorSnap, criticSnap, costSnap [][]float64
 }
 
-// NewPPO wires the actor and critic to fresh Adam optimizers.
+// NewPPO wires the actor and critic to fresh Adam optimizers. The actor must
+// implement ShardedPolicy (both built-in policies do): the update runs only
+// on the data-parallel engine.
 func NewPPO(cfg PPOConfig, actor Policy, critic *nn.MLP, rng *rand.Rand) (*PPO, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if critic.OutDim() != 1 {
-		return nil, fmt.Errorf("rl: critic must output one value, has %d", critic.OutDim())
-	}
-	if critic.InDim() != actor.StateDim() {
-		return nil, fmt.Errorf("rl: actor/critic state dims differ: %d vs %d", actor.StateDim(), critic.InDim())
+	if err := checkActorCritic(actor, critic); err != nil {
+		return nil, err
 	}
 	return &PPO{
 		Cfg:       cfg,
@@ -175,6 +170,20 @@ func NewPPO(cfg PPOConfig, actor Policy, critic *nn.MLP, rng *rand.Rand) (*PPO, 
 	}, nil
 }
 
+// checkActorCritic is the shape check NewPPO and NewA2C share.
+func checkActorCritic(actor Policy, critic *nn.MLP) error {
+	if _, ok := actor.(ShardedPolicy); !ok {
+		return fmt.Errorf("rl: actor %T does not implement ShardedPolicy", actor)
+	}
+	if critic.OutDim() != 1 {
+		return fmt.Errorf("rl: critic must output one value, has %d", critic.OutDim())
+	}
+	if critic.InDim() != actor.StateDim() {
+		return fmt.Errorf("rl: actor/critic state dims differ: %d vs %d", actor.StateDim(), critic.InDim())
+	}
+	return nil
+}
+
 // Value returns the critic's estimate V(s).
 func (p *PPO) Value(s tensor.Vector) float64 {
 	return p.Critic.Forward(s)[0]
@@ -183,16 +192,11 @@ func (p *PPO) Value(s tensor.Vector) float64 {
 // Update runs M epochs of minibatch PPO-clip over the batch and returns the
 // aggregated statistics. The batch must be non-empty.
 //
-// When the actor implements ShardedPolicy (both built-in policies do), every
-// minibatch runs through the data-parallel engine: fixed 16-row blocks with
-// per-block gradient replicas, merged by a worker-count-independent
-// reduction tree, then a fused clip+Adam step. The result is bit-identical
-// at any Cfg.Workers setting, and the steady-state path performs zero heap
-// allocations. Actors implementing only BatchPolicy use the monolithic
-// batched path; plain Policies fall back to the per-sample loop. The batched
-// paths preserve per-row log-prob and value bits, so their statistics match
-// the per-sample loop exactly until gradient summation grouping (engine
-// blocks vs sample order) lets parameters drift at rounding level.
+// Every minibatch runs through the data-parallel engine (engine.go): fixed
+// 16-row blocks with per-block gradient replicas, merged by a
+// worker-count-independent reduction tree, then a fused clip+Adam step. The
+// result is bit-identical at any Cfg.Workers setting, and the steady-state
+// path performs zero heap allocations.
 func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 	n := batch.Len()
 	if n == 0 {
@@ -202,35 +206,21 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 	if mb <= 0 || mb > n {
 		mb = n
 	}
-	sp, sharded := p.Actor.(ShardedPolicy)
-	bp, batched := p.Actor.(BatchPolicy)
 	constrained := p.CostCritic != nil
-	if constrained {
-		if !sharded {
-			return UpdateStats{}, fmt.Errorf("rl: constrained update requires a sharded policy, have %T", p.Actor)
-		}
-		if len(batch.CostAdv[0]) != n {
-			return UpdateStats{}, fmt.Errorf("rl: constrained update needs a constrained batch: %d cost rows for %d samples (use MakeConstrainedBatchInto)", len(batch.CostAdv[0]), n)
-		}
+	if constrained && len(batch.CostAdv[0]) != n {
+		return UpdateStats{}, fmt.Errorf("rl: constrained update needs a constrained batch: %d cost rows for %d samples (use MakeConstrainedBatchInto)", len(batch.CostAdv[0]), n)
 	}
-	var scratch *ppoScratch
-	if sharded {
-		if p.engine == nil {
-			p.engine = newShardEngine(sp, p.Critic, p.Cfg.Workers)
-			if constrained {
-				p.engine.attachCostCritic(p.CostCritic)
-			}
-			p.arena = tensor.NewArena()
-			p.scratch = &ppoScratch{}
-			p.fullScratch = &ppoScratch{}
+	if p.engine == nil {
+		p.engine = newShardEngine(p.Actor.(ShardedPolicy), p.Critic, p.Cfg.Workers)
+		if constrained {
+			p.engine.attachCostCritic(p.CostCritic)
 		}
-		p.arena.Reset()
-		p.scratch.carve(p.arena, mb, p.Actor.StateDim(), p.Actor.ActionDim())
-		p.fullScratch.carve(p.arena, n, p.Actor.StateDim(), p.Actor.ActionDim())
-		scratch = p.scratch
-	} else if batched {
-		scratch = newPPOScratch(mb, p.Actor.StateDim(), p.Actor.ActionDim())
+		p.arena = tensor.NewArena()
 	}
+	p.arena.Reset()
+	scratch := &p.scratch
+	scratch.carve(p.arena, mb, p.Actor.StateDim(), p.Actor.ActionDim())
+	p.fullScratch.carve(p.arena, n, p.Actor.StateDim(), p.Actor.ActionDim())
 	if cap(p.idx) < n {
 		p.idx = make([]int, n)
 	}
@@ -242,27 +232,16 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 	if p.swap == nil {
 		p.swap = func(i, j int) { p.idx[i], p.idx[j] = p.idx[j], p.idx[i] }
 	}
-	if p.actorParams == nil {
-		if sharded {
-			p.actorParams = p.engine.actorParams
-		} else {
-			p.actorParams = p.Actor.Params()
-		}
-		p.criticParams = p.Critic.Params()
-		if constrained {
-			p.costParams = p.engine.costParams
-		}
-	}
-	actorParams, criticParams := p.actorParams, p.criticParams
+	// costParams is nil for plain PPO, which every helper below treats as
+	// an empty parameter set.
+	actorParams, criticParams, costParams := p.engine.actorParams, p.engine.criticParams, p.engine.costParams
 
 	// Last-good snapshot for the divergence guard: if the update somehow
 	// drives the parameters non-finite despite the per-minibatch checks, it
 	// rolls back to these.
 	p.actorSnap = snapshotParamsInto(p.actorSnap, actorParams)
 	p.criticSnap = snapshotParamsInto(p.criticSnap, criticParams)
-	if constrained {
-		p.costSnap = snapshotParamsInto(p.costSnap, p.costParams)
-	}
+	p.costSnap = snapshotParamsInto(p.costSnap, costParams)
 
 	// The multipliers are frozen for the whole update — every epoch ascends
 	// the same penalized advantage Â_eff = (Â_r − Σ λ_j·Â_cj)/(1 + Σ λ_j);
@@ -278,10 +257,6 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 
 	var stats UpdateStats
 	var lossSamples, clipped int
-	var dv tensor.Vector
-	if !batched {
-		dv = tensor.NewVector(1)
-	}
 
 	for epoch := 0; epoch < p.Cfg.Epochs; epoch++ {
 		p.rng.Shuffle(n, p.swap)
@@ -298,173 +273,77 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 			// sample cannot contaminate the reported loss.
 			var mbPolicy, mbValue, mbCost, mbKL float64
 			var mbClipped int
-			if !sharded {
-				// The engine's gradient merge overwrites the primary
-				// accumulators, so only the legacy paths need to zero them.
-				p.Actor.ZeroGrad()
-				p.Critic.ZeroGrad()
-			}
-			if sharded {
-				ids := idx[start:end]
-				scratch.gather(batch, ids)
-				// One forward wave covers actor log-probs and critic values:
-				// neither depends on the surrogate loop between the waves.
-				V := p.engine.forward(scratch.S, scratch.A, scratch.logp, true)
-				for j, k := range ids {
-					adv := batch.Advantages[k]
-					if constrained {
-						// Penalized advantage: the multipliers trade reward
-						// against each constraint's cost advantage.
-						for c := 0; c < NumConstraints; c++ {
-							adv -= p.lambda[c] * batch.CostAdv[c][k]
-						}
-						adv *= invPenalty
-					}
-					diff := scratch.logp[j] - batch.OldLogProb[k]
-					if diff > 30 {
-						diff = 30 // guard exp overflow on degenerate ratios
-					}
-					ratio := math.Exp(diff)
-					lo, hi := 1-p.Cfg.ClipEps, 1+p.Cfg.ClipEps
-
-					surr1 := ratio * adv
-					clippedRatio := math.Min(math.Max(ratio, lo), hi)
-					surr2 := clippedRatio * adv
-					objective := math.Min(surr1, surr2)
-					mbPolicy += -objective
-					mbKL += -diff // E[log old − log new] ≈ KL
-
-					// Gradient of −min(surr1, surr2): zero when the clipped
-					// branch is active and binding, else −adv·ratio·∇logp.
-					gradActive := surr1 <= surr2 || (clippedRatio == ratio)
-					if ratio < lo || ratio > hi {
-						mbClipped++
-					}
-					if gradActive {
-						scratch.upstream[j] = -adv * ratio / size
-					} else {
-						scratch.upstream[j] = 0
-					}
-
-					// Critic regression toward the GAE return.
-					verr := V[j] - batch.Returns[k]
-					mbValue += verr * verr
-					scratch.dV.Data[j] = 2 * verr / size
-
-					if constrained {
-						// Cost critic regression toward the cost-GAE returns,
-						// fused into the same block waves.
-						K := p.engine.kbuf
-						for c := 0; c < NumConstraints; c++ {
-							kerr := K[j*NumConstraints+c] - batch.CostRet[c][k]
-							mbCost += kerr * kerr
-							scratch.dK.Data[j*NumConstraints+c] = 2 * kerr / size
-						}
-					}
-				}
-				var dK *tensor.Matrix
+			ids := idx[start:end]
+			scratch.gather(batch, ids)
+			// One forward wave covers actor log-probs and critic values:
+			// neither depends on the surrogate loop between the waves.
+			V := p.engine.forward(scratch.S, scratch.A, scratch.logp, true)
+			for j, k := range ids {
+				adv := batch.Advantages[k]
 				if constrained {
-					dK = scratch.dK
+					// Penalized advantage: the multipliers trade reward
+					// against each constraint's cost advantage.
+					for c := 0; c < NumConstraints; c++ {
+						adv -= p.lambda[c] * batch.CostAdv[c][k]
+					}
+					adv *= invPenalty
 				}
-				p.engine.backward(scratch.upstream, scratch.dV, dK, true)
-			} else if batched {
-				ids := idx[start:end]
-				scratch.gather(batch, ids)
-				bp.LogProbBatch(scratch.S, scratch.A, scratch.logp)
-				for j, k := range ids {
-					adv := batch.Advantages[k]
-					diff := scratch.logp[j] - batch.OldLogProb[k]
-					if diff > 30 {
-						diff = 30 // guard exp overflow on degenerate ratios
-					}
-					ratio := math.Exp(diff)
-					lo, hi := 1-p.Cfg.ClipEps, 1+p.Cfg.ClipEps
-
-					surr1 := ratio * adv
-					clippedRatio := math.Min(math.Max(ratio, lo), hi)
-					surr2 := clippedRatio * adv
-					objective := math.Min(surr1, surr2)
-					mbPolicy += -objective
-					mbKL += -diff // E[log old − log new] ≈ KL
-
-					// Gradient of −min(surr1, surr2): zero when the clipped
-					// branch is active and binding, else −adv·ratio·∇logp.
-					gradActive := surr1 <= surr2 || (clippedRatio == ratio)
-					if ratio < lo || ratio > hi {
-						mbClipped++
-					}
-					if gradActive {
-						scratch.upstream[j] = -adv * ratio / size
-					} else {
-						scratch.upstream[j] = 0
-					}
+				diff := scratch.logp[j] - batch.OldLogProb[k]
+				if diff > 30 {
+					diff = 30 // guard exp overflow on degenerate ratios
 				}
-				bp.BackwardLogProbBatch(scratch.S, scratch.A, scratch.upstream)
+				ratio := math.Exp(diff)
+				lo, hi := 1-p.Cfg.ClipEps, 1+p.Cfg.ClipEps
 
-				// Critic regression toward the GAE return, one matrix pass.
-				V := p.Critic.ForwardBatch(scratch.S)
-				for j, k := range ids {
-					verr := V.Data[j] - batch.Returns[k]
-					mbValue += verr * verr
-					scratch.dV.Data[j] = 2 * verr / size
+				surr1 := ratio * adv
+				clippedRatio := math.Min(math.Max(ratio, lo), hi)
+				surr2 := clippedRatio * adv
+				objective := math.Min(surr1, surr2)
+				mbPolicy += -objective
+				mbKL += -diff // E[log old − log new] ≈ KL
+
+				// Gradient of −min(surr1, surr2): zero when the clipped
+				// branch is active and binding, else −adv·ratio·∇logp.
+				gradActive := surr1 <= surr2 || (clippedRatio == ratio)
+				if ratio < lo || ratio > hi {
+					mbClipped++
 				}
-				p.Critic.BackwardBatchParams(scratch.dV)
-			} else {
-				for _, k := range idx[start:end] {
-					s := batch.States[k]
-					a := batch.Actions[k]
-					adv := batch.Advantages[k]
+				if gradActive {
+					scratch.upstream[j] = -adv * ratio / size
+				} else {
+					scratch.upstream[j] = 0
+				}
 
-					logp := p.Actor.LogProb(s, a)
-					diff := logp - batch.OldLogProb[k]
-					if diff > 30 {
-						diff = 30 // guard exp overflow on degenerate ratios
+				// Critic regression toward the GAE return.
+				verr := V[j] - batch.Returns[k]
+				mbValue += verr * verr
+				scratch.dV.Data[j] = 2 * verr / size
+
+				if constrained {
+					// Cost critic regression toward the cost-GAE returns,
+					// fused into the same block waves.
+					K := p.engine.kbuf
+					for c := 0; c < NumConstraints; c++ {
+						kerr := K[j*NumConstraints+c] - batch.CostRet[c][k]
+						mbCost += kerr * kerr
+						scratch.dK.Data[j*NumConstraints+c] = 2 * kerr / size
 					}
-					ratio := math.Exp(diff)
-					lo, hi := 1-p.Cfg.ClipEps, 1+p.Cfg.ClipEps
-
-					surr1 := ratio * adv
-					clippedRatio := math.Min(math.Max(ratio, lo), hi)
-					surr2 := clippedRatio * adv
-					objective := math.Min(surr1, surr2)
-					mbPolicy += -objective
-					mbKL += -diff // E[log old − log new] ≈ KL
-
-					// Gradient of −min(surr1, surr2): zero when the clipped
-					// branch is active and binding, else −adv·ratio·∇logp.
-					gradActive := surr1 <= surr2 || (clippedRatio == ratio)
-					if ratio < lo || ratio > hi {
-						mbClipped++
-					}
-					if gradActive {
-						p.Actor.BackwardLogProb(s, a, -adv*ratio/size)
-					}
-
-					// Critic regression toward the GAE return.
-					v := p.Critic.Forward(s)[0]
-					verr := v - batch.Returns[k]
-					mbValue += verr * verr
-					dv[0] = 2 * verr / size
-					p.Critic.Backward(dv)
 				}
 			}
+			var dK *tensor.Matrix
+			if constrained {
+				dK = scratch.dK
+			}
+			p.engine.backward(scratch.upstream, scratch.dV, dK, true)
 			// Entropy bonus: ascend H ⇒ descend −c_e·H.
 			p.Actor.AddEntropyGrad(-p.Cfg.EntropyCoef)
 
-			var actorNorm, criticNorm, costNorm float64
-			if sharded {
-				// Fused tail: measure the norms here, fold the clip into the
-				// Adam step below as a per-read gradient scale. Bit-identical
-				// to clip-then-step (scale 1 is an exact identity).
-				actorNorm = nn.GradNorm(actorParams)
-				criticNorm = nn.GradNorm(criticParams)
-				if constrained {
-					costNorm = nn.GradNorm(p.costParams)
-				}
-			} else {
-				actorNorm = nn.ClipGradNorm(actorParams, p.Cfg.MaxGradNorm)
-				criticNorm = nn.ClipGradNorm(criticParams, p.Cfg.MaxGradNorm)
-			}
+			// Fused tail: measure the norms here, fold the clip into the
+			// Adam step below as a per-read gradient scale. Bit-identical to
+			// clip-then-step (scale 1 is an exact identity).
+			actorNorm := nn.GradNorm(actorParams)
+			criticNorm := nn.GradNorm(criticParams)
+			costNorm := nn.GradNorm(costParams)
 			// NaN guard: a poisoned sample (NaN reward, diverged advantage)
 			// shows up as a non-finite loss or gradient norm. Skip the
 			// optimizer step — the parameters keep their last-good values —
@@ -474,15 +353,10 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 				stats.SkippedMinibatches++
 				continue
 			}
-			if sharded {
-				p.actorOpt.StepScaled(actorParams, nn.ClipScale(actorNorm, p.Cfg.MaxGradNorm))
-				p.criticOpt.StepScaled(criticParams, nn.ClipScale(criticNorm, p.Cfg.MaxGradNorm))
-				if constrained {
-					p.costOpt.StepScaled(p.costParams, nn.ClipScale(costNorm, p.Cfg.MaxGradNorm))
-				}
-			} else {
-				p.actorOpt.Step(actorParams)
-				p.criticOpt.Step(criticParams)
+			p.actorOpt.StepScaled(actorParams, nn.ClipScale(actorNorm, p.Cfg.MaxGradNorm))
+			p.criticOpt.StepScaled(criticParams, nn.ClipScale(criticNorm, p.Cfg.MaxGradNorm))
+			if constrained {
+				p.costOpt.StepScaled(costParams, nn.ClipScale(costNorm, p.Cfg.MaxGradNorm))
 			}
 			stats.PolicyLoss += mbPolicy
 			stats.ValueLoss += mbValue
@@ -501,13 +375,10 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 	// Divergence guard: if the parameters still went non-finite (e.g. an
 	// optimizer step overflowed), roll the whole update back to the weights
 	// it started from so training can continue.
-	if !paramsFinite(actorParams) || !paramsFinite(criticParams) ||
-		(constrained && !paramsFinite(p.costParams)) {
+	if !paramsFinite(actorParams) || !paramsFinite(criticParams) || !paramsFinite(costParams) {
 		restoreParams(actorParams, p.actorSnap)
 		restoreParams(criticParams, p.criticSnap)
-		if constrained {
-			restoreParams(p.costParams, p.costSnap)
-		}
+		restoreParams(costParams, p.costSnap)
 		stats.Restored = true
 	}
 
@@ -541,32 +412,15 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 	}
 	stats.Entropy = p.Actor.Entropy()
 	// Final-parameter KL estimate over the whole batch.
+	fs := &p.fullScratch
+	for k := 0; k < n; k++ {
+		copy(fs.S.Row(k), batch.States[k])
+		copy(fs.A.Row(k), batch.Actions[k])
+	}
+	p.engine.forward(fs.S, fs.A, fs.logp, false)
 	var kl float64
-	if sharded {
-		fs := p.fullScratch
-		fs.resize(n)
-		for k := 0; k < n; k++ {
-			copy(fs.S.Row(k), batch.States[k])
-			copy(fs.A.Row(k), batch.Actions[k])
-		}
-		p.engine.forward(fs.S, fs.A, fs.logp, false)
-		for k := 0; k < n; k++ {
-			kl += batch.OldLogProb[k] - fs.logp[k]
-		}
-	} else if batched {
-		full := newPPOScratch(n, p.Actor.StateDim(), p.Actor.ActionDim())
-		for k := 0; k < n; k++ {
-			copy(full.S.Row(k), batch.States[k])
-			copy(full.A.Row(k), batch.Actions[k])
-		}
-		bp.LogProbBatch(full.S, full.A, full.logp)
-		for k := 0; k < n; k++ {
-			kl += batch.OldLogProb[k] - full.logp[k]
-		}
-	} else {
-		for k := 0; k < n; k++ {
-			kl += batch.OldLogProb[k] - p.Actor.LogProb(batch.States[k], batch.Actions[k])
-		}
+	for k := 0; k < n; k++ {
+		kl += batch.OldLogProb[k] - fs.logp[k]
 	}
 	stats.ApproxKL = kl / float64(n)
 	return stats, nil
@@ -574,15 +428,6 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 
 func finite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)
-}
-
-// snapshotParams deep-copies parameter values (not gradients).
-func snapshotParams(params []nn.Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.W...)
-	}
-	return out
 }
 
 // snapshotParamsInto refreshes a reusable parameter snapshot in place,
@@ -619,30 +464,19 @@ func paramsFinite(params []nn.Param) bool {
 	return true
 }
 
-// ppoScratch holds the reusable minibatch staging buffers of the batched
-// update path. dK is the cost critic's upstream (m×NumConstraints), carved
+// ppoScratch holds the reusable minibatch staging buffers of the engine
+// updates. dK is the cost critic's upstream (m×NumConstraints), carved
 // alongside the rest so the constrained update stays allocation-free.
 type ppoScratch struct {
 	S, A, dV, dK   *tensor.Matrix
 	logp, upstream tensor.Vector
 }
 
-func newPPOScratch(rows, stateDim, actionDim int) *ppoScratch {
-	return &ppoScratch{
-		S:        tensor.NewMatrix(rows, stateDim),
-		A:        tensor.NewMatrix(rows, actionDim),
-		dV:       tensor.NewMatrix(rows, 1),
-		dK:       tensor.NewMatrix(rows, NumConstraints),
-		logp:     tensor.NewVector(rows),
-		upstream: tensor.NewVector(rows),
-	}
-}
-
 // carve (re-)backs the scratch with arena slices sized for rows samples.
 // The caller resets the arena once per update and carves in a fixed order,
 // so after the slabs reach steady state no carve allocates. Caps are pinned
 // to the carved lengths: an arena slice's natural capacity extends to the
-// end of the slab, and an unpinned cap would let resize silently grow one
+// end of the slab, and an unpinned cap would let gather silently grow one
 // carve into its neighbor.
 func (sc *ppoScratch) carve(ar *tensor.Arena, rows, stateDim, actionDim int) {
 	if sc.S == nil {
@@ -658,34 +492,19 @@ func (sc *ppoScratch) carve(ar *tensor.Arena, rows, stateDim, actionDim int) {
 
 func pinCap(v tensor.Vector) tensor.Vector { return v[:len(v):len(v)] }
 
-// gather stages the indexed samples as matrix rows, shrinking the scratch
-// views to the chunk size (the final minibatch of an epoch may be short).
+// gather stages the indexed samples as matrix rows, shrinking (or
+// re-growing, up to the carved capacity) the scratch views to the chunk size
+// (the final minibatch of an epoch may be short).
 func (sc *ppoScratch) gather(batch *Batch, ids []int) {
 	m := len(ids)
-	if m == 0 {
-		return
-	}
-	sc.resize(m)
-	for j, k := range ids {
-		copy(sc.S.Row(j), batch.States[k])
-		copy(sc.A.Row(j), batch.Actions[k])
-	}
-}
-
-func (sc *ppoScratch) resize(m int) {
-	if m*sc.S.Cols > cap(sc.S.Data) {
-		sc.S = tensor.NewMatrix(m, sc.S.Cols)
-		sc.A = tensor.NewMatrix(m, sc.A.Cols)
-		sc.dV = tensor.NewMatrix(m, 1)
-		sc.dK = tensor.NewMatrix(m, NumConstraints)
-		sc.logp = tensor.NewVector(m)
-		sc.upstream = tensor.NewVector(m)
-		return
-	}
 	sc.S.Rows, sc.S.Data = m, sc.S.Data[:m*sc.S.Cols]
 	sc.A.Rows, sc.A.Data = m, sc.A.Data[:m*sc.A.Cols]
 	sc.dV.Rows, sc.dV.Data = m, sc.dV.Data[:m]
 	sc.dK.Rows, sc.dK.Data = m, sc.dK.Data[:m*NumConstraints]
 	sc.logp = sc.logp[:m]
 	sc.upstream = sc.upstream[:m]
+	for j, k := range ids {
+		copy(sc.S.Row(j), batch.States[k])
+		copy(sc.A.Row(j), batch.Actions[k])
+	}
 }

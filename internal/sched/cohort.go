@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/env"
 	"repro/internal/rl"
@@ -12,31 +11,14 @@ import (
 // CohortDRL serves region-level frequency fractions for the hierarchical
 // engine: the policy maps the region-level bandwidth state (R·(H+1) values)
 // to one raw action per region, and env.MapFracsInto squashes it onto
-// [MinFrac, 1]. It implements hier.FracPolicy. Like DRL, it can serve on
-// the float32 fleet-batched backend — one cache-blocked inference pass
-// prices every region of a million-device fleet — with a sticky-error
-// fallback to float64.
+// [MinFrac, 1]. It implements hier.FracPolicy. Like DRL, it embeds an
+// actorBackend, so it can serve on the float32 fleet-batched backend — one
+// cache-blocked inference pass prices every region of a million-device
+// fleet — with a sticky-error fallback to float64.
 type CohortDRL struct {
-	Policy rl.Policy
-	// Norm, when set, standardizes states exactly as during training.
-	Norm *rl.ObsNormalizer
+	actorBackend
 	// MinFrac is the fraction floor in (0,1).
 	MinFrac float64
-	// F32 selects the float32 fleet-batched serving backend (see DRL.F32).
-	F32 bool
-
-	// Lazily built float32 snapshot and its sticky construction error.
-	fleet    *rl.FleetActor
-	fleetErr error
-	tried    bool
-
-	// f32Fallbacks counts decisions served on the float64 path while F32
-	// was requested.
-	f32Fallbacks atomic.Int64
-
-	// Reusable serving buffers (normalized state, action mean).
-	normBuf tensor.Vector
-	actBuf  tensor.Vector
 }
 
 // NewCohortDRL validates the pairing.
@@ -47,7 +29,9 @@ func NewCohortDRL(policy rl.Policy, minFrac float64) (*CohortDRL, error) {
 	if minFrac <= 0 || minFrac >= 1 {
 		return nil, fmt.Errorf("sched: min frequency fraction %v outside (0,1)", minFrac)
 	}
-	return &CohortDRL{Policy: policy, MinFrac: minFrac}, nil
+	c := &CohortDRL{MinFrac: minFrac}
+	c.Policy = policy
+	return c, nil
 }
 
 // Name implements hier.FracPolicy.
@@ -66,73 +50,10 @@ func (c *CohortDRL) FracsInto(dst []float64, state []float64) error {
 	if len(dst) != c.Policy.ActionDim() {
 		return fmt.Errorf("sched: %d fraction slots but policy acts on %d regions", len(dst), c.Policy.ActionDim())
 	}
-	if c.Norm != nil {
-		if c.Norm.Dim() != len(s) {
-			return fmt.Errorf("sched: normalizer dim %d but state dim %d", c.Norm.Dim(), len(s))
-		}
-		c.normBuf = ensureLen(c.normBuf, len(s))
-		c.Norm.NormalizeInto(c.normBuf, s)
-		s = c.normBuf
+	mu, err := c.mean(s)
+	if err != nil {
+		return err
 	}
-	c.actBuf = ensureLen(c.actBuf, c.Policy.ActionDim())
-	if fa := c.fleetActor(); fa != nil {
-		fa.MeanInto(c.actBuf, s)
-	} else if c.F32 {
-		// Requested f32 backend unavailable (sticky construction error):
-		// serve float64 and count the fallback so degradation is visible.
-		c.f32Fallbacks.Add(1)
-		c.meanF64(s)
-	} else {
-		c.meanF64(s)
-	}
-	_, err := env.MapFracsInto(dst, c.actBuf, c.MinFrac)
+	_, err = env.MapFracsInto(dst, mu, c.MinFrac)
 	return err
 }
-
-// meanF64 computes μ(s) on the float64 path into actBuf.
-func (c *CohortDRL) meanF64(s tensor.Vector) {
-	if mp, ok := c.Policy.(meanIntoPolicy); ok {
-		mp.MeanInto(c.actBuf, s)
-	} else {
-		copy(c.actBuf, c.Policy.Mean(s))
-	}
-}
-
-// fleetActor returns the float32 serving snapshot, building it on first
-// use, or nil when f32 serving is off or unsupported for the policy type.
-func (c *CohortDRL) fleetActor() *rl.FleetActor {
-	if !c.F32 {
-		return nil
-	}
-	if !c.tried {
-		c.tried = true
-		c.fleet, c.fleetErr = rl.NewFleetActor(c.Policy)
-	}
-	if c.fleetErr != nil {
-		return nil
-	}
-	return c.fleet
-}
-
-// Backend reports which serving backend a decision runs on ("f64" or the
-// float32 kernel name).
-func (c *CohortDRL) Backend() string {
-	if fa := c.fleetActor(); fa != nil {
-		return fa.Backend()
-	}
-	return "f64"
-}
-
-// F32Err reports the sticky error that disabled the requested float32
-// backend, or nil when f32 serving is off or healthy.
-func (c *CohortDRL) F32Err() error {
-	if !c.F32 {
-		return nil
-	}
-	c.fleetActor()
-	return c.fleetErr
-}
-
-// F32Fallbacks returns how many decisions were served on the float64 path
-// while the float32 backend was requested. Safe to read concurrently.
-func (c *CohortDRL) F32Fallbacks() int64 { return c.f32Fallbacks.Load() }

@@ -15,7 +15,7 @@ func Run(sys *fl.System, s Scheduler, startTime float64, iters int) ([]fl.Iterat
 }
 
 // RunOpts drives a scheduler under fault-tolerance options: the session
-// applies the deadline/retry/fault semantics of fl.RunIterationOpts and
+// applies the deadline/retry/fault semantics of fl.RunIterationOptsInto and
 // each scheduler sees the crashed-device mask in its Context. With the zero
 // options it is bit-identical to Run.
 func RunOpts(sys *fl.System, s Scheduler, startTime float64, iters int, opts fl.IterOptions) ([]fl.IterationStats, error) {

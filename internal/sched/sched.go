@@ -449,40 +449,11 @@ func (o *Oracle) Frequencies(ctx Context) ([]float64, error) {
 
 // DRL wraps a trained actor network for online reasoning (§V-B2): it feeds
 // the current bandwidth-history state into the policy and applies the mean
-// action deterministically.
+// action deterministically. The embedded actorBackend supplies the Policy,
+// Norm and F32 fields and the Backend, F32Err and F32Fallbacks methods.
 type DRL struct {
-	Policy rl.Policy
-	Cfg    env.Config
-	// Norm, when set, standardizes states exactly as during training.
-	Norm *rl.ObsNormalizer
-	// F32 selects the float32 fleet-batched serving backend: the actor
-	// weights are snapshotted once (rl.FleetActor) and every decision runs
-	// one cache-blocked float32 matmul pass over the whole fleet. Actions
-	// stay within 1e-4 of the float64 reference; training is untouched.
-	// When the policy type has no float32 snapshot the DRL silently serves
-	// float64 (Backend reports which path is live).
-	F32 bool
-
-	// Lazily built float32 snapshot and its sticky construction error.
-	fleet    *rl.FleetActor
-	fleetErr error
-	tried    bool
-
-	// f32Fallbacks counts decisions served on the float64 path while F32
-	// was requested — the operator-visible trace of a degraded backend.
-	// Atomic so metrics endpoints can read it while a serving goroutine
-	// decides.
-	f32Fallbacks atomic.Int64
-
-	// Reusable serving buffers (normalized state, action mean).
-	normBuf tensor.Vector
-	actBuf  tensor.Vector
-}
-
-// meanIntoPolicy is the allocation-free batched serving entry point both
-// float64 policies implement.
-type meanIntoPolicy interface {
-	MeanInto(dst, s tensor.Vector)
+	actorBackend
+	Cfg env.Config
 }
 
 // NewDRL validates that the policy matches the environment layout it will
@@ -494,7 +465,9 @@ func NewDRL(policy rl.Policy, cfg env.Config) (*DRL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DRL{Policy: policy, Cfg: cfg}, nil
+	d := &DRL{Cfg: cfg}
+	d.Policy = policy
+	return d, nil
 }
 
 // SwapPolicy hot-swaps the serving policy for one with identical
@@ -544,57 +517,104 @@ func (d *DRL) FrequenciesFromStateInto(dst []float64, ctx Context, state tensor.
 		return nil, fmt.Errorf("sched: state dim %d but policy expects %d (trained on a different N or H?)",
 			len(state), d.Policy.StateDim())
 	}
-	if d.Norm != nil {
-		if d.Norm.Dim() != len(state) {
-			return nil, fmt.Errorf("sched: normalizer dim %d but state dim %d", d.Norm.Dim(), len(state))
-		}
-		d.normBuf = ensureLen(d.normBuf, len(state))
-		d.Norm.NormalizeInto(d.normBuf, state)
-		state = d.normBuf
+	mu, err := d.mean(state)
+	if err != nil {
+		return nil, err
 	}
-	d.actBuf = ensureLen(d.actBuf, d.Policy.ActionDim())
-	if fa := d.fleetActor(); fa != nil {
-		fa.MeanInto(d.actBuf, state)
-	} else if d.F32 {
+	return env.MapActionInto(dst, ctx.Sys, mu, d.Cfg.MinFreqFrac)
+}
+
+// actorBackend is the serving core DRL and CohortDRL share: the policy, the
+// optional observation normalizer, and the float32 fleet backend with its
+// lazy build, sticky construction error and fallback counter.
+type actorBackend struct {
+	// Policy is the trained actor.
+	Policy rl.Policy
+	// Norm, when set, standardizes states exactly as during training.
+	Norm *rl.ObsNormalizer
+	// F32 selects the float32 fleet-batched serving backend: the actor
+	// weights are snapshotted once (rl.FleetActor) and every decision runs
+	// one cache-blocked float32 matmul pass over the whole fleet. Actions
+	// stay within 1e-4 of the float64 reference; training is untouched.
+	// When the policy type has no float32 snapshot the backend silently
+	// serves float64 (Backend reports which path is live).
+	F32 bool
+
+	// Lazily built float32 snapshot and its sticky construction error.
+	fleet    *rl.FleetActor
+	fleetErr error
+	tried    bool
+
+	// f32Fallbacks counts decisions served on the float64 path while F32
+	// was requested — the operator-visible trace of a degraded backend.
+	// Atomic so metrics endpoints can read it while a serving goroutine
+	// decides.
+	f32Fallbacks atomic.Int64
+
+	// Reusable serving buffers (normalized state, action mean).
+	normBuf tensor.Vector
+	actBuf  tensor.Vector
+}
+
+// meanIntoPolicy is the allocation-free batched serving entry point both
+// float64 policies implement.
+type meanIntoPolicy interface {
+	MeanInto(dst, s tensor.Vector)
+}
+
+// mean returns μ(s) in the backend's action buffer (valid until the next
+// call): s is standardized first when Norm is set, then served by the
+// float32 fleet snapshot when it is live, else by the float64 policy.
+func (b *actorBackend) mean(s tensor.Vector) (tensor.Vector, error) {
+	if b.Norm != nil {
+		if b.Norm.Dim() != len(s) {
+			return nil, fmt.Errorf("sched: normalizer dim %d but state dim %d", b.Norm.Dim(), len(s))
+		}
+		b.normBuf = ensureLen(b.normBuf, len(s))
+		b.Norm.NormalizeInto(b.normBuf, s)
+		s = b.normBuf
+	}
+	b.actBuf = ensureLen(b.actBuf, b.Policy.ActionDim())
+	if fa := b.fleetActor(); fa != nil {
+		fa.MeanInto(b.actBuf, s)
+		return b.actBuf, nil
+	}
+	if b.F32 {
 		// The f32 backend was requested but is unavailable (sticky
 		// construction error): serve float64 and count the fallback so a
 		// degraded backend is visible to operators (see F32Err).
-		d.f32Fallbacks.Add(1)
-		if mp, ok := d.Policy.(meanIntoPolicy); ok {
-			mp.MeanInto(d.actBuf, state)
-		} else {
-			copy(d.actBuf, d.Policy.Mean(state))
-		}
-	} else if mp, ok := d.Policy.(meanIntoPolicy); ok {
-		mp.MeanInto(d.actBuf, state)
-	} else {
-		copy(d.actBuf, d.Policy.Mean(state))
+		b.f32Fallbacks.Add(1)
 	}
-	return env.MapActionInto(dst, ctx.Sys, d.actBuf, d.Cfg.MinFreqFrac)
+	if mp, ok := b.Policy.(meanIntoPolicy); ok {
+		mp.MeanInto(b.actBuf, s)
+	} else {
+		copy(b.actBuf, b.Policy.Mean(s))
+	}
+	return b.actBuf, nil
 }
 
 // fleetActor returns the float32 serving snapshot, building it on first
 // use, or nil when f32 serving is off or unsupported for the policy type.
-func (d *DRL) fleetActor() *rl.FleetActor {
-	if !d.F32 {
+func (b *actorBackend) fleetActor() *rl.FleetActor {
+	if !b.F32 {
 		return nil
 	}
-	if !d.tried {
-		d.tried = true
-		d.fleet, d.fleetErr = rl.NewFleetActor(d.Policy)
+	if !b.tried {
+		b.tried = true
+		b.fleet, b.fleetErr = rl.NewFleetActor(b.Policy)
 	}
-	if d.fleetErr != nil {
+	if b.fleetErr != nil {
 		return nil
 	}
-	return d.fleet
+	return b.fleet
 }
 
 // Backend reports which serving backend a decision runs on: "f64" or the
 // float32 fleet actor's kernel name (e.g. "f32-avx2"). Audit lines record
 // this so a run's decisions can be attributed to the exact arithmetic that
 // produced them.
-func (d *DRL) Backend() string {
-	if fa := d.fleetActor(); fa != nil {
+func (b *actorBackend) Backend() string {
+	if fa := b.fleetActor(); fa != nil {
 		return fa.Backend()
 	}
 	return "f64"
@@ -604,18 +624,18 @@ func (d *DRL) Backend() string {
 // serving backend, or nil when f32 serving is off or healthy. The guard
 // pipeline surfaces it as a one-shot audit event so a silently degraded
 // backend cannot hide from the audit log.
-func (d *DRL) F32Err() error {
-	if !d.F32 {
+func (b *actorBackend) F32Err() error {
+	if !b.F32 {
 		return nil
 	}
-	d.fleetActor() // force the lazy build so the verdict is in
-	return d.fleetErr
+	b.fleetActor() // force the lazy build so the verdict is in
+	return b.fleetErr
 }
 
 // F32Fallbacks returns how many decisions were served on the float64 path
 // while the float32 backend was requested — zero for a healthy backend.
 // Safe to read concurrently with serving.
-func (d *DRL) F32Fallbacks() int64 { return d.f32Fallbacks.Load() }
+func (b *actorBackend) F32Fallbacks() int64 { return b.f32Fallbacks.Load() }
 
 // ensureLen returns v resized to n, reusing its backing array when large
 // enough.

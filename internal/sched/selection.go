@@ -162,7 +162,8 @@ func RunWithSelection(sys *fl.System, s Scheduler, sel Selector, startTime float
 		if err != nil {
 			return nil, fmt.Errorf("sched: %s at iteration %d: %w", s.Name(), k, err)
 		}
-		it, err := ses.StepSubset(freqs, mask)
+		ses.Opts.Participants = mask
+		it, err := ses.Step(freqs)
 		if err != nil {
 			return nil, err
 		}

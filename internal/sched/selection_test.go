@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fl"
@@ -140,8 +141,11 @@ func TestSubsetIterationSemantics(t *testing.T) {
 	for i, d := range sys.Devices {
 		freqs[i] = d.MaxFreqHz
 	}
+	subset := func(freqs []float64, mask []bool) (fl.IterationStats, error) {
+		return sys.RunIterationOptsInto(0, 0, freqs, fl.IterOptions{Participants: mask}, nil)
+	}
 	mask := []bool{true, false, true}
-	it, err := sys.RunIterationSubset(0, 0, freqs, mask)
+	it, err := subset(freqs, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +156,35 @@ func TestSubsetIterationSemantics(t *testing.T) {
 	// Barrier ranges over participants only.
 	want := math.Max(it.Devices[0].TotalTime, it.Devices[2].TotalTime)
 	testutil.AssertWithin(t, "duration", it.Duration, want, 1e-9)
+	// A reused buffer holding a full round's stats must not leak them into
+	// the excluded device's entry.
+	full, err := sys.RunIteration(0, 0, freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := sys.RunIterationOptsInto(0, 0, freqs, fl.IterOptions{Participants: mask}, full.Devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reused, it) {
+		t.Fatalf("reused buffer changed the round:\n%+v\n%+v", reused, it)
+	}
 	// Errors: empty mask, bad lengths, bad frequency for a participant.
-	if _, err := sys.RunIterationSubset(0, 0, freqs, []bool{false, false, false}); err == nil {
+	if _, err := subset(freqs, []bool{false, false, false}); err == nil {
 		t.Fatal("empty participation accepted")
 	}
-	if _, err := sys.RunIterationSubset(0, 0, freqs, []bool{true}); err == nil {
+	if _, err := subset(freqs, []bool{true}); err == nil {
 		t.Fatal("short mask accepted")
 	}
 	bad := append([]float64(nil), freqs...)
 	bad[0] = 0
-	if _, err := sys.RunIterationSubset(0, 0, bad, mask); err == nil {
+	if _, err := subset(bad, mask); err == nil {
 		t.Fatal("zero frequency for participant accepted")
 	}
 	// Non-participant frequency is ignored even if invalid.
 	bad2 := append([]float64(nil), freqs...)
 	bad2[1] = 0
-	if _, err := sys.RunIterationSubset(0, 0, bad2, mask); err != nil {
+	if _, err := subset(bad2, mask); err != nil {
 		t.Fatalf("non-participant frequency should be ignored: %v", err)
 	}
 	if got := fl.Participants(mask); len(got) != 2 || got[0] != 0 || got[1] != 2 {

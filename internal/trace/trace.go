@@ -129,13 +129,18 @@ func (tr *Trace) Average(t0, t1 float64) float64 {
 // time t0 completes: the earliest t ≥ t0 with Integrate(t0, t) ≥ bytes and
 // positive instantaneous bandwidth (an upload cannot complete inside an
 // outage, matching the segment walker this engine replaced). It returns an
-// error if the trace's per-cycle volume is zero (the upload would never
-// finish) while bytes > 0.
+// error if t0 is not finite, or if the trace's per-cycle volume is zero (the
+// upload would never finish) while bytes > 0.
 //
 // The solve is O(log n): the target cumulative volume is reduced modulo the
 // per-cycle volume and the finishing segment found by binary search over
 // the prefix array — no matter how many replay cycles the upload spans.
 func (tr *Trace) UploadFinish(t0 float64, bytes float64) (float64, error) {
+	if math.IsNaN(t0) || math.IsInf(t0, 0) {
+		// The clamp below passes NaN, and locate cannot place a non-finite
+		// time in any segment.
+		return 0, fmt.Errorf("trace %q: upload start time %v is not finite", tr.Name, t0)
+	}
 	if bytes <= 0 {
 		return t0, nil
 	}

@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# same_output.sh PARENT_DIR [CHANGE_DIR]
+#
+# Checks that a change alters no arithmetic by running the training and
+# evaluation CLIs of two checkouts side by side. CHANGE_DIR defaults to the
+# checkout this script lives in. Both sides build fltrain and flexperiments
+# from their own source, then:
+#
+#   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2: the
+#     four saved .gob agents must be byte-identical (cmp), and so must the
+#     printed convergence tables;
+#   - flexperiments -quick -out DIR: every CSV must be byte-identical, and
+#     stdout must match after dropping the "wrote ..." lines and the
+#     hier-sweep table's rounds/s and speedup columns, which are wall-clock
+#     measurements.
+#
+# Exit status: 0 when everything matches, 1 on any difference, 2 on a usage
+# or build error. The work directory is removed on success and kept (its
+# path printed) otherwise. A run takes a few minutes, dominated by the two
+# flexperiments -quick runs.
+set -euo pipefail
+
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+	echo "usage: $0 PARENT_DIR [CHANGE_DIR]" >&2
+	exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "${2:-$(dirname "$0")/..}" && pwd)
+work=$(mktemp -d)
+
+fail() {
+	echo "same_output: $1 (work dir $work)" >&2
+	exit 2
+}
+
+build() { # side dir
+	mkdir -p "$work/$1/bin"
+	(cd "$2" && go build -o "$work/$1/bin/" ./cmd/fltrain ./cmd/flexperiments) ||
+		fail "build failed in $2"
+}
+
+# run_side runs every workload of one side from inside its work directory,
+# so the paths the tools print are the same relative paths on both sides.
+run_side() { # side
+	cd "$work/$1"
+	for arch in joint shared; do
+		for tw in 0 2; do
+			bin/fltrain -episodes 60 -arch "$arch" -train-workers "$tw" \
+				-o "$arch-tw$tw.gob" >"fltrain-$arch-tw$tw.txt" ||
+				fail "$1 fltrain -arch $arch -train-workers $tw failed"
+		done
+	done
+	bin/flexperiments -quick -out csv >flexperiments.txt ||
+		fail "$1 flexperiments -quick failed"
+	cd - >/dev/null
+}
+
+# normalize drops the lines and columns of flexperiments stdout that
+# legitimately differ between runs: "wrote ..." lines, and every column of
+# the hier-sweep table from "rounds/s" on (its title ends in
+# "rounds/s measured on host"; the table ends at the next blank line).
+normalize() {
+	awk '
+		/^wrote / { next }
+		/rounds\/s measured on host$/ { print; hier = 1; next }
+		hier == 1 { cut = index($0, "rounds/s"); hier = 2 }
+		hier == 2 && $0 == "" { hier = 0 }
+		hier == 2 { print substr($0, 1, cut - 1); next }
+		{ print }
+	' "$1"
+}
+
+build parent "$parent"
+build change "$change"
+echo "same_output: running parent ($parent)"
+run_side parent
+echo "same_output: running change ($change)"
+run_side change
+
+status=0
+differ() {
+	echo "DIFFERENT: $1"
+	status=1
+}
+for f in "$work"/parent/*.gob; do
+	name=$(basename "$f")
+	cmp -s "$f" "$work/change/$name" || differ "$name"
+done
+for f in "$work"/parent/fltrain-*.txt; do
+	name=$(basename "$f")
+	diff -q "$f" "$work/change/$name" >/dev/null || differ "$name"
+done
+parent_csv=$(cd "$work/parent/csv" && ls)
+change_csv=$(cd "$work/change/csv" && ls)
+if [[ "$parent_csv" != "$change_csv" ]]; then
+	differ "the set of CSV files"
+fi
+for name in $parent_csv; do
+	[[ -f "$work/change/csv/$name" ]] || continue
+	cmp -s "$work/parent/csv/$name" "$work/change/csv/$name" || differ "csv/$name"
+done
+if ! diff <(normalize "$work/parent/flexperiments.txt") <(normalize "$work/change/flexperiments.txt"); then
+	differ "flexperiments stdout"
+fi
+
+ngob=$(ls "$work"/parent/*.gob | wc -l)
+ncsv=$(echo "$parent_csv" | wc -w)
+if [[ $status -eq 0 ]]; then
+	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, all tables)"
+	rm -rf "$work"
+else
+	echo "same_output: outputs differ; work dir kept at $work" >&2
+fi
+exit $status
