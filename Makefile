@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-hot bench-compare bench-fleet bench-hier bench-train bench-constrained fuzz profile quick serve-smoke bench-serving same-output clean
+.PHONY: all build test race vet bench bench-hot bench-compare bench-fleet bench-hier bench-train bench-constrained bench-smoke fuzz profile quick serve-smoke bench-serving same-output clean
 
 all: build test
 
@@ -115,12 +115,32 @@ bench-constrained:
 		echo "bench-constrained: benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest); raw output in bench-constrained.new"; \
 	fi
 
-# fuzz exercises the parse/sanitize fuzz targets (go's native fuzzer runs
-# one target per invocation). Raise FUZZTIME for a deeper run.
+# bench-smoke runs each perfbench workload for one second (train-testbed
+# and sim-hier once more with tracing on) and fails unless every run's last
+# line reports "correct":true and "failed":0: the benchmark's own output
+# checks, i.e. sim's 1-vs-2-worker bit identity, the train replica's
+# bit-for-bit episode costs, and the serve counter reconciliation and drain.
+BENCH_SMOKE_RUNS = train-testbed:0 sim-hier:0 serve-testbed:0 serve-fleet:0 train-testbed:1 sim-hier:1
+
+bench-smoke:
+	@for run in $(BENCH_SMOKE_RUNS); do \
+		w=$${run%:*}; tr=$${run#*:}; \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr | tail -n 1); \
+		echo "$$w --trace $$tr: $$last"; \
+		case "$$last" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-smoke: $$w --trace $$tr is not correct or has failed operations"; exit 1;; esac; \
+	done
+
+# fuzz exercises the parse/sanitize/decode fuzz targets and the
+# upload-finish solve (go's native fuzzer runs one target per invocation).
+# Raise FUZZTIME for a deeper run. The agent decoder's seeds are ~1 KB of
+# gob, which the minimizer would spend up to a minute per new input on.
 FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run xxx -fuzz FuzzUploadFinish -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run xxx -fuzz FuzzUnmarshalAgent -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/guard
 	$(GO) test -run xxx -fuzz FuzzParseLine -fuzztime $(FUZZTIME) ./internal/guard
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/server

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/sched"
 )
@@ -212,5 +215,25 @@ func TestNormalizedObsTrainingAndRoundTrip(t *testing.T) {
 	}
 	if same {
 		t.Fatal("normalizer has no effect on decisions")
+	}
+}
+
+// TestUnmarshalAgentBoundsState: a shared actor whose state (N devices ×
+// per-device inputs) exceeds maxStateDim, or whose N·inputs overflows, is
+// refused at decode instead of allocating on its first Mean.
+func TestUnmarshalAgentBoundsState(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	critic := nn.NewMLP([]int{2, 1}, nn.Tanh, nn.Identity, rng)
+	for _, n := range []int{maxStateDim / 2, maxStateDim/2 + 1, math.MaxInt} {
+		p := rl.NewSharedGaussianPolicy(1, 2, nil, 0.5, rng)
+		p.N = n
+		data, err := (&Agent{Policy: p, Critic: critic}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = new(Agent).UnmarshalBinary(data)
+		if accept := n <= maxStateDim/2; (err == nil) != accept {
+			t.Errorf("N = %d with 2 inputs per device: error %v, want accepted %v", n, err, accept)
+		}
 	}
 }

@@ -207,6 +207,13 @@ func (a *Agent) Scheduler() (*sched.DRL, error) {
 	return d, nil
 }
 
+// maxStateDim bounds the state length N·(per-device inputs) of a decoded
+// shared actor, so that a malformed file cannot make the agent's first Mean
+// allocate without bound. N is the one dimension the file's weights do not
+// back: nn's decoder already ties a joint actor's input width to its first
+// layer's weights.
+const maxStateDim = 1 << 20
+
 // agentWire is the gob wire format of an Agent.
 type agentWire struct {
 	Arch      string
@@ -290,8 +297,8 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 			GLogStd: make([]float64, len(w.LogStd)),
 		}
 	case ArchShared:
-		if len(w.LogStd) != 1 || w.N <= 0 {
-			return fmt.Errorf("core: decode agent: malformed shared policy (logstd %d, N %d)", len(w.LogStd), w.N)
+		if len(w.LogStd) != 1 || w.N <= 0 || w.N > maxStateDim/net.InDim() {
+			return fmt.Errorf("core: decode agent: malformed shared policy (logstd %d, N %d, %d inputs per device)", len(w.LogStd), w.N, net.InDim())
 		}
 		a.Policy = &rl.SharedGaussianPolicy{
 			Net:     &net,

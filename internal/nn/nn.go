@@ -533,21 +533,36 @@ func (m *MLP) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxWireWidth bounds every layer width a decoded network may declare, so
+// that no width read from a file can ask for an allocation (or an in·out
+// product) the file's own weights do not back.
+const maxWireWidth = 1 << 24
+
 // UnmarshalBinary decodes a network previously encoded with MarshalBinary.
+// Malformed input is an error naming the offending layer, never a panic:
+// every width must lie in [1, 2^24], every layer must carry in·out weights
+// and out biases, and every activation must be a known one.
 func (m *MLP) UnmarshalBinary(data []byte) error {
 	var w mlpWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("nn: decode MLP: %w", err)
 	}
-	if len(w.Sizes) < 2 || len(w.Acts) != len(w.Sizes)-1 {
+	layers := len(w.Sizes) - 1
+	if layers < 1 || len(w.Acts) != layers || len(w.W) > layers || len(w.B) > layers {
 		return fmt.Errorf("nn: decode MLP: inconsistent wire format")
 	}
-	m.Layers = nil
-	m.params = nil // cached views point into the layers being replaced
-	for i := 0; i < len(w.Sizes)-1; i++ {
+	var decoded []*Linear
+	for i := 0; i < layers; i++ {
 		in, out := w.Sizes[i], w.Sizes[i+1]
-		if len(w.W[i]) != in*out || len(w.B[i]) != out {
+		switch {
+		case in < 1 || out < 1 || in > maxWireWidth || out > maxWireWidth:
+			return fmt.Errorf("nn: decode MLP: layer %d shape %d→%d outside [1, %d]", i, in, out, maxWireWidth)
+		case i >= len(w.W) || i >= len(w.B):
+			return fmt.Errorf("nn: decode MLP: layer %d has no weights", i)
+		case int64(len(w.W[i])) != int64(in)*int64(out) || len(w.B[i]) != out:
 			return fmt.Errorf("nn: decode MLP: layer %d shape mismatch", i)
+		case w.Acts[i] < Identity || w.Acts[i] > Softplus:
+			return fmt.Errorf("nn: decode MLP: layer %d has unknown activation %v", i, w.Acts[i])
 		}
 		l := &Linear{
 			In: in, Out: out, Act: w.Acts[i],
@@ -559,7 +574,9 @@ func (m *MLP) UnmarshalBinary(data []byte) error {
 			z:  tensor.NewVector(out),
 			y:  tensor.NewVector(out),
 		}
-		m.Layers = append(m.Layers, l)
+		decoded = append(decoded, l)
 	}
+	m.Layers = decoded
+	m.params = nil // cached views point into the replaced layers
 	return nil
 }

@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +212,33 @@ func TestUnmarshalGarbage(t *testing.T) {
 	var m MLP
 	if err := m.UnmarshalBinary([]byte("not gob")); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// TestUnmarshalMalformed feeds the decoder well-formed gob carrying a
+// malformed network: each case must be an error naming the layer, not a
+// panic in decoding or in a later Forward.
+func TestUnmarshalMalformed(t *testing.T) {
+	cases := []struct {
+		name, want string
+		wire       mlpWire
+	}{
+		{"no weights", "layer 0", mlpWire{Sizes: []int{2, 3}, Acts: []Activation{Tanh}}},
+		{"in·out wraps to zero", "layer 0", mlpWire{Sizes: []int{1 << 60, 16}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 16)}}},
+		{"unknown activation", "layer 0", mlpWire{Sizes: []int{1, 1}, Acts: []Activation{99}, W: [][]float64{{1}}, B: [][]float64{{0}}}},
+		{"zero width", "layer 0", mlpWire{Sizes: []int{0, 3}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 3)}}},
+		{"second layer short", "layer 1", mlpWire{Sizes: []int{1, 2, 1}, Acts: []Activation{Tanh, Identity}, W: [][]float64{{1, 1}, {1}}, B: [][]float64{{0, 0}, {0}}}},
+		{"extra weights", "inconsistent", mlpWire{Sizes: []int{1, 1}, Acts: []Activation{Tanh}, W: [][]float64{{1}, {1}}, B: [][]float64{{0}}}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.wire); err != nil {
+			t.Fatal(err)
+		}
+		var m MLP
+		if err := m.UnmarshalBinary(buf.Bytes()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 

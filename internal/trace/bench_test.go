@@ -67,6 +67,20 @@ func BenchmarkUploadFinish(b *testing.B) {
 	}
 }
 
+// BenchmarkUploadFinishLateClock is BenchmarkUploadFinish with the starts
+// spread over [10^6 s, 10^6 s + d): a clock a long simulation reaches,
+// ~333 replay cycles into this 3000 s trace, where wrapping the start into
+// its cycle is no longer nearly free.
+func BenchmarkUploadFinishLateClock(b *testing.B) {
+	tr := benchTrace(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.UploadFinish(1e6+float64(i%2900)*1.03, 25e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkUploadFinishManyCycles measures the solver when the upload spans
 // hundreds of replay cycles — the regime where the legacy walker had to
 // fall back to walking whole cycles segment by segment.

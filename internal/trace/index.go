@@ -2,15 +2,16 @@ package trace
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
 // This file is the indexed trace engine. A Trace lazily builds (and caches)
 // a prefix-sum index of cumulative byte volume at sample boundaries, which
 // turns the windowed integral of eq. (3) into O(1) arithmetic on two prefix
-// lookups, the upload-finish solve into one binary search over the prefix
-// array, and slot averages into reads from a memoized per-slot-width table.
+// lookups, the upload-finish solve into a galloping search over the prefix
+// array from the upload's start segment, and slot averages into reads from a
+// memoized per-slot-width table. Every wall-clock time is wrapped into the
+// replay cycle by mod, an exact FMA remainder equal to math.Mod bit for bit.
 // The index is derived state only: it is built deterministically from
 // (Interval, Samples), it is dropped by Clone (copy-on-write safety — a
 // clone whose samples are then edited re-indexes lazily from its own data),
@@ -65,12 +66,39 @@ func (tr *Trace) index() *traceIndex {
 	return ix
 }
 
+// mod returns math.Mod(t, d) bit for bit for d > 0. math.Mod is a software
+// loop with one pass per bit of t/d, which a clock many replay cycles past
+// zero pays on every lookup. For 0 < t and t/d < 2^52, q = Floor(t/d) is the
+// true quotient or, when the division rounded up to the next integer, one
+// more; the true remainder t - q·d is representable, so the single rounding
+// of FMA returns it exactly, and a negative result means q overshot by one.
+// Anything else (negative or non-finite t, huge quotients, a result outside
+// [0, d)) falls back to math.Mod. t in [0, d) is returned as is, which keeps
+// a -0.
+func mod(t, d float64) float64 {
+	if t >= 0 && t < d {
+		return t
+	}
+	if t > 0 {
+		if q := math.Floor(t / d); q < 1<<52 {
+			r := math.FMA(-q, d, t)
+			if r < 0 {
+				r = math.FMA(-(q - 1), d, t)
+			}
+			if r >= 0 && r < d {
+				return r
+			}
+		}
+	}
+	return math.Mod(t, d)
+}
+
 // locate maps a wall-clock time t ≥ 0 to its position in the cyclic replay:
 // the sample index holding t and the within-cycle offset u ∈ [0, d). It is
 // the one shared segment lookup behind At, Integrate, UploadFinish and the
 // slot averages, including the single float-edge clamp at exactly u = d.
 func (tr *Trace) locate(t float64) (idx int, u float64) {
-	u = math.Mod(t, tr.Duration())
+	u = mod(t, tr.Duration())
 	idx = int(u / tr.Interval)
 	if idx >= len(tr.Samples) { // float edge at exactly one cycle
 		idx = len(tr.Samples) - 1
@@ -92,12 +120,45 @@ func (ix *traceIndex) cum(tr *Trace, idx int, u float64) float64 {
 }
 
 // invCum returns the earliest within-cycle time at which the cumulative
-// volume reaches rem ∈ (0, cycleVol], via binary search over the prefix
-// array. The found segment necessarily has positive rate: rem > prefix[i]
+// volume reaches rem ∈ (0, cycleVol]: the least segment i with
+// prefix[i+1] ≥ rem. hint is the upload's start segment. The prefix array
+// is non-decreasing, so when prefix[hint] < rem no earlier segment
+// qualifies and the search starts at hint; otherwise (a wrapped upload
+// that ends earlier in a later cycle) it starts at 0. Either way it finds
+// what a search over the whole array finds. From its start the search
+// gallops (probing prefix[from+1], prefix[from+2], prefix[from+4], …) until
+// a probe reaches rem, then bisects the last bracket: a short upload ends a
+// segment or two after it starts, so this costs a few probes rather than
+// log n. The found segment necessarily has positive rate: rem > prefix[i]
 // and rem ≤ prefix[i+1] together force Samples[i] > 0.
-func (ix *traceIndex) invCum(tr *Trace, rem float64) float64 {
+func (ix *traceIndex) invCum(tr *Trace, hint int, rem float64) float64 {
 	n := len(tr.Samples)
-	i := sort.Search(n, func(i int) bool { return ix.prefix[i+1] >= rem })
+	from := 0
+	if ix.prefix[hint] < rem {
+		from = hint
+	}
+	// Every segment below lo fails; hi is n or a segment that qualifies.
+	lo, hi := from, n
+	for step := 1; ; step <<= 1 {
+		probe := from + step - 1
+		if probe >= n {
+			break
+		}
+		if ix.prefix[probe+1] >= rem {
+			hi = probe
+			break
+		}
+		lo = probe + 1
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.prefix[m+1] >= rem {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	i := lo
 	if i >= n {
 		// rem exceeded cycleVol by float noise; land on the cycle end.
 		return tr.Duration()

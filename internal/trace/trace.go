@@ -42,8 +42,9 @@ var ErrEmptyTrace = errors.New("trace: empty trace")
 
 // New validates and constructs a trace.
 func New(name string, interval float64, samples []float64) (*Trace, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("trace %q: interval %v must be positive", name, interval)
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		// NaN would reach an int conversion in locate and index out of range.
+		return nil, fmt.Errorf("trace %q: interval %v must be positive and finite", name, interval)
 	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("trace %q: %w", name, ErrEmptyTrace)
@@ -132,9 +133,16 @@ func (tr *Trace) Average(t0, t1 float64) float64 {
 // error if t0 is not finite, or if the trace's per-cycle volume is zero (the
 // upload would never finish) while bytes > 0.
 //
-// The solve is O(log n): the target cumulative volume is reduced modulo the
-// per-cycle volume and the finishing segment found by binary search over
-// the prefix array — no matter how many replay cycles the upload spans.
+// An upload too small to change the cumulative volume at t0 (one below
+// ~1e-16 of it) finishes at t0, as a zero-byte one does, so the result is
+// never before t0.
+//
+// The solve costs O(1) plus a galloping search: t0 is wrapped into the
+// cycle by an exact FMA remainder (mod), the target cumulative volume is
+// reduced modulo the per-cycle volume, and the finishing segment is found
+// by galloping over the prefix array from t0's own segment — a few probes
+// for an upload that ends a segment or two after it starts, O(log n) at
+// worst, however many replay cycles the upload spans.
 func (tr *Trace) UploadFinish(t0 float64, bytes float64) (float64, error) {
 	if math.IsNaN(t0) || math.IsInf(t0, 0) {
 		// The clamp below passes NaN, and locate cannot place a non-finite
@@ -155,7 +163,14 @@ func (tr *Trace) UploadFinish(t0 float64, bytes float64) (float64, error) {
 	i0, u0 := tr.locate(t0)
 	base := t0 - u0 // wall-clock start of t0's replay cycle
 	// Cumulative volume (from base) at which the upload completes.
-	target := ix.cum(tr, i0, u0) + bytes
+	start := ix.cum(tr, i0, u0)
+	target := start + bytes
+	if target == start {
+		// bytes is too small to move the cumulative volume, and a search
+		// for start itself could land on the end of a positive segment
+		// before an outage holding t0.
+		return t0, nil
+	}
 	cycles := math.Floor(target / ix.cycleVol)
 	rem := target - cycles*ix.cycleVol
 	if rem <= 0 {
@@ -166,7 +181,7 @@ func (tr *Trace) UploadFinish(t0 float64, bytes float64) (float64, error) {
 		cycles--
 		rem = ix.cycleVol
 	}
-	return base + cycles*d + ix.invCum(tr, rem), nil
+	return base + cycles*d + ix.invCum(tr, i0, rem), nil
 }
 
 // Slot returns the average bandwidth in the j-th slot of width h seconds,
@@ -195,7 +210,7 @@ func (tr *Trace) Slot(j int, h float64) float64 {
 // no memo table — the defining formula of Slot.
 func (tr *Trace) slotDirect(j int, h float64) float64 {
 	d := tr.Duration()
-	start := math.Mod(float64(j)*h, d)
+	start := mod(float64(j)*h, d)
 	if start < 0 {
 		start += d
 	}

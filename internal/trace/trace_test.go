@@ -24,6 +24,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("x", 1, []float64{math.NaN()}); err == nil {
 		t.Fatal("NaN sample accepted")
 	}
+	if _, err := New("x", math.NaN(), []float64{1}); err == nil {
+		t.Fatal("NaN interval accepted")
+	}
+	if _, err := New("x", math.Inf(1), []float64{1}); err == nil {
+		t.Fatal("infinite interval accepted")
+	}
 	if _, err := New("x", 1, []float64{1, 2}); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
@@ -131,6 +137,29 @@ func TestUploadFinishAcrossOutage(t *testing.T) {
 	}
 	if !approx(tf, 4.5, 1e-9) {
 		t.Fatalf("UploadFinish through outage = %v, want 4.5", tf)
+	}
+}
+
+func TestUploadFinishCases(t *testing.T) {
+	gap := MustNew("p", 1, []float64{5, 0, 0, 5})
+	cases := []struct {
+		name            string
+		t0, bytes, want float64
+	}{
+		// bytes too small to move the cumulative volume (5 + 1e-17 == 5)
+		// must not land on the end of the positive segment before the gap.
+		{"sub-ulp upload in an outage", 2.5, 1e-17, 2.5},
+		{"sub-ulp upload in an outage, late clock", 4e6 + 2.5, 1e-17, 4e6 + 2.5},
+		{"sub-ulp upload on a boundary", 1, 1e-17, 1},
+		{"upload across the outage", 2.5, 5, 4},
+		{"upload from a late clock", 4e6 + 0.5, 5, 4e6 + 3.5},
+		{"exact cycle volume", 0, 10, 4},
+	}
+	for _, c := range cases {
+		got, err := gap.UploadFinish(c.t0, c.bytes)
+		if err != nil || got != c.want {
+			t.Errorf("%s: UploadFinish(%v, %v) = %v, %v; want %v", c.name, c.t0, c.bytes, got, err, c.want)
+		}
 	}
 }
 
