@@ -150,6 +150,13 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	if ck.Parallel && ck.Episode%waveSize != 0 && ck.Episode != t.Cfg.Episodes {
 		return fmt.Errorf("core: parallel checkpoint episode %d not on a wave boundary (multiple of %d)", ck.Episode, waveSize)
 	}
+	stateDim, actionDim := t.actor.StateDim(), t.actor.ActionDim()
+	for i, tr := range ck.Buffer {
+		if len(tr.State) != stateDim || len(tr.Action) != actionDim {
+			return fmt.Errorf("core: checkpoint buffer sample %d has a %d-dim state and a %d-dim action, actor takes %d and %d",
+				i, len(tr.State), len(tr.Action), stateDim, actionDim)
+		}
+	}
 	if err := rl.RestorePolicy(t.actor, ck.Actor); err != nil {
 		return fmt.Errorf("core: restore actor: %w", err)
 	}

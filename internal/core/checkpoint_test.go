@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/rl"
+	"repro/internal/tensor"
 )
 
 // trainInterrupted runs a trainer, stopping after stopAfter episodes, saves
@@ -201,6 +203,19 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		"buffer": func(ck *Checkpoint, tr **Trainer) {
 			*tr = newTrainer(func(c *Config) { c.BufferSize = 1 })
 		},
+		// A buffered sample whose state or action length is not the
+		// actor's; the copy keeps good's buffer intact.
+		"buffer state": func(ck *Checkpoint, tr **Trainer) {
+			ck.Buffer = append([]rl.Transition(nil), ck.Buffer...)
+			ck.Buffer[len(ck.Buffer)-1].State = tensor.Vector{1}
+		},
+		"buffer action": func(ck *Checkpoint, tr **Trainer) {
+			ck.Buffer = append([]rl.Transition(nil), ck.Buffer...)
+			ck.Buffer[0].Action = make(tensor.Vector, 5)
+		},
+	}
+	if len(good.Buffer) == 0 {
+		t.Fatal("the checkpoint's buffer is empty: the buffer cases would index nothing")
 	}
 	for name, mut := range cases {
 		ck := *good

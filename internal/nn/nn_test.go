@@ -3,7 +3,9 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +13,14 @@ import (
 
 	"repro/internal/tensor"
 )
+
+// apply evaluates the activation on one value through applyBatch, the
+// path Forward and ForwardBatch take.
+func (a Activation) apply(x float64) float64 {
+	var y [1]float64
+	a.applyBatch(y[:], []float64{x})
+	return y[0]
+}
 
 func TestActivationValues(t *testing.T) {
 	cases := []struct {
@@ -65,6 +75,25 @@ func TestLinearForwardKnown(t *testing.T) {
 	out := l.Forward(tensor.Vector{1, 1})
 	if out[0] != 13 || out[1] != 27 {
 		t.Fatalf("Forward = %v", out)
+	}
+}
+
+// TestForwardInputLengthPanics pins Forward's shape check: an input of the
+// wrong length must panic naming both lengths, not be truncated or padded
+// with the previous call's values.
+func TestForwardInputLengthPanics(t *testing.T) {
+	m := NewMLP([]int{4, 8, 3}, Tanh, Identity, rand.New(rand.NewSource(3)))
+	m.Forward(tensor.Vector{1, 2, 3, 4})
+	for _, x := range []tensor.Vector{{1, 2}, {1, 2, 3, 4, 5, 6}, nil} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("nn: Forward input length %d, layer takes 4", len(x))
+				if r := recover(); r != want {
+					t.Errorf("Forward(%v) panicked with %v, want %q", x, r, want)
+				}
+			}()
+			m.Forward(x)
+		}()
 	}
 }
 
@@ -224,7 +253,7 @@ func TestUnmarshalMalformed(t *testing.T) {
 		wire       mlpWire
 	}{
 		{"no weights", "layer 0", mlpWire{Sizes: []int{2, 3}, Acts: []Activation{Tanh}}},
-		{"in·out wraps to zero", "layer 0", mlpWire{Sizes: []int{1 << 60, 16}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 16)}}},
+		{"in·out wraps to zero", "layer 0", mlpWire{Sizes: []int{1 << (bits.UintSize - 4), 16}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 16)}}},
 		{"unknown activation", "layer 0", mlpWire{Sizes: []int{1, 1}, Acts: []Activation{99}, W: [][]float64{{1}}, B: [][]float64{{0}}}},
 		{"zero width", "layer 0", mlpWire{Sizes: []int{0, 3}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 3)}}},
 		{"second layer short", "layer 1", mlpWire{Sizes: []int{1, 2, 1}, Acts: []Activation{Tanh, Identity}, W: [][]float64{{1, 1}, {1}}, B: [][]float64{{0, 0}, {0}}}},

@@ -1,0 +1,164 @@
+//go:build amd64 && !race
+
+package tensor
+
+// Assembly routines (f64_amd64.s). Each reproduces a Go loop of tensor.go or
+// fasttanh.go bit for bit; the Go loops stay as the fallback and as the
+// reference TestF64KernelsMatchGo compares against. Race builds use the Go
+// loops (f64_noasm.go), so the race detector sees every load and store.
+
+//go:noescape
+func axpy16(d, a *float64, as int, b *float64, ldb, n int)
+
+//go:noescape
+func axpy4(d, a *float64, as int, b *float64, ldb, n int, mask *[4]int64)
+
+//go:noescape
+func dotRows8(dst, w *float64, ldw int, x *float64, k int)
+
+//go:noescape
+func dotRows4(dst, w *float64, ldw int, x *float64, k int)
+
+//go:noescape
+func tanhVec4(dst, src *float64, n int)
+
+// useF64Asm selects the float64 kernels. They need only AVX and never use
+// FMA, but share the float32 kernels' AVX2+FMA gate.
+var useF64Asm = useAVX2
+
+// tanhLanes holds FastTanh's constants four times each: the 256-bit memory
+// operands of tanhVec4, in the order of the TANH_* offsets in f64_amd64.s.
+var tanhLanes = [15][4]float64{
+	{tanhClamp, tanhClamp, tanhClamp, tanhClamp},
+	{-tanhClamp, -tanhClamp, -tanhClamp, -tanhClamp},
+	{1, 1, 1, 1},
+	{-1, -1, -1, -1},
+	{tanhP13, tanhP13, tanhP13, tanhP13},
+	{tanhP11, tanhP11, tanhP11, tanhP11},
+	{tanhP9, tanhP9, tanhP9, tanhP9},
+	{tanhP7, tanhP7, tanhP7, tanhP7},
+	{tanhP5, tanhP5, tanhP5, tanhP5},
+	{tanhP3, tanhP3, tanhP3, tanhP3},
+	{tanhP1, tanhP1, tanhP1, tanhP1},
+	{tanhQ6, tanhQ6, tanhQ6, tanhQ6},
+	{tanhQ4, tanhQ4, tanhQ4, tanhQ4},
+	{tanhQ2, tanhQ2, tanhQ2, tanhQ2},
+	{tanhQ0, tanhQ0, tanhQ0, tanhQ0},
+}
+
+func matVec(dst Vector, m *Matrix, x Vector) {
+	if !useF64Asm {
+		matVecGeneric(dst, m, x)
+		return
+	}
+	dotRows(dst, m.Data, m.Cols, x)
+}
+
+func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+	if !useF64Asm {
+		matMulTransBRangeGeneric(dst, a, b, lo, hi)
+		return
+	}
+	k, c := a.Cols, b.Rows
+	c4 := c &^ 3
+	for i := lo; i < hi; i++ {
+		dotRows(dst.Data[i*c:i*c+c4], b.Data, k, a.Data[i*k:(i+1)*k])
+	}
+	// The last c%4 weight rows are too few to fill the lanes, so the samples
+	// fill them instead: element (i, o) is the same dot product either way,
+	// with the operands of each product swapped.
+	var t [8]float64
+	for o := c4; o < c; o++ {
+		for i := lo; i < hi; i += len(t) {
+			m := min(hi-i, len(t))
+			dotRows(t[:m], a.Data[i*k:], k, b.Data[o*k:(o+1)*k])
+			for l, v := range t[:m] {
+				dst.Data[(i+l)*c+o] = v
+			}
+		}
+	}
+}
+
+// dotRows stores Σ_j w[o*k+j]·x[j] into dst[o] for every o < len(dst): the
+// kernels take eight, then four rows at a time, and Go computes the last
+// rows%4 rows, so each output sees MatVec's term sequence.
+func dotRows(dst, w []float64, k int, x []float64) {
+	rows := len(dst)
+	w, x = w[:rows*k], x[:k]
+	o := 0
+	if k > 0 {
+		for ; o+8 <= rows; o += 8 {
+			dotRows8(&dst[o], &w[o*k], k, &x[0], k)
+		}
+		if o+4 <= rows {
+			dotRows4(&dst[o], &w[o*k], k, &x[0], k)
+			o += 4
+		}
+	}
+	if o < rows {
+		matVecGeneric(dst[o:], &Matrix{Rows: rows - o, Cols: k, Data: w[o*k:]}, x)
+	}
+}
+
+func matMulRange(dst, a, b *Matrix, lo, hi int) {
+	if !useF64Asm {
+		matMulRangeGeneric(dst, a, b, lo, hi)
+		return
+	}
+	k, c := a.Cols, b.Cols
+	for i := lo; i < hi; i++ {
+		d := dst.Data[i*c : (i+1)*c]
+		clear(d)
+		axpyRows(d, a.Data[i*k:(i+1)*k], 1, b.Data, k)
+	}
+}
+
+func addMatMulTransARange(dst, a, b *Matrix, set bool, lo, hi int) {
+	if !useF64Asm {
+		addMatMulTransARangeGeneric(dst, a, b, set, lo, hi)
+		return
+	}
+	n, r, c := a.Rows, a.Cols, b.Cols
+	for o := lo; o < hi; o++ {
+		d := dst.Data[o*c : (o+1)*c]
+		if set {
+			clear(d)
+		}
+		axpyRows(d, a.Data[o:], r, b.Data, n)
+	}
+}
+
+// laneMasks[m] enables the first m lanes of axpy4.
+var laneMasks = [5][4]int64{{}, {-1}, {-1, -1}, {-1, -1, -1}, {-1, -1, -1, -1}}
+
+// axpyRows adds a[kk*as]·b[kk*c : (kk+1)*c] to d (c = len(d)) for kk = 0..n-1
+// in order, skipping zero multipliers as the Go loops do. The kernels take
+// 16 columns at a time, then 4, the last call masking off the columns past c.
+func axpyRows(d, a []float64, as int, b []float64, n int) {
+	c := len(d)
+	if n == 0 || c == 0 {
+		return
+	}
+	a, b = a[:(n-1)*as+1], b[:n*c]
+	j := 0
+	for ; j+16 <= c; j += 16 {
+		axpy16(&d[j], &a[0], as, &b[j], c, n)
+	}
+	for ; j < c; j += 4 {
+		axpy4(&d[j], &a[0], as, &b[j], c, n, &laneMasks[min(c-j, 4)])
+	}
+}
+
+func fastTanhInto(dst, src []float64) {
+	if !useF64Asm {
+		fastTanhIntoGeneric(dst, src)
+		return
+	}
+	n4 := len(src) &^ 3
+	if n4 > 0 {
+		tanhVec4(&dst[0], &src[0], n4)
+	}
+	for i := n4; i < len(src); i++ {
+		dst[i] = FastTanh(src[i])
+	}
+}

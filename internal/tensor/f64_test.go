@@ -1,0 +1,315 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// f64Values draws matrix entries for the kernel differential test. With
+// special == 0 they are normal values with exact ±0 sprinkled in; otherwise
+// each entry is, with probability special, one of ±0, ±Inf, NaN, a
+// subnormal, a huge value (products overflow) or a tiny one (products
+// underflow).
+func f64Values(rng *rand.Rand, n int, special float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		switch {
+		case rng.Float64() < special:
+			v[i] = specialF64(rng)
+		case rng.Intn(5) == 0:
+			v[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		default:
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+func specialF64(rng *rand.Rand) float64 {
+	sign := float64(rng.Intn(2)*2 - 1)
+	switch rng.Intn(7) {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return math.Inf(int(sign))
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Copysign(math.Float64frombits(1+rng.Uint64()%(1<<52-1)), sign)
+	case 4:
+		return sign * 1e200 * (1 + rng.Float64())
+	case 5:
+		return sign * 1e-200 * (1 + rng.Float64())
+	default:
+		return sign * math.MaxFloat64
+	}
+}
+
+// f64Matrix builds a rows×cols matrix of f64Values with about a quarter of
+// its rows all zero, as clip-inactive PPO samples leave them.
+func f64Matrix(rng *rand.Rand, rows, cols int, special float64) *Matrix {
+	m := &Matrix{Rows: rows, Cols: cols, Data: f64Values(rng, rows*cols, special)}
+	for i := 0; i < rows; i++ {
+		if rng.Intn(4) == 0 {
+			m.Row(i).Zero()
+		}
+	}
+	return m
+}
+
+// guarded returns a copy of m whose data slice is followed in memory by
+// sentinel elements, and a check that fails the test if a kernel wrote to
+// them: a row's last columns must not spill past the slice.
+func guarded(t *testing.T, m *Matrix) (*Matrix, func()) {
+	const sentinel = 12345.0
+	n := len(m.Data)
+	buf := make([]float64, n+4)
+	copy(buf, m.Data)
+	for i := n; i < len(buf); i++ {
+		buf[i] = sentinel
+	}
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: buf[:n:n]}, func() {
+		t.Helper()
+		for _, v := range buf[n:] {
+			if v != sentinel {
+				t.Fatalf("a kernel wrote past the end of a %dx%d destination", m.Rows, m.Cols)
+			}
+		}
+	}
+}
+
+// sameF64 reports whether got reproduces want: the same bits, or NaN where
+// want is NaN. NaN payloads are not compared: x86 returns the first source
+// operand's NaN, and Go does not fix the operand order of a commutative
+// product or sum.
+func sameF64(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+func checkSameF64(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameF64(got[i], want[i]) {
+			t.Fatalf("%s: element %d: asm %v (%#016x), Go %v (%#016x)", label, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// f64Shapes lists (rows, k, cols) triples that cover every tail of the
+// 16/8/4-wide kernels: k = 0..3, single rows, and random widths and k that
+// are mostly no multiple of 4. Each subtest appends the shapes the engine
+// runs.
+func f64Shapes(rng *rand.Rand) [][3]int {
+	var sh [][3]int
+	for k := 0; k < 4; k++ {
+		sh = append(sh, [3]int{1, k, 1}, [3]int{3, k, 21}, [3]int{9, k, 13})
+	}
+	for i := 0; i < 150; i++ {
+		sh = append(sh, [3]int{1 + rng.Intn(20), rng.Intn(40), 1 + rng.Intn(40)})
+	}
+	return sh
+}
+
+var f64Densities = []float64{0, 0.003, 0.03, 0.3}
+
+// TestF64KernelsMatchGo pins every float64 assembly kernel to the Go loop
+// it replaces: non-NaN results must match bit for bit and NaN must appear
+// exactly where the Go loop produces it, over random shapes, the engine's
+// shapes, and inputs holding ±0, ±Inf, NaN, subnormals, overflowing
+// products and all-zero rows.
+func TestF64KernelsMatchGo(t *testing.T) {
+	if !useF64Asm {
+		t.Skip("the float64 assembly kernels are not active in this build")
+	}
+	t.Run("MatVec", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		shapes := append(f64Shapes(rng), [3]int{64, 6000, 1}, [3]int{64, 18, 1}, [3]int{3, 64, 1}, [3]int{1, 64, 1})
+		for _, sh := range shapes {
+			rows, k := sh[0], sh[1]
+			for _, sp := range f64Densities {
+				m := f64Matrix(rng, rows, k, sp)
+				x := f64Values(rng, k, sp)
+				got, want := Vector(f64Values(rng, rows, 0.5)), NewVector(rows) // stale got
+				MatVec(got, m, x)
+				matVecGeneric(want, m, x)
+				checkSameF64(t, fmt.Sprintf("%dx%d density %v", rows, k, sp), got, want)
+			}
+		}
+	})
+	t.Run("MatMulTransBRange", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(62))
+		shapes := append(f64Shapes(rng), [3]int{16, 18, 64}, [3]int{16, 64, 64}, [3]int{16, 64, 3}, [3]int{16, 64, 1})
+		for _, sh := range shapes {
+			n, k, c := sh[0], sh[1], sh[2]
+			for _, sp := range f64Densities {
+				a, w := f64Matrix(rng, n, k, sp), f64Matrix(rng, c, k, sp)
+				got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
+				want := NewMatrix(n, c)
+				lo := rng.Intn(n + 1)
+				MatMulTransBRange(got, a, w, 0, lo)
+				MatMulTransBRange(got, a, w, lo, n)
+				guard()
+				matMulTransBRangeGeneric(want, a, w, 0, n)
+				checkSameF64(t, fmt.Sprintf("%dx%d·(%dx%d)ᵀ density %v", n, k, c, k, sp), got.Data, want.Data)
+			}
+		}
+	})
+	t.Run("MatMulRange", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(63))
+		shapes := append(f64Shapes(rng), [3]int{16, 64, 64}, [3]int{16, 3, 64}, [3]int{16, 1, 64}, [3]int{16, 64, 18})
+		for _, sh := range shapes {
+			n, k, c := sh[0], sh[1], sh[2]
+			for _, sp := range f64Densities {
+				a, b := f64Matrix(rng, n, k, sp), f64Matrix(rng, k, c, sp)
+				got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
+				want := NewMatrix(n, c)
+				lo := rng.Intn(n + 1)
+				MatMulRange(got, a, b, 0, lo)
+				MatMulRange(got, a, b, lo, n)
+				guard()
+				matMulRangeGeneric(want, a, b, 0, n)
+				checkSameF64(t, fmt.Sprintf("%dx%d·%dx%d density %v", n, k, k, c, sp), got.Data, want.Data)
+			}
+		}
+	})
+	t.Run("AddMatMulTransARange", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(64))
+		shapes := append(f64Shapes(rng), [3]int{16, 64, 18}, [3]int{16, 64, 64}, [3]int{16, 3, 64}, [3]int{16, 1, 64})
+		for _, sh := range shapes {
+			n, r, c := sh[0], sh[1], sh[2]
+			if r == 0 {
+				continue
+			}
+			for _, sp := range f64Densities {
+				a, b := f64Matrix(rng, n, r, sp), f64Matrix(rng, n, c, sp)
+				init := f64Matrix(rng, r, c, sp)
+				for _, set := range []bool{false, true} {
+					got, guard := guarded(t, init)
+					want := init.Clone()
+					lo := rng.Intn(r + 1)
+					addMatMulTransARange(got, a, b, set, 0, lo)
+					addMatMulTransARange(got, a, b, set, lo, r)
+					guard()
+					addMatMulTransARangeGeneric(want, a, b, set, 0, r)
+					checkSameF64(t, fmt.Sprintf("(%dx%d)ᵀ·%dx%d set=%v density %v", n, r, n, c, set, sp), got.Data, want.Data)
+				}
+			}
+		}
+	})
+	// A NaN multiplier is not a zero: Go's a != 0 keeps it, so its row of b
+	// turns the whole destination row NaN. VUCOMISD reports NaN == 0 through
+	// ZF, so this fails unless the kernels also test PF.
+	t.Run("NaNMultiplier", func(t *testing.T) {
+		for _, c := range []int{1, 4, 16, 21} {
+			a := NewMatrix(1, 5)
+			a.Data[2] = math.NaN()
+			b := NewMatrix(5, c)
+			b.Fill(0.5)
+			got := NewMatrix(1, c)
+			MatMulRange(got, a, b, 0, 1)
+			for j, v := range got.Data {
+				if !math.IsNaN(v) {
+					t.Fatalf("MatMulRange width %d: column %d = %v, want NaN", c, j, v)
+				}
+			}
+			// The same multiplier as a column of a in dW = aᵀ·b.
+			at := NewMatrix(5, 1)
+			at.Data[2] = math.NaN()
+			gw := NewMatrix(1, c)
+			addMatMulTransARange(gw, at, b, true, 0, 1)
+			for j, v := range gw.Data {
+				if !math.IsNaN(v) {
+					t.Fatalf("MatMulTransARange width %d: column %d = %v, want NaN", c, j, v)
+				}
+			}
+		}
+	})
+	t.Run("FastTanhInto", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(65))
+		edges := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+			math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+		for _, c := range []float64{tanhClamp, -tanhClamp} {
+			edges = append(edges, c, math.Nextafter(c, 0), math.Nextafter(c, 2*c))
+		}
+		src := make([]float64, 0, 1<<20+len(edges))
+		src = append(src, edges...)
+		for len(src) < cap(src) {
+			switch rng.Intn(4) {
+			case 0: // around the clamp
+				src = append(src, (tanhClamp+rng.NormFloat64()*1e-3)*float64(rng.Intn(2)*2-1))
+			case 1: // any bit pattern
+				src = append(src, math.Float64frombits(rng.Uint64()))
+			default: // where training activations live
+				src = append(src, rng.NormFloat64()*4)
+			}
+		}
+		want := make([]float64, len(src))
+		fastTanhIntoGeneric(want, src)
+		for _, n := range []int{len(src), len(src) - 1, 7, 3, 0} {
+			got := make([]float64, n)
+			FastTanhInto(got, src[:n])
+			checkSameF64(t, fmt.Sprintf("len %d", n), got, want[:n])
+		}
+		// In place, as applyBatch may be called.
+		inPlace := append([]float64(nil), src...)
+		FastTanhInto(inPlace, inPlace)
+		checkSameF64(t, "in place", inPlace, want)
+	})
+}
+
+// BenchmarkF64Kernels times each float64 kernel at the shapes the training
+// engine and the f64 actor run, against the Go loop it replaces.
+func BenchmarkF64Kernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(66))
+	type kernel struct {
+		name          string
+		dispatch, ref func()
+	}
+	var ks []kernel
+	for _, sh := range [][3]int{{16, 18, 64}, {16, 64, 64}, {16, 64, 3}} {
+		n, k, c := sh[0], sh[1], sh[2]
+		a, w, dst := randMatrix(n, k, rng), randMatrix(c, k, rng), NewMatrix(n, c)
+		ks = append(ks, kernel{fmt.Sprintf("MatMulTransB/%dx%d·%dx%d", n, k, c, k),
+			func() { MatMulTransBRange(dst, a, w, 0, n) },
+			func() { matMulTransBRangeGeneric(dst, a, w, 0, n) }})
+	}
+	for _, sh := range [][2]int{{64, 18}, {64, 64}, {3, 64}, {64, 6000}} {
+		m, x, y := randMatrix(sh[0], sh[1], rng), Vector(f64Values(rng, sh[1], 0)), NewVector(sh[0])
+		ks = append(ks, kernel{fmt.Sprintf("MatVec/%dx%d", sh[0], sh[1]),
+			func() { MatVec(y, m, x) }, func() { matVecGeneric(y, m, x) }})
+	}
+	{
+		dz, w, dx := randSparse(16, 64, rng), randMatrix(64, 64, rng), NewMatrix(16, 64)
+		ks = append(ks, kernel{"MatMul/16x64·64x64",
+			func() { MatMulRange(dx, dz, w, 0, 16) }, func() { matMulRangeGeneric(dx, dz, w, 0, 16) }})
+	}
+	for _, in := range []int{18, 64} {
+		dz, x, gw := randSparse(16, 64, rng), randMatrix(16, in, rng), NewMatrix(64, in)
+		ks = append(ks, kernel{fmt.Sprintf("MatMulTransA/64x%d·16", in),
+			func() { addMatMulTransARange(gw, dz, x, true, 0, 64) },
+			func() { addMatMulTransARangeGeneric(gw, dz, x, true, 0, 64) }})
+	}
+	{
+		src, dst := f64Values(rng, 1024, 0), make([]float64, 1024)
+		ks = append(ks, kernel{"FastTanhInto/1024",
+			func() { FastTanhInto(dst, src) }, func() { fastTanhIntoGeneric(dst, src) }})
+	}
+	for _, k := range ks {
+		b.Run(k.name+"/dispatch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.dispatch()
+			}
+		})
+		b.Run(k.name+"/go", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.ref()
+			}
+		})
+	}
+}

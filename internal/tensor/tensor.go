@@ -324,12 +324,20 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // MatVec stores m·x into dst. dst must have length m.Rows and x length
-// m.Cols; dst must not alias x.
+// m.Cols; dst must not alias x. Each element is one accumulator summed in
+// ascending column order; where the AVX kernels run (DESIGN.md §15) they
+// take eight rows as lanes and produce the same bits.
 func MatVec(dst Vector, m *Matrix, x Vector) {
 	if len(dst) != m.Rows || len(x) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch %dx%d · %d -> %d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
+	matVec(dst, m, x)
+}
+
+// matVecGeneric is MatVec's Go loop: one accumulator per row, summed in
+// ascending column order.
+func matVecGeneric(dst Vector, m *Matrix, x Vector) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
@@ -369,7 +377,9 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 // naive saxpy loop, so the result is bit-identical to it (pinned by
 // TestMatMulTiledBitIdentical). The zero skip matters beyond speed: rows of
 // a that are exactly zero (clip-inactive PPO samples) contribute no term,
-// matching the per-sample MatTVec path bit for bit.
+// matching the per-sample MatTVec path bit for bit. Where the AVX kernels
+// run (DESIGN.md §15), 16 destination columns share each broadcast
+// a[i][k], with the same term sequence and zero skip.
 func MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
 	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
@@ -383,11 +393,11 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulRange computes rows [lo, hi) of dst = a·b with the register-tiled
-// saxpy kernel on the calling goroutine. It is the building block for
-// callers that manage their own parallelism (the sharded training engine
-// runs one row block per gradient shard); each dst row depends only on the
-// same row of a, so disjoint ranges compose to exactly MatMul.
+// MatMulRange computes rows [lo, hi) of dst = a·b with the saxpy kernel on
+// the calling goroutine. It is the building block for callers that manage
+// their own parallelism (the sharded training engine runs one row block per
+// gradient shard); each dst row depends only on the same row of a, so
+// disjoint ranges compose to exactly MatMul.
 //
 // Each dst row accumulates Σ_kk a[i][kk]·b[kk][:] over contiguous b rows,
 // four terms per pass; the chained d[j] + t₀ + t₁ + t₂ + t₃ associates left
@@ -395,6 +405,10 @@ func checkMatMul(dst, a, b *Matrix) {
 // bit-identical to the plain dot-product loop, including the skip of zero
 // a[i][kk] terms (mixed quads fall back to sequential single-term axpys).
 func MatMulRange(dst, a, b *Matrix, lo, hi int) {
+	matMulRange(dst, a, b, lo, hi)
+}
+
+func matMulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	k, c := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
 	for i := lo; i < hi; i++ {
@@ -458,7 +472,8 @@ func MatMulRange(dst, a, b *Matrix, lo, hi int) {
 // concurrently, so each load of a[i][j] / b[o][j] feeds two multiplies and
 // the two a-rows' streams hit the same cache lines of b. Every destination
 // element still has its own accumulator running in ascending k, so tiling
-// changes no result bit (pinned by TestMatMulTransBTiledBitIdentical).
+// changes no result bit (pinned by TestMatMulTransBTiledBitIdentical). The
+// AVX kernels (DESIGN.md §15) run each sample row as a MatVec.
 func MatMulTransB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
@@ -472,6 +487,10 @@ func MatMulTransB(dst, a, b *Matrix) {
 // MatMulTransBRange computes rows [lo, hi) of dst = a·bᵀ on the calling
 // goroutine (see MatMulTransB for the tiling and bit-identity contract).
 func MatMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+	matMulTransBRange(dst, a, b, lo, hi)
+}
+
+func matMulTransBRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	k, c := a.Cols, b.Rows
 	{
 		i := lo
@@ -532,7 +551,8 @@ func MatMulTransBRange(dst, a, b *Matrix, lo, hi int) {
 // AddOuter rank-1 updates, reproduced bit for bit (pinned by
 // TestAddMatMulTransATiledBitIdentical). The kernel iterates destination
 // rows in the outer loop (so it parallelizes over them without changing a
-// single bit) and streams four samples per pass inside each row.
+// single bit) and streams four samples per pass inside each row; the AVX
+// kernels (DESIGN.md §15) stream one sample per pass over 16 columns.
 func AddMatMulTransA(dst, a, b *Matrix) {
 	checkMatMulTransA(dst, a, b)
 	ParallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
@@ -569,17 +589,17 @@ func checkMatMulTransA(dst, a, b *Matrix) {
 	}
 }
 
-// addMatMulTransARange is the shared register-tiled core. Each dst row o is
-// a column of a, accumulated as Σ_i a[i][o]·b[i][:]. The outer loop keeps
-// one dst row hot while streaming four samples at a time: the unrolled axpy
-// chain d[j] + t₀ + t₁ + t₂ + t₃ associates left to right, so every dst
-// element still sees its contributions in ascending sample order —
-// bit-identical to the one-sample-at-a-time loop. A zero a[i][o] skips that
-// sample's contribution to the row (clipped PPO rows zero whole upstream
-// rows); mixed zero/nonzero quads fall back to sequential single-sample
-// axpys in the same i order. When set is true the row starts from zero
-// (cleared up front) instead of the current dst values.
-func addMatMulTransARange(dst, a, b *Matrix, set bool, lo, hi int) {
+// addMatMulTransARangeGeneric is the shared register-tiled Go core. Each
+// dst row o is a column of a, accumulated as Σ_i a[i][o]·b[i][:]. The outer
+// loop keeps one dst row hot while streaming four samples at a time: the
+// unrolled axpy chain d[j] + t₀ + t₁ + t₂ + t₃ associates left to right, so
+// every dst element still sees its contributions in ascending sample order
+// — bit-identical to the one-sample-at-a-time loop. A zero a[i][o] skips
+// that sample's contribution to the row (clipped PPO rows zero whole
+// upstream rows); mixed zero/nonzero quads fall back to sequential
+// single-sample axpys in the same i order. When set is true the row starts
+// from zero (cleared up front) instead of the current dst values.
+func addMatMulTransARangeGeneric(dst, a, b *Matrix, set bool, lo, hi int) {
 	n, r, c := a.Rows, a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
 	for o := lo; o < hi; o++ {
