@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-hot bench-compare bench-fleet bench-hier bench-train bench-constrained bench-smoke fuzz profile quick serve-smoke bench-serving same-output clean
+.PHONY: all build test race vet bench bench-hot bench-compare bench-hier bench-train bench-constrained bench-smoke fuzz profile quick serve-smoke bench-serving same-output clean
 
 all: build test
 
@@ -28,8 +28,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -cpu 1,4 .
 
 # Packages holding the hot-path benchmarks: trace engine + env step
-# (results/BENCH_trace.json) and the dual-precision tensor kernels
-# (results/BENCH_fleet.json).
+# (results/BENCH_trace.json) and the float64 tensor kernels.
 BENCH_HOT_PKGS = ./internal/trace ./internal/env ./internal/tensor
 
 # bench-hot runs the hot-path benchmarks at measurement length.
@@ -47,22 +46,6 @@ bench-compare:
 		else echo "bench-compare: baseline recorded; rerun after your change to diff"; fi; \
 	else \
 		echo "bench-compare: benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest); raw output in bench.new"; \
-	fi
-
-# bench-fleet measures fleet serving (decisions/sec at N=1k and N=100k
-# across the f32-fleet / f64-batched / f64-perdev backends) plus the
-# float32 kernel micro-benches — the numbers tracked in
-# results/BENCH_fleet.json. Snapshots into bench-fleet.new (rotating the
-# previous run to bench-fleet.old) and diffs with benchstat when installed.
-bench-fleet:
-	@if [ -f bench-fleet.new ]; then mv bench-fleet.new bench-fleet.old; fi
-	$(GO) test -run xxx -bench BenchmarkFleetInference -benchtime 1s . | tee bench-fleet.new
-	$(GO) test -run xxx -bench . -benchtime 300ms ./internal/tensor | tee -a bench-fleet.new
-	@if command -v benchstat >/dev/null 2>&1; then \
-		if [ -f bench-fleet.old ]; then benchstat bench-fleet.old bench-fleet.new; \
-		else echo "bench-fleet: baseline recorded; rerun after your change to diff"; fi; \
-	else \
-		echo "bench-fleet: benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest); raw output in bench-fleet.new"; \
 	fi
 
 # bench-hier measures the hierarchical federation engine: flat barrier vs

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	flsim -agent agent.gob [-n 3] [-lambda 1] [-iters 400] [-runs 3]
-//	      [-seed 1] [-cdf cost.csv] [-serve-f32]
+//	      [-seed 1] [-cdf cost.csv]
 //	      [-guard] [-guard-fallback heuristic,maxfreq] [-ood-threshold 4]
 //
 // With -hier the command instead runs the two-tier hierarchical engine
@@ -42,8 +42,6 @@ func main() {
 		runs      = flag.Int("runs", 3, "evaluation runs from spread start times")
 		seed      = flag.Int64("seed", 1, "scenario seed (must match training)")
 		cdfPath   = flag.String("cdf", "", "optional CSV path for the cost CDFs (Fig. 7(d))")
-
-		serveF32 = flag.Bool("serve-f32", false, "serve DRL actions through the float32 fleet-batched backend (training-equivalent within 1e-4; guard audit records the backend)")
 
 		useGuard = flag.Bool("guard", false, "add a drl+guard column: the actor wrapped in the online safety pipeline")
 		guardFB  = flag.String("guard-fallback", "", "guard fallback chain spec (default heuristic,maxfreq)")
@@ -78,16 +76,6 @@ func main() {
 	opts.Iterations = *iters
 	opts.Runs = *runs
 	opts.Seed = *seed
-	opts.ServeF32 = *serveF32
-	if *serveF32 {
-		agent.ServeF32 = true
-		if drl, err := agent.Scheduler(); err == nil {
-			fmt.Printf("serving backend: %s\n", drl.Backend())
-			if ferr := drl.F32Err(); ferr != nil {
-				fmt.Fprintf(os.Stderr, "flsim: warning: float32 backend unavailable, serving float64 (%v)\n", ferr)
-			}
-		}
-	}
 	if *useGuard {
 		opts.Guard = &guard.Config{OODThreshold: *oodThr}
 		opts.GuardFallback = *guardFB

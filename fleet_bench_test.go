@@ -1,17 +1,14 @@
 package repro
 
 // Fleet-serving benchmarks: how fast can one actor price an entire fleet
-// tick? Three backends over the same paper-default shared actor
+// tick? Two float64 paths over the same paper-default shared actor
 // (perDev=6 → 64 → 64 → 1, tanh):
 //
-//   - f64-perdev:  the original serving loop, one float64 MLP.Forward per
-//     device (the baseline recorded in results/BENCH_fleet.json)
-//   - f64-batched: one float64 ForwardBatch over all device rows
-//     (bit-identical to f64-perdev)
-//   - f32-fleet:   the cache-blocked float32 fleet actor (rl.FleetActor)
+//   - f64-perdev:  one MLP.Forward per device (Mean)
+//   - f64-batched: one ForwardBatch over all device rows (MeanInto,
+//     bit-identical to f64-perdev)
 //
-// All three report decisions/s (devices priced per second). Regenerate the
-// JSON numbers with `make bench-fleet`.
+// Both report decisions/s (devices priced per second).
 
 import (
 	"fmt"
@@ -44,20 +41,6 @@ func BenchmarkFleetInference(b *testing.B) {
 		p, s := fleetBenchPolicy(n)
 		dst := tensor.NewVector(n)
 
-		b.Run(benchName("f32-fleet", n), func(b *testing.B) {
-			fa, err := rl.NewFleetActor(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fa.MeanInto(dst, s) // warmup: grow the arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fa.MeanInto(dst, s)
-			}
-			reportFleet(b, n)
-		})
-
 		b.Run(benchName("f64-batched", n), func(b *testing.B) {
 			p.MeanInto(dst, s) // warmup: grow the layer caches
 			b.ResetTimer()
@@ -77,6 +60,6 @@ func BenchmarkFleetInference(b *testing.B) {
 	}
 }
 
-func benchName(backend string, n int) string {
-	return fmt.Sprintf("%s/N=%d", backend, n)
+func benchName(path string, n int) string {
+	return fmt.Sprintf("%s/N=%d", path, n)
 }

@@ -186,11 +186,6 @@ type Agent struct {
 	// Norm carries the frozen observation statistics when the agent was
 	// trained with NormalizeObs (nil otherwise).
 	Norm *rl.ObsNormalizer
-	// ServeF32 selects the float32 fleet-batched serving backend for
-	// schedulers built from this agent. It is a transient serving
-	// preference, deliberately excluded from the checkpoint wire format:
-	// the same saved agent can serve either backend.
-	ServeF32 bool
 }
 
 // Scheduler wraps the agent for the evaluation harness (deterministic mean
@@ -203,7 +198,6 @@ func (a *Agent) Scheduler() (*sched.DRL, error) {
 	if a.Norm != nil {
 		d.Norm = a.Norm.Clone()
 	}
-	d.F32 = a.ServeF32
 	return d, nil
 }
 

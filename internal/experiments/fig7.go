@@ -46,10 +46,6 @@ type CompareOptions struct {
 	// and results merge in run order, so the output is bit-identical at
 	// any worker count.
 	Workers int
-	// ServeF32 serves the DRL columns (bare and guarded) through the
-	// float32 fleet-batched actor backend instead of float64. Guard audit
-	// lines record the active backend.
-	ServeF32 bool
 }
 
 // DefaultCompareOptions match the paper's 400-iteration evaluation.
@@ -139,7 +135,7 @@ func Compare(title string, sc Scenario, agent *core.Agent, opts CompareOptions) 
 		start := maxStart * float64(run) / float64(opts.Runs)
 		rng := rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
 
-		isolated := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm, ServeF32: opts.ServeF32}
+		isolated := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm}
 		drl, err := isolated.Scheduler()
 		if err != nil {
 			return err
@@ -148,7 +144,7 @@ func Compare(title string, sc Scenario, agent *core.Agent, opts CompareOptions) 
 		if opts.Guard != nil {
 			// A second policy clone: the guarded and bare columns must not
 			// share forward-pass scratch buffers.
-			giso := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm, ServeF32: opts.ServeF32}
+			giso := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm}
 			g, err := giso.GuardedScheduler(sys, *opts.Guard, opts.GuardFallback)
 			if err != nil {
 				return err

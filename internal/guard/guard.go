@@ -298,25 +298,6 @@ type Guard struct {
 	pending         *level
 	pendingRecorded bool
 	safeRef         float64 // planned safe cost backing the pending decision
-
-	// backendNoted arms the one-time audit event naming the primary's
-	// serving backend (f64 vs f32 kernels), so every audit log states which
-	// arithmetic produced its decisions.
-	backendNoted bool
-}
-
-// backender is implemented by schedulers that can name their serving
-// backend (sched.DRL reports "f64" or "f32-<kernel>").
-type backender interface {
-	Backend() string
-}
-
-// f32Reporter is implemented by schedulers that can report a sticky
-// serving-backend degradation (sched.DRL's f32→f64 fallback). The guard
-// turns a non-nil error into a one-shot audit event so the degradation is
-// operator-visible instead of silent.
-type f32Reporter interface {
-	F32Err() error
 }
 
 // New builds a guard around the primary actor with the given fallback
@@ -524,17 +505,6 @@ func (g *Guard) Frequencies(ctx sched.Context) ([]float64, error) {
 				// actor is bypassed, not blamed.
 				g.aud.note(&d, lv.name+":ood-bypass")
 				continue
-			}
-			if !g.backendNoted {
-				g.backendNoted = true
-				if b, ok := lv.s.(backender); ok {
-					g.aud.note(&d, lv.name+":backend="+b.Backend())
-				}
-				if fr, ok := lv.s.(f32Reporter); ok {
-					if err := fr.F32Err(); err != nil {
-						g.aud.note(&d, lv.name+":f32-fallback")
-					}
-				}
 			}
 		}
 		if lv.br.probing() {

@@ -66,26 +66,6 @@ func TestStepIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestRegionStateIntoAllocFree pins the region-observation builder at zero
-// steady-state allocations with adequate buffers.
-func TestRegionStateIntoAllocFree(t *testing.T) {
-	eng := allocEngine(t, 1, 0)
-	cfg := StateConfig{SlotSec: 10, History: 5, BWScale: 5e6}
-	state, scratch, err := eng.RegionStateInto(nil, nil, cfg)
-	if err != nil {
-		t.Fatalf("RegionStateInto: %v", err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		state, scratch, err = eng.RegionStateInto(state, scratch, cfg)
-		if err != nil {
-			t.Fatalf("RegionStateInto: %v", err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("RegionStateInto allocates %v objects per call in steady state, want 0", avg)
-	}
-}
-
 // TestHeuristicPlanAllocFree pins the precomputed planner's per-step plan
 // at zero allocations.
 func TestHeuristicPlanAllocFree(t *testing.T) {

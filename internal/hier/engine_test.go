@@ -363,54 +363,6 @@ func TestHeuristicPlanner(t *testing.T) {
 	}
 }
 
-// TestRegionStateInto checks the observation's shape, finiteness, and
-// buffer-reuse contract.
-func TestRegionStateInto(t *testing.T) {
-	fleet, err := NewFleet(80, FleetOptions{PoolSize: 8, TraceSec: 600}, 17)
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	top, err := EvenTopology(80, 4)
-	if err != nil {
-		t.Fatalf("EvenTopology: %v", err)
-	}
-	eng, err := NewEngine(fleet, top, Config{Tau: 1, ModelBytes: 3e5, Lambda: 1e-3, CohortFrac: 1})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	cfg := StateConfig{SlotSec: 10, History: 5, BWScale: 5e6, Probes: 3}
-	state, scratch, err := eng.RegionStateInto(nil, nil, cfg)
-	if err != nil {
-		t.Fatalf("RegionStateInto: %v", err)
-	}
-	if want := top.Regions() * cfg.Width(); len(state) != want {
-		t.Fatalf("state length %d, want %d", len(state), want)
-	}
-	nonZero := false
-	for i, v := range state {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			t.Fatalf("state[%d] = %v", i, v)
-		}
-		if v > 0 {
-			nonZero = true
-		}
-	}
-	if !nonZero {
-		t.Fatal("state is all zero — probes read no bandwidth")
-	}
-	// Reuse must return the same backing arrays.
-	state2, scratch2, err := eng.RegionStateInto(state, scratch, cfg)
-	if err != nil {
-		t.Fatalf("RegionStateInto (reuse): %v", err)
-	}
-	if &state2[0] != &state[0] || &scratch2[0] != &scratch[0] {
-		t.Fatal("adequate buffers were reallocated")
-	}
-	if _, _, err := eng.RegionStateInto(nil, nil, StateConfig{SlotSec: 0}); err == nil {
-		t.Error("zero slot width accepted")
-	}
-}
-
 // TestFromSystemRoundTrip checks Fleet ↔ System conversion preserves the
 // population, and that System refuses phased fleets.
 func TestFromSystemRoundTrip(t *testing.T) {

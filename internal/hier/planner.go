@@ -109,140 +109,3 @@ func (h *HeuristicPlanner) PlanInto(dst []float64, e *Engine) error {
 	copy(dst, h.fracs)
 	return nil
 }
-
-// FracPolicy serves region frequency fractions from a state vector — the
-// seam between the engine and the DRL serving stack (sched.CohortDRL
-// implements it; hier stays free of the rl/sched dependency).
-type FracPolicy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// FracsInto maps a region-level state (Regions·(History+1) values) to
-	// one fraction per region, each in (0,1].
-	FracsInto(dst []float64, state []float64) error
-}
-
-// StateConfig shapes the region-level observation the actor planner feeds
-// its policy: for each region, the mean bandwidth history of a few probe
-// devices over the last History+1 slots of SlotSec seconds, divided by
-// BWScale — the paper's per-device state (§IV-B) lifted to the region.
-type StateConfig struct {
-	// SlotSec is the history slot length h in seconds.
-	SlotSec float64
-	// History is H: the state carries H+1 slot averages per region.
-	History int
-	// BWScale divides raw bytes/s into network units (default 1).
-	BWScale float64
-	// Probes is how many devices per region are sampled for the bandwidth
-	// history (evenly strided across the region; default 4). Probing keeps
-	// the observation O(R·Probes) instead of O(N) at N=1M.
-	Probes int
-}
-
-// withDefaults fills zero fields.
-func (c StateConfig) withDefaults() StateConfig {
-	if c.BWScale == 0 {
-		c.BWScale = 1
-	}
-	if c.Probes == 0 {
-		c.Probes = 4
-	}
-	return c
-}
-
-// Validate checks the state shape.
-func (c StateConfig) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.SlotSec <= 0 || math.IsNaN(c.SlotSec) || math.IsInf(c.SlotSec, 0):
-		return fmt.Errorf("hier: slot length %v must be positive and finite", c.SlotSec)
-	case c.History < 0:
-		return fmt.Errorf("hier: negative history length %d", c.History)
-	case c.BWScale <= 0 || math.IsNaN(c.BWScale) || math.IsInf(c.BWScale, 0):
-		return fmt.Errorf("hier: bandwidth scale %v must be positive and finite", c.BWScale)
-	case c.Probes < 0:
-		return fmt.Errorf("hier: negative probe count %d", c.Probes)
-	}
-	return nil
-}
-
-// Width returns the per-region state width H+1.
-func (c StateConfig) Width() int { return c.History + 1 }
-
-// RegionStateInto fills dst (length Regions·(History+1), grown if short)
-// with the region-level observation at the engine's current clock: region
-// r's row is the probe-mean bandwidth history, most recent slot first,
-// divided by BWScale. scratch is the reusable HistoryInto buffer; both
-// slices are returned so steady-state calls allocate nothing.
-func (e *Engine) RegionStateInto(dst, scratch []float64, cfg StateConfig) ([]float64, []float64, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return dst, scratch, err
-	}
-	R := e.Top.Regions()
-	width := cfg.Width()
-	need := R * width
-	if cap(dst) < need {
-		dst = make([]float64, need)
-	} else {
-		dst = dst[:need]
-	}
-	for r := 0; r < R; r++ {
-		lo, hi := e.Top.Region(r)
-		size := hi - lo
-		probes := cfg.Probes
-		if probes > size {
-			probes = size
-		}
-		row := dst[r*width : (r+1)*width]
-		for j := range row {
-			row[j] = 0
-		}
-		for p := 0; p < probes; p++ {
-			i := lo + p*size/probes
-			tr := e.Fleet.Pool[e.Fleet.TraceIdx[i]]
-			scratch = tr.HistoryInto(scratch, e.clock+e.Fleet.Phase[i], cfg.SlotSec, cfg.History)
-			for j, v := range scratch {
-				row[j] += v
-			}
-		}
-		inv := 1 / (float64(probes) * cfg.BWScale)
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-	return dst, scratch, nil
-}
-
-// ActorPlanner serves cohort fractions from a trained policy: it builds the
-// region-level state and delegates to a FracPolicy (one inference pass
-// prices every region). Reuses its state buffers across steps.
-type ActorPlanner struct {
-	Policy FracPolicy
-	State  StateConfig
-
-	state, scratch []float64
-}
-
-// NewActorPlanner validates the pairing.
-func NewActorPlanner(p FracPolicy, cfg StateConfig) (*ActorPlanner, error) {
-	if p == nil {
-		return nil, fmt.Errorf("hier: nil policy")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &ActorPlanner{Policy: p, State: cfg.withDefaults()}, nil
-}
-
-// Name implements CohortPlanner.
-func (a *ActorPlanner) Name() string { return "actor-" + a.Policy.Name() }
-
-// PlanInto implements CohortPlanner.
-func (a *ActorPlanner) PlanInto(dst []float64, e *Engine) error {
-	var err error
-	a.state, a.scratch, err = e.RegionStateInto(a.state, a.scratch, a.State)
-	if err != nil {
-		return err
-	}
-	return a.Policy.FracsInto(dst, a.state)
-}

@@ -19,6 +19,9 @@ type Policy interface {
 	ActionDim() int
 	// Mean returns μ(s); the slice may be owned by the policy.
 	Mean(s tensor.Vector) tensor.Vector
+	// MeanInto computes μ(s) into dst (length ActionDim), bit-identical to
+	// Mean: the online-reasoning entry point.
+	MeanInto(dst, s tensor.Vector)
 	// Sample draws a ~ π(·|s) and returns it with log π(a|s).
 	Sample(s tensor.Vector, rng *rand.Rand) (tensor.Vector, float64)
 	// LogProb returns log π(a|s).

@@ -259,3 +259,23 @@ func TestPPOWithSharedPolicyImproves(t *testing.T) {
 		t.Fatalf("shared-policy PPO did not improve: %v → %v", before, after)
 	}
 }
+
+// TestMeanIntoBitIdenticalToMean pins the float64 fleet-batched serving
+// path: batching all devices through one ForwardBatch must not change a
+// single output bit relative to the per-device Forward loop.
+func TestMeanIntoBitIdenticalToMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := NewSharedGaussianPolicy(23, 6, []int{64, 64}, 0.5, rng)
+	s := tensor.NewVector(p.StateDim())
+	for i := range s {
+		s[i] = rng.NormFloat64() * 3
+	}
+	want := p.Mean(s)
+	got := tensor.NewVector(p.N)
+	p.MeanInto(got, s)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("dev %d: MeanInto %x differs from Mean %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}

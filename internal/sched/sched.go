@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/env"
 	"repro/internal/fl"
@@ -449,11 +448,17 @@ func (o *Oracle) Frequencies(ctx Context) ([]float64, error) {
 
 // DRL wraps a trained actor network for online reasoning (§V-B2): it feeds
 // the current bandwidth-history state into the policy and applies the mean
-// action deterministically. The embedded actorBackend supplies the Policy,
-// Norm and F32 fields and the Backend, F32Err and F32Fallbacks methods.
+// action deterministically.
 type DRL struct {
-	actorBackend
-	Cfg env.Config
+	// Policy is the trained actor.
+	Policy rl.Policy
+	// Norm, when set, standardizes states exactly as during training.
+	Norm *rl.ObsNormalizer
+	Cfg  env.Config
+
+	// Reusable serving buffers (normalized state, action mean).
+	normBuf tensor.Vector
+	actBuf  tensor.Vector
 }
 
 // NewDRL validates that the policy matches the environment layout it will
@@ -465,16 +470,13 @@ func NewDRL(policy rl.Policy, cfg env.Config) (*DRL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DRL{Cfg: cfg}
-	d.Policy = policy
-	return d, nil
+	return &DRL{Policy: policy, Cfg: cfg}, nil
 }
 
 // SwapPolicy hot-swaps the serving policy for one with identical
-// dimensions — the online continual-learning promotion path. The float32
-// fleet snapshot is invalidated and lazily rebuilt from the new weights.
-// Callers must hold whatever lock serializes this DRL's decisions (it is
-// single-run, like the guard).
+// dimensions — the online continual-learning promotion path. Callers must
+// hold whatever lock serializes this DRL's decisions (it is single-run,
+// like the guard).
 func (d *DRL) SwapPolicy(p rl.Policy) error {
 	if p == nil {
 		return fmt.Errorf("sched: swap to nil policy")
@@ -484,7 +486,6 @@ func (d *DRL) SwapPolicy(p rl.Policy) error {
 			p.StateDim(), p.ActionDim(), d.Policy.StateDim(), d.Policy.ActionDim())
 	}
 	d.Policy = p
-	d.fleet, d.fleetErr, d.tried = nil, nil, false
 	return nil
 }
 
@@ -511,131 +512,26 @@ func (d *DRL) FrequenciesFromState(ctx Context, state tensor.Vector) ([]float64,
 // FrequenciesFromStateInto is FrequenciesFromState with a caller-provided
 // destination (grown if needed, allocated when nil). Together with the
 // DRL's internal state/action buffers this makes the steady-state serving
-// tick allocation-free on the batched backends.
+// tick allocation-free for the joint actor (core's
+// TestDRLJointTickZeroAllocs); the shared actor's batched forward still
+// allocates its parallel-row closures.
 func (d *DRL) FrequenciesFromStateInto(dst []float64, ctx Context, state tensor.Vector) ([]float64, error) {
 	if len(state) != d.Policy.StateDim() {
 		return nil, fmt.Errorf("sched: state dim %d but policy expects %d (trained on a different N or H?)",
 			len(state), d.Policy.StateDim())
 	}
-	mu, err := d.mean(state)
-	if err != nil {
-		return nil, err
-	}
-	return env.MapActionInto(dst, ctx.Sys, mu, d.Cfg.MinFreqFrac)
-}
-
-// actorBackend is the serving core DRL and CohortDRL share: the policy, the
-// optional observation normalizer, and the float32 fleet backend with its
-// lazy build, sticky construction error and fallback counter.
-type actorBackend struct {
-	// Policy is the trained actor.
-	Policy rl.Policy
-	// Norm, when set, standardizes states exactly as during training.
-	Norm *rl.ObsNormalizer
-	// F32 selects the float32 fleet-batched serving backend: the actor
-	// weights are snapshotted once (rl.FleetActor) and every decision runs
-	// one cache-blocked float32 matmul pass over the whole fleet. Actions
-	// stay within 1e-4 of the float64 reference; training is untouched.
-	// When the policy type has no float32 snapshot the backend silently
-	// serves float64 (Backend reports which path is live).
-	F32 bool
-
-	// Lazily built float32 snapshot and its sticky construction error.
-	fleet    *rl.FleetActor
-	fleetErr error
-	tried    bool
-
-	// f32Fallbacks counts decisions served on the float64 path while F32
-	// was requested — the operator-visible trace of a degraded backend.
-	// Atomic so metrics endpoints can read it while a serving goroutine
-	// decides.
-	f32Fallbacks atomic.Int64
-
-	// Reusable serving buffers (normalized state, action mean).
-	normBuf tensor.Vector
-	actBuf  tensor.Vector
-}
-
-// meanIntoPolicy is the allocation-free batched serving entry point both
-// float64 policies implement.
-type meanIntoPolicy interface {
-	MeanInto(dst, s tensor.Vector)
-}
-
-// mean returns μ(s) in the backend's action buffer (valid until the next
-// call): s is standardized first when Norm is set, then served by the
-// float32 fleet snapshot when it is live, else by the float64 policy.
-func (b *actorBackend) mean(s tensor.Vector) (tensor.Vector, error) {
-	if b.Norm != nil {
-		if b.Norm.Dim() != len(s) {
-			return nil, fmt.Errorf("sched: normalizer dim %d but state dim %d", b.Norm.Dim(), len(s))
+	if d.Norm != nil {
+		if d.Norm.Dim() != len(state) {
+			return nil, fmt.Errorf("sched: normalizer dim %d but state dim %d", d.Norm.Dim(), len(state))
 		}
-		b.normBuf = ensureLen(b.normBuf, len(s))
-		b.Norm.NormalizeInto(b.normBuf, s)
-		s = b.normBuf
+		d.normBuf = ensureLen(d.normBuf, len(state))
+		d.Norm.NormalizeInto(d.normBuf, state)
+		state = d.normBuf
 	}
-	b.actBuf = ensureLen(b.actBuf, b.Policy.ActionDim())
-	if fa := b.fleetActor(); fa != nil {
-		fa.MeanInto(b.actBuf, s)
-		return b.actBuf, nil
-	}
-	if b.F32 {
-		// The f32 backend was requested but is unavailable (sticky
-		// construction error): serve float64 and count the fallback so a
-		// degraded backend is visible to operators (see F32Err).
-		b.f32Fallbacks.Add(1)
-	}
-	if mp, ok := b.Policy.(meanIntoPolicy); ok {
-		mp.MeanInto(b.actBuf, s)
-	} else {
-		copy(b.actBuf, b.Policy.Mean(s))
-	}
-	return b.actBuf, nil
+	d.actBuf = ensureLen(d.actBuf, d.Policy.ActionDim())
+	d.Policy.MeanInto(d.actBuf, state)
+	return env.MapActionInto(dst, ctx.Sys, d.actBuf, d.Cfg.MinFreqFrac)
 }
-
-// fleetActor returns the float32 serving snapshot, building it on first
-// use, or nil when f32 serving is off or unsupported for the policy type.
-func (b *actorBackend) fleetActor() *rl.FleetActor {
-	if !b.F32 {
-		return nil
-	}
-	if !b.tried {
-		b.tried = true
-		b.fleet, b.fleetErr = rl.NewFleetActor(b.Policy)
-	}
-	if b.fleetErr != nil {
-		return nil
-	}
-	return b.fleet
-}
-
-// Backend reports which serving backend a decision runs on: "f64" or the
-// float32 fleet actor's kernel name (e.g. "f32-avx2"). Audit lines record
-// this so a run's decisions can be attributed to the exact arithmetic that
-// produced them.
-func (b *actorBackend) Backend() string {
-	if fa := b.fleetActor(); fa != nil {
-		return fa.Backend()
-	}
-	return "f64"
-}
-
-// F32Err reports the sticky error that disabled the requested float32
-// serving backend, or nil when f32 serving is off or healthy. The guard
-// pipeline surfaces it as a one-shot audit event so a silently degraded
-// backend cannot hide from the audit log.
-func (b *actorBackend) F32Err() error {
-	if !b.F32 {
-		return nil
-	}
-	b.fleetActor() // force the lazy build so the verdict is in
-	return b.fleetErr
-}
-
-// F32Fallbacks returns how many decisions were served on the float64 path
-// while the float32 backend was requested — zero for a healthy backend.
-// Safe to read concurrently with serving.
-func (b *actorBackend) F32Fallbacks() int64 { return b.f32Fallbacks.Load() }
 
 // ensureLen returns v resized to n, reusing its backing array when large
 // enough.

@@ -307,6 +307,35 @@ func TestDRLDeterministicReasoning(t *testing.T) {
 	}
 }
 
+func TestDRLFrequenciesFromStateIntoReusesDst(t *testing.T) {
+	sys := dynamicSystem(3, 11)
+	cfg := env.DefaultConfig()
+	rng := rand.New(rand.NewSource(8))
+	pol := rl.NewSharedGaussianPolicy(3, cfg.History+1, []int{8}, 0.5, rng)
+	d, err := NewDRL(pol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := env.BuildState(sys, 50, cfg)
+	dst := make([]float64, 3)
+	out, err := d.FrequenciesFromStateInto(dst, Context{Sys: sys, Clock: 50}, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &dst[0] {
+		t.Fatal("FrequenciesFromStateInto did not reuse the provided destination")
+	}
+	ref, err := d.FrequenciesFromState(Context{Sys: sys, Clock: 50}, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if math.Float64bits(out[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("dev %d: Into %v differs from allocating path %v", i, out[i], ref[i])
+		}
+	}
+}
+
 func TestRunProducesConsistentSeries(t *testing.T) {
 	sys := dynamicSystem(3, 7)
 	its, err := Run(sys, MaxFreq{}, 10, 25)

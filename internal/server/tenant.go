@@ -264,7 +264,6 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
 		}
-		fresh.ServeF32 = agent != nil && agent.ServeF32
 		envCfg = fresh.EnvCfg
 		drl, err := fresh.Scheduler()
 		if err != nil {
@@ -717,18 +716,16 @@ func (t *Tenant) setMode(s *Server, m Mode) {
 
 // TenantStats is a tenant's row in /v1/stats.
 type TenantStats struct {
-	Name         string         `json:"name"`
-	N            int            `json:"n"`
-	Primary      string         `json:"primary"`
-	Mode         string         `json:"mode"`
-	Decisions    int            `json:"decisions"`
-	Accepted     int64          `json:"accepted"`
-	Responded    int64          `json:"responded"`
-	QueueLen     int            `json:"queue_len"`
-	Served       map[string]int `json:"served"`
-	Events       map[string]int `json:"events,omitempty"`
-	F32Fallbacks int64          `json:"f32_fallbacks,omitempty"`
-	Backend      string         `json:"backend,omitempty"`
+	Name      string         `json:"name"`
+	N         int            `json:"n"`
+	Primary   string         `json:"primary"`
+	Mode      string         `json:"mode"`
+	Decisions int            `json:"decisions"`
+	Accepted  int64          `json:"accepted"`
+	Responded int64          `json:"responded"`
+	QueueLen  int            `json:"queue_len"`
+	Served    map[string]int `json:"served"`
+	Events    map[string]int `json:"events,omitempty"`
 	// Online continual-learning counters (present only when the loop is
 	// enabled for this tenant).
 	OnlineRetrains   int64 `json:"online_retrains,omitempty"`
@@ -752,10 +749,6 @@ func (t *Tenant) Stats() TenantStats {
 		QueueLen:  len(t.queue),
 		Served:    t.guard.Audit().ServedCounts(),
 		Events:    t.guard.Audit().EventCounts(),
-	}
-	if t.drl != nil {
-		st.F32Fallbacks = t.drl.F32Fallbacks()
-		st.Backend = t.drl.Backend()
 	}
 	if t.loop != nil {
 		st.OnlineRetrains = t.onlineRetrains.Load()

@@ -1,105 +1,45 @@
 package tensor
 
-// Arena is a bump allocator for serving-path scratch tensors. A fleet tick
-// needs a handful of intermediates (converted states, hidden-layer panels,
-// output rows) whose shapes repeat every tick; the arena hands out slices
-// carved from two growable slabs and a Reset rewinds them all at once, so
-// the steady state performs zero heap allocations (pinned by the
-// AllocsPerRun tests).
+// Arena is a bump allocator for float64 scratch whose shapes repeat every
+// call: the PPO and A2C updates carve their minibatch staging from one
+// growable slab, and a Reset rewinds it all at once, so the steady state
+// performs zero heap allocations (pinned by the AllocsPerRun tests).
 //
 // Lifetime rules (DESIGN.md §12): everything returned by an Arena is valid
 // only until the next Reset. Callers must not retain arena-backed slices
-// across ticks, and an Arena is not safe for concurrent use — each serving
-// goroutine owns its own.
+// across Resets, and an Arena is not safe for concurrent use — each owner
+// has its own.
 type Arena struct {
-	f32 []float32
-	f64 []float64
-	n32 int // bump offsets
-	n64 int
-
-	mats32 []Matrix32 // reusable headers so &arena.mats32[i] doesn't allocate
-	mats64 []Matrix
-	m32    int
-	m64    int
+	slab []float64
+	n    int // bump offset
 }
 
-// NewArena returns an empty arena; slabs grow on demand.
+// NewArena returns an empty arena; the slab grows on demand.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset rewinds the arena. All previously returned slices and matrix
-// headers become invalid for reuse (their memory will be handed out again).
-func (ar *Arena) Reset() { ar.n32, ar.n64, ar.m32, ar.m64 = 0, 0, 0, 0 }
-
-// F32 returns a zeroed float32 slice of length n valid until Reset.
-func (ar *Arena) F32(n int) Vector32 {
-	if ar.n32+n > len(ar.f32) {
-		ar.grow32(n)
-	}
-	s := ar.f32[ar.n32 : ar.n32+n]
-	ar.n32 += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
+// Reset rewinds the arena. All previously returned slices become invalid
+// for reuse (their memory will be handed out again).
+func (ar *Arena) Reset() { ar.n = 0 }
 
 // F64 returns a zeroed float64 slice of length n valid until Reset.
 func (ar *Arena) F64(n int) Vector {
-	if ar.n64+n > len(ar.f64) {
-		ar.grow64(n)
+	if ar.n+n > len(ar.slab) {
+		ar.grow(n)
 	}
-	s := ar.f64[ar.n64 : ar.n64+n]
-	ar.n64 += n
+	s := ar.slab[ar.n : ar.n+n]
+	ar.n += n
 	for i := range s {
 		s[i] = 0
 	}
 	return s
 }
 
-// Matrix32 returns a zeroed rows×cols float32 matrix valid until Reset.
-func (ar *Arena) Matrix32(rows, cols int) *Matrix32 {
-	if ar.m32 == len(ar.mats32) {
-		ar.mats32 = append(ar.mats32, Matrix32{})
-	}
-	m := &ar.mats32[ar.m32]
-	ar.m32++
-	m.Rows, m.Cols = rows, cols
-	m.Data = ar.F32(rows * cols)
-	return m
-}
-
-// Matrix returns a zeroed rows×cols float64 matrix valid until Reset.
-func (ar *Arena) Matrix(rows, cols int) *Matrix {
-	if ar.m64 == len(ar.mats64) {
-		ar.mats64 = append(ar.mats64, Matrix{})
-	}
-	m := &ar.mats64[ar.m64]
-	ar.m64++
-	m.Rows, m.Cols = rows, cols
-	m.Data = ar.F64(rows * cols)
-	return m
-}
-
-// grow32 extends the f32 slab so n more elements fit. Growth doubles, so a
-// warmup tick reaches steady state after O(log) growths; previously handed
+// grow extends the slab so n more elements fit. Growth doubles, so a
+// warmup call reaches steady state after O(log) growths; previously handed
 // out slices stay valid because the old slab is still referenced by them.
-func (ar *Arena) grow32(n int) {
-	need := ar.n32 + n
-	capNew := 2 * cap(ar.f32)
-	if capNew < need {
-		capNew = need
-	}
-	if capNew < 1024 {
-		capNew = 1024
-	}
-	slab := make([]float32, capNew)
-	copy(slab, ar.f32[:ar.n32])
-	ar.f32 = slab
-}
-
-func (ar *Arena) grow64(n int) {
-	need := ar.n64 + n
-	capNew := 2 * cap(ar.f64)
+func (ar *Arena) grow(n int) {
+	need := ar.n + n
+	capNew := 2 * cap(ar.slab)
 	if capNew < need {
 		capNew = need
 	}
@@ -107,6 +47,6 @@ func (ar *Arena) grow64(n int) {
 		capNew = 1024
 	}
 	slab := make([]float64, capNew)
-	copy(slab, ar.f64[:ar.n64])
-	ar.f64 = slab
+	copy(slab, ar.slab[:ar.n])
+	ar.slab = slab
 }

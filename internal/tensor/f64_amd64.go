@@ -7,6 +7,9 @@ package tensor
 // reference TestF64KernelsMatchGo compares against. Race builds use the Go
 // loops (f64_noasm.go), so the race detector sees every load and store.
 
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv0() (eax, edx uint32)
+
 //go:noescape
 func axpy16(d, a *float64, as int, b *float64, ldb, n int)
 
@@ -22,9 +25,30 @@ func dotRows4(dst, w *float64, ldw int, x *float64, k int)
 //go:noescape
 func tanhVec4(dst, src *float64, n int)
 
-// useF64Asm selects the float64 kernels. They need only AVX and never use
-// FMA, but share the float32 kernels' AVX2+FMA gate.
-var useF64Asm = useAVX2
+// useF64Asm selects the float64 kernels: AVX2 + FMA + OS support for YMM
+// state (XGETBV), resolved once at startup. The kernels need only AVX and
+// never use FMA; the gate is the stricter AVX2+FMA one all the same.
+var useF64Asm = detectAVX2FMA()
+
+func detectAVX2FMA() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const fma = 1 << 12
+	const osxsave = 1 << 27
+	const avx = 1 << 28
+	if ecx1&(fma|osxsave|avx) != (fma | osxsave | avx) {
+		return false
+	}
+	if eax, _ := xgetbv0(); eax&0x6 != 0x6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx2 = 1 << 5
+	return ebx7&avx2 != 0
+}
 
 // tanhLanes holds FastTanh's constants four times each: the 256-bit memory
 // operands of tanhVec4, in the order of the TANH_* offsets in f64_amd64.s.

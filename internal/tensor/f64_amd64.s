@@ -1,7 +1,7 @@
 //go:build amd64 && !race
 
 // AVX float64 kernels for the training update and the f64 actor. Only
-// reached when the CPUID check in f32_amd64.go passes; f64_amd64.go holds
+// reached when the CPUID check in f64_amd64.go passes; f64_amd64.go holds
 // the dispatch and the Go tails, and the Go loops in tensor.go and
 // fasttanh.go are the fallback and the reference.
 //
@@ -12,6 +12,25 @@
 // where the Go loop's does (+0, or the destination's current value).
 
 #include "textflag.h"
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL	eaxArg+0(FP), AX
+	MOVL	ecxArg+4(FP), CX
+	CPUID
+	MOVL	AX, eax+8(FP)
+	MOVL	BX, ebx+12(FP)
+	MOVL	CX, ecx+16(FP)
+	MOVL	DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax, edx uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-8
+	XORL	CX, CX
+	XGETBV
+	MOVL	AX, eax+0(FP)
+	MOVL	DX, edx+4(FP)
+	RET
 
 // func axpy16(d, a *float64, as int, b *float64, ldb, n int)
 // d[0:16] += a[kk*as] * b[kk*ldb : kk*ldb+16] for kk = 0..n-1 in order,

@@ -2,10 +2,10 @@ package tensor
 
 // tanhClamp is the saturation bound of the float64 rational tanh: beyond it
 // the polynomial ratio is no longer monotone, and tanh is already within
-// 3e-7 of ±1, so the function saturates to exactly ±1 there (the float32
-// serving kernel clamps at the same bound). Exact saturation matters to
-// callers that drive units hard negative on purpose — a poisoned output
-// bias must pin its action to the floor, not to floor±3e-7.
+// 3e-7 of ±1, so the function saturates to exactly ±1 there. Exact
+// saturation matters to callers that drive units hard negative on purpose —
+// a poisoned output bias must pin its action to the floor, not to
+// floor±3e-7.
 const tanhClamp = 7.90531110763549805
 
 // Coefficients of FastTanh's numerator (odd powers of x) and denominator
@@ -25,9 +25,8 @@ const (
 )
 
 // FastTanh approximates tanh with the 13/6-degree rational minimax
-// polynomial used by Eigen and XLA — the same approximation the float32
-// serving backend vectorizes — evaluated in float64, saturating to exactly
-// ±1 beyond ±tanhClamp. Maximum absolute error against math.Tanh is below 5e-7
+// polynomial used by Eigen and XLA, evaluated in float64, saturating to
+// exactly ±1 beyond ±tanhClamp. Maximum absolute error against math.Tanh is below 5e-7
 // (pinned by TestFastTanhAccuracy), which is noise at training scale but
 // roughly 3x faster than math.Tanh per call and branch-free inside the
 // clamp. NaN propagates; FastTanh(0) == 0 exactly; the result is odd in x

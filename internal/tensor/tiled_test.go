@@ -137,6 +137,37 @@ func TestAddMatMulTransATiledBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMatMulTransBTiledBitIdentical pins the tiled a·bᵀ kernel to the
+// plain dot-product loop, bit for bit.
+func TestMatMulTransBTiledBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// Odd and even dims: exercises the 2×2 tiles plus both tail paths.
+	for _, sh := range []struct{ r, k, c int }{{1, 1, 1}, {2, 3, 2}, {3, 5, 4}, {4, 64, 64}, {5, 7, 9}, {64, 6, 1}} {
+		a := NewMatrix(sh.r, sh.k)
+		b := NewMatrix(sh.c, sh.k)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		for i := range b.Data {
+			b.Data[i] = rng.NormFloat64()
+		}
+		got := NewMatrix(sh.r, sh.c)
+		MatMulTransB(got, a, b)
+		for i := 0; i < sh.r; i++ {
+			for o := 0; o < sh.c; o++ {
+				var s float64
+				for j := 0; j < sh.k; j++ {
+					s += a.Data[i*sh.k+j] * b.Data[o*sh.k+j]
+				}
+				if got.Data[i*sh.c+o] != s {
+					t.Fatalf("%v [%d,%d]: tiled %v != reference %v (must be bit-identical)",
+						sh, i, o, got.Data[i*sh.c+o], s)
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulTransBRangeComposes pins the exported range form of the tiled
 // a·bᵀ kernel to the whole-matrix call.
 func TestMatMulTransBRangeComposes(t *testing.T) {
@@ -178,5 +209,24 @@ func BenchmarkMatMulDX(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(dst, a, w)
+	}
+}
+
+// BenchmarkMatMulTransB measures the a·bᵀ forward kernel at a 256-sample
+// batch through a 64×64 layer.
+func BenchmarkMatMulTransB(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewMatrix(256, 64)
+	w := NewMatrix(64, 64)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64()
+	}
+	dst := NewMatrix(256, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransB(dst, a, w)
 	}
 }
