@@ -117,7 +117,9 @@ bench-smoke:
 # fuzz exercises the parse/sanitize/decode fuzz targets and the
 # upload-finish solve (go's native fuzzer runs one target per invocation).
 # Raise FUZZTIME for a deeper run. The agent decoder's seeds are ~1 KB of
-# gob, which the minimizer would spend up to a minute per new input on.
+# gob, which the minimizer would spend up to a minute per new input on; the
+# decide-request target's spliced inputs grow to KBs and stall it the same
+# way (0 execs/s for 30 s and more of a 60 s run).
 FUZZTIME ?= 30s
 
 fuzz:
@@ -126,7 +128,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalAgent -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/guard
 	$(GO) test -run xxx -fuzz FuzzParseLine -fuzztime $(FUZZTIME) ./internal/guard
-	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/server
 
 # serve-smoke boots flserver, fires an flload burst (with chaos requests
 # mixed in), bounds the client p99, and checks the daemon drains cleanly

@@ -28,7 +28,7 @@ func TestAllocsStepInto(t *testing.T) {
 	for i := range action {
 		action[i] = 0.25
 	}
-	// Warm indexes, slot tables, and all scratch buffers.
+	// Warm indexes, the slot table, and all scratch buffers.
 	for k := 0; k < 3; k++ {
 		if _, err := e.StepInto(action); err != nil {
 			t.Fatal(err)

@@ -81,3 +81,16 @@ func BenchmarkEpisode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildStateInto measures one state s_k at the serving fleet's
+// shape (N=1000, H=5), cycling through clocks slot by slot.
+func BenchmarkBuildStateInto(b *testing.B) {
+	sys := benchSystem(1000)
+	cfg := DefaultConfig()
+	dst, scratch := BuildStateInto(nil, nil, sys, 100, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, scratch = BuildStateInto(dst, scratch, sys, float64(60+10*(i%280)), cfg)
+	}
+}

@@ -275,22 +275,40 @@ func BuildState(sys *fl.System, clock float64, cfg Config) tensor.Vector {
 
 // BuildStateInto is BuildState writing into caller-provided buffers: dst
 // receives the state (resliced to N·(H+1) entries, reallocated only when
-// its capacity is short) and scratch is reused for the per-device slot
-// histories. Both are returned for reuse on the next call; with adequate
-// buffers the call performs no allocation (DESIGN.md §10).
+// its capacity is short). The slot averages come from the system's
+// slot-major table (fl.System.SlotTable): H+1 sequential row reads. A system
+// without one falls back to each trace's HistoryInto, reusing scratch for
+// the per-device histories. Both buffers are returned for reuse on the next
+// call; with adequate buffers the call performs no allocation (DESIGN.md
+// §10).
 func BuildStateInto(dst tensor.Vector, scratch []float64, sys *fl.System, clock float64, cfg Config) (tensor.Vector, []float64) {
-	n := sys.N() * (cfg.History + 1)
+	if cfg.History < 0 {
+		panic("env: negative history length")
+	}
+	w := cfg.History + 1
+	n := sys.N() * w
 	if cap(dst) < n {
 		dst = tensor.NewVector(n)
 	} else {
 		dst = dst[:n]
 	}
-	idx := 0
-	for _, tr := range sys.Traces {
-		scratch = tr.HistoryInto(scratch, clock, cfg.SlotSec, cfg.History)
-		for _, b := range scratch {
-			dst[idx] = b / cfg.BWScale
-			idx++
+	tbl := sys.SlotTable(cfg.SlotSec)
+	if tbl == nil {
+		idx := 0
+		for _, tr := range sys.Traces {
+			scratch = tr.HistoryInto(scratch, clock, cfg.SlotSec, cfg.History)
+			for _, b := range scratch {
+				dst[idx] = b / cfg.BWScale
+				idx++
+			}
+		}
+		return dst, scratch
+	}
+	// The slot of clock, exactly as trace.HistoryInto computes it.
+	j := int(math.Floor(clock / cfg.SlotSec))
+	for k := 0; k < w; k++ {
+		for i, b := range tbl.Row(j - k) {
+			dst[i*w+k] = b / cfg.BWScale
 		}
 	}
 	return dst, scratch

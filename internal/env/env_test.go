@@ -122,21 +122,6 @@ func TestResetAtDeterministic(t *testing.T) {
 	}
 }
 
-func TestStateMatchesTraceHistory(t *testing.T) {
-	e := newEnv(t)
-	if _, err := e.ResetAt(120); err != nil {
-		t.Fatal(err)
-	}
-	s := e.State()
-	// First device, most recent slot: trace.History at clock 120.
-	want := e.Sys.Traces[0].History(120, e.Cfg.SlotSec, e.Cfg.History)
-	for k, w := range want {
-		if !testutil.Within(s[k], w/e.Cfg.BWScale, 1e-12) {
-			t.Fatalf("state[%d] = %v want %v", k, s[k], w/e.Cfg.BWScale)
-		}
-	}
-}
-
 func TestFreqsFromActionMapping(t *testing.T) {
 	e := newEnv(t)
 	// a = +1 (and beyond) → δmax; a = −1 (and below) → MinFreqFrac·δmax.

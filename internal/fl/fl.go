@@ -16,7 +16,8 @@ import (
 )
 
 // System is one federated-learning deployment: a fleet of devices with
-// their uplink traces and the task constants.
+// their uplink traces and the task constants. A System holds a cache and
+// must not be copied after first use; build a new one instead.
 type System struct {
 	// Devices in the group (N ≥ 1).
 	Devices []*device.Device
@@ -28,6 +29,17 @@ type System struct {
 	ModelBytes float64
 	// Lambda is λ, the energy weight in the system cost (eq. 9).
 	Lambda float64
+
+	// slots caches the slot-major table of Traces (SlotTable).
+	slots trace.SlotCache
+}
+
+// SlotTable returns the slot-major table of the system's slot averages at
+// width h, built on first use and rebuilt after any Traces[i] is replaced
+// or h changes, or nil when the traces have no common slot period
+// (trace.SlotCache).
+func (s *System) SlotTable(h float64) *trace.SlotTable {
+	return s.slots.Table(s.Traces, h)
 }
 
 // Validate checks that the system is consistent.

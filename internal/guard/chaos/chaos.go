@@ -144,12 +144,24 @@ func identityMutate(sys *fl.System, seed int64) (*fl.System, error) {
 
 // cloneSystem deep-copies traces (devices are immutable here and shared).
 func cloneSystem(sys *fl.System) *fl.System {
-	out := *sys
-	out.Traces = make([]*trace.Trace, len(sys.Traces))
+	out := withTraces(sys)
 	for i, tr := range sys.Traces {
 		out.Traces[i] = tr.Clone()
 	}
-	return &out
+	return out
+}
+
+// withTraces returns a new System with sys's devices and task constants and
+// an empty trace slice of the same length. It is built field by field: a
+// System must not be copied (it holds its slot-table cache).
+func withTraces(sys *fl.System) *fl.System {
+	return &fl.System{
+		Devices:    sys.Devices,
+		Traces:     make([]*trace.Trace, len(sys.Traces)),
+		Tau:        sys.Tau,
+		ModelBytes: sys.ModelBytes,
+		Lambda:     sys.Lambda,
+	}
 }
 
 // mutateTraces clones the system and applies f to every trace, seeding
@@ -157,8 +169,7 @@ func cloneSystem(sys *fl.System) *fl.System {
 // evaluation order. Mutated traces are revalidated through trace.New —
 // a mutator cannot smuggle an invalid trace into the engine.
 func mutateTraces(sys *fl.System, f func(tr *trace.Trace, rng *rand.Rand) error, seed int64) (*fl.System, error) {
-	out := *sys
-	out.Traces = make([]*trace.Trace, len(sys.Traces))
+	out := withTraces(sys)
 	for i, tr := range sys.Traces {
 		c := tr.Clone()
 		rng := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
@@ -171,7 +182,7 @@ func mutateTraces(sys *fl.System, f func(tr *trace.Trace, rng *rand.Rand) error,
 		}
 		out.Traces[i] = v
 	}
-	return &out, nil
+	return out, nil
 }
 
 // PoisonAgent returns a copy of the agent whose actor has been corrupted

@@ -1,13 +1,156 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
-// FuzzDecodeRequest pins the strict decoders against arbitrary input: they
-// must never panic, and anything they accept must satisfy its own
-// Validate — the property the whole overload pipeline's memory-safety
-// rests on, since decode runs before any admission or queue bound.
+// decodeDecideOracle is the encoding/json decoding of a decide request that
+// DecodeDecideRequest must reproduce: strict decoding (unknown fields and
+// trailing data rejected) followed by Validate.
+func decodeDecideOracle(data []byte) (*DecideRequest, error) {
+	var r DecideRequest
+	if err := decodeStrict(data, &r); err != nil {
+		return nil, err
+	}
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// diffRequest describes the first difference between two decoded requests,
+// or returns "". Floats compare by bits (so -0 differs from 0), and slices
+// by nil-ness, length and elements.
+func diffRequest(a, b *DecideRequest) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	samePtr := func(x, y *float64) bool { return (x == nil) == (y == nil) && (x == nil || same(*x, *y)) }
+	switch {
+	case a.Tenant != b.Tenant:
+		return fmt.Sprintf("tenant %q vs %q", a.Tenant, b.Tenant)
+	case !samePtr(a.Clock, b.Clock):
+		return "clock differs"
+	case !samePtr(a.ObservedCost, b.ObservedCost):
+		return "observed_cost differs"
+	case !same(a.DeadlineMS, b.DeadlineMS):
+		return fmt.Sprintf("deadline_ms %v vs %v", a.DeadlineMS, b.DeadlineMS)
+	case a.Count != b.Count:
+		return fmt.Sprintf("count %d vs %d", a.Count, b.Count)
+	case (a.LastBW == nil) != (b.LastBW == nil) || len(a.LastBW) != len(b.LastBW):
+		return fmt.Sprintf("last_bw %v vs %v", a.LastBW, b.LastBW)
+	case (a.Down == nil) != (b.Down == nil) || len(a.Down) != len(b.Down):
+		return fmt.Sprintf("down %v vs %v", a.Down, b.Down)
+	}
+	for i := range a.LastBW {
+		if !same(a.LastBW[i], b.LastBW[i]) {
+			return fmt.Sprintf("last_bw[%d] %v vs %v", i, a.LastBW[i], b.LastBW[i])
+		}
+	}
+	for i := range a.Down {
+		if a.Down[i] != b.Down[i] {
+			return fmt.Sprintf("down[%d] %v vs %v", i, a.Down[i], b.Down[i])
+		}
+	}
+	return ""
+}
+
+// checkAgainstOracle fails unless DecodeDecideRequest and the oracle agree
+// on accept/reject and on every decoded value, and returns the decoded
+// request (nil when rejected).
+func checkAgainstOracle(t *testing.T, data []byte) *DecideRequest {
+	t.Helper()
+	got, err := DecodeDecideRequest(data)
+	want, werr := decodeDecideOracle(data)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("input %q: scanner error %v, encoding/json error %v", data, err, werr)
+	}
+	if err != nil {
+		return nil
+	}
+	if d := diffRequest(got, want); d != "" {
+		t.Fatalf("input %q: scanner and encoding/json disagree: %s", data, d)
+	}
+	if verr := got.Validate(); verr != nil {
+		t.Fatalf("input %q: accepted decide request fails its own validation: %v", data, verr)
+	}
+	return got
+}
+
+// decodeCorners are the encoding/json behaviours the scanner must match.
+var decodeCorners = []string{
+	// Keys fold case under Unicode simple folding: K (Kelvin) and ſ (long s).
+	`{"TENANT": "a", "CLOCK": 5}`,
+	"{\"tenant\": \"a\", \"cloc\u212a\": 5}",
+	"{\"tenant\": \"a\", \"observed_co\u017ft\": 1.5}",
+	`{"tenant": "a", "Last_BW": [1], "DOWN": [true]}`,
+	// Escaped keys and values.
+	`{"t\u0065nant": "\u0061lpha", "\u0063lock": 1}`,
+	`{"tenant": "a", "cloc\u212a": 2, "observed_co\u017Ft": 3}`,
+	`{"tenant": "a\/b"}`,
+	`{"tenant": "a\ud800"}`,
+	`{"tenant": "a\ud83d\ude00"}`,
+	`{"tenant": "\"a"}`,
+	`{"tenant": "a\x"}`,
+	`{"tenant": "a\u00"}`,
+	// Duplicate keys: the last wins.
+	`{"tenant": "a", "tenant": "b", "clock": 1, "clock": 2}`,
+	`{"tenant": "a", "clock": 1, "clock": null}`,
+	`{"tenant": "a", "tenant": null, "observed_cost": 2, "observed_cost": null}`,
+	`{"tenant": "a", "deadline_ms": 5, "deadline_ms": null, "count": 3, "count": null}`,
+	// null for every field.
+	`{"tenant": null, "clock": null, "last_bw": null, "down": null, "deadline_ms": null, "observed_cost": null, "count": null}`,
+	`{"tenant": "a", "clock": null, "last_bw": null, "down": null, "deadline_ms": null, "observed_cost": null, "count": null}`,
+	// null elements keep what the slice already held at their index.
+	`{"tenant": "a", "last_bw": [1, null, 3], "down": [null, true]}`,
+	`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4], "last_bw": [null, null]}`,
+	`{"tenant": "a", "down": [true, false, true], "down": [false], "down": [null, null, null, null]}`,
+	`{"tenant": "a", "last_bw": [1, 2], "last_bw": [], "last_bw": [null]}`,
+	`{"tenant": "a", "last_bw": [1, 2], "last_bw": null, "last_bw": [null, null]}`,
+	`{"tenant": "a", "last_bw": [], "down": []}`,
+	// Numbers.
+	`{"tenant": "a", "clock": 1e400}`,
+	`{"tenant": "a", "count": 1.0}`,
+	`{"tenant": "a", "count": 1e2}`,
+	`{"tenant": "a", "count": -0, "deadline_ms": -0}`,
+	`{"tenant": "a", "clock": -0, "observed_cost": -0.0, "last_bw": [-0, 1e-400, -1e-400, 5e-324]}`,
+	`{"tenant": "a", "count": 99999999999999999999}`,
+	`{"tenant": "a", "clock": 01}`,
+	`{"tenant": "a", "clock": 1.}`,
+	`{"tenant": "a", "clock": .5}`,
+	`{"tenant": "a", "clock": +1}`,
+	`{"tenant": "a", "clock": 1e}`,
+	`{"tenant": "a", "clock": -}`,
+	`{"tenant": "a", "clock": 1E+2, "deadline_ms": 2.5e-1}`,
+	// Byte-order mark, trailing data and whitespace.
+	"\xef\xbb\xbf{\"tenant\": \"a\"}",
+	`{"tenant": "a"} {}`,
+	`{"tenant": "a"}}`,
+	"\t\r\n {\"tenant\"\n:\r\"a\"\t} \n",
+	// Wrong types and syntax.
+	`{"tenant": "a", "last_bw": [[1]]}`,
+	`{"tenant": "a", "down": [1]}`,
+	`{"tenant": ["a"]}`,
+	`{"tenant": "a", "last_bw": [1,]}`,
+	`{"tenant": "a",}`,
+	`{"tenant": "a", "clock": nul}`,
+	`{"tenant": "a", "clock": nullx}`,
+	"{\"tenant\": \"a\tb\"}",
+	`{"tenant": "a", "": 1}`,
+	`null`,
+	`[]`,
+	`"a"`,
+	` `,
+}
+
+// FuzzDecodeRequest holds DecodeDecideRequest to the encoding/json oracle:
+// on any input both must accept or both reject, and an accepted request
+// must decode to the same values (floats by bits) and pass its own
+// Validate. It also pins that the tenant-spec decoder never panics and
+// accepts only specs that validate.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant": "alpha"}`))
 	f.Add([]byte(`{"tenant": "alpha", "clock": 120, "deadline_ms": 250}`))
@@ -19,17 +162,131 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant": "a", "clock": -1}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	for _, c := range decodeCorners {
+		f.Add([]byte(c))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeDecideRequest(data); err == nil {
-			if verr := req.Validate(); verr != nil {
-				t.Fatalf("accepted decide request fails its own validation: %v", verr)
-			}
-		}
+		checkAgainstOracle(t, data)
 		if spec, err := DecodeRegisterRequest(data); err == nil {
 			if verr := spec.Validate(); verr != nil {
 				t.Fatalf("accepted tenant spec fails its own validation: %v", verr)
 			}
 		}
 	})
+}
+
+// TestDecodeDecideRequestSemantics pins the decoded values of the
+// duplicate-key and null-element corners, beside the oracle's agreement.
+func TestDecodeDecideRequestSemantics(t *testing.T) {
+	for _, tc := range []struct {
+		body   string
+		lastBW string
+		down   string
+	}{
+		{`{"tenant": "a", "last_bw": [1, null, 3]}`, "[1 0 3]", "[]"},
+		{`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4], "last_bw": [null, null]}`, "[4 2]", "[]"},
+		{`{"tenant": "a", "down": [true, false, true], "down": [false], "down": [null, null, null, null]}`, "[]", "[false false true false]"},
+		{`{"tenant": "a", "last_bw": [1, 2], "last_bw": [], "last_bw": [null]}`, "[0]", "[]"},
+		{`{"tenant": "a", "last_bw": [-0]}`, "[-0]", "[]"},
+	} {
+		r := checkAgainstOracle(t, []byte(tc.body))
+		if r == nil {
+			t.Fatalf("%s: rejected", tc.body)
+		}
+		if got := fmt.Sprint(r.LastBW); got != tc.lastBW {
+			t.Fatalf("%s: last_bw %s, want %s", tc.body, got, tc.lastBW)
+		}
+		if got := fmt.Sprint(r.Down); got != tc.down {
+			t.Fatalf("%s: down %s, want %s", tc.body, got, tc.down)
+		}
+	}
+	r := checkAgainstOracle(t, []byte("{\"tenant\": \"a\", \"cloc\u212a\": 7, \"CLOCK\": 8}"))
+	if r == nil || r.Clock == nil || *r.Clock != 8 {
+		t.Fatalf("folded duplicate clock: %+v", r)
+	}
+}
+
+// TestDecodeDecideRequestFleetBodies runs the differential check on bodies
+// shaped like a fleet client's: N devices of realized bandwidth, as
+// json.Marshal renders them, including the values at float64's edges.
+func TestDecodeDecideRequestFleetBodies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, 1e21, 1e-7, 123456789.123456789}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(MaxTenantDevices)
+		clock := rng.Float64() * 1e6
+		req := DecideRequest{Tenant: "fleet-" + fmt.Sprint(trial), Clock: &clock, LastBW: make([]float64, n), DeadlineMS: float64(rng.Intn(500))}
+		for i := range req.LastBW {
+			req.LastBW[i] = rng.ExpFloat64() * 3e6
+			if rng.Intn(50) == 0 {
+				req.LastBW[i] = edges[rng.Intn(len(edges))]
+			}
+		}
+		if trial%3 == 0 {
+			req.Down = make([]bool, n)
+			for i := range req.Down {
+				req.Down[i] = rng.Intn(7) == 0
+			}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkAgainstOracle(t, body) == nil {
+			t.Fatalf("trial %d: fleet body rejected", trial)
+		}
+	}
+}
+
+// TestDecodeCommaFloodBounded feeds bodies that open last_bw or down and
+// then repeat commas up to the size bound. Both decoders reject them; the
+// scanner's array-size hint must not turn the commas into an allocation of
+// many times the body.
+func TestDecodeCommaFloodBounded(t *testing.T) {
+	for _, key := range []string{"last_bw", "down"} {
+		head := `{"tenant": "a", "` + key + `": [`
+		body := []byte(head + strings.Repeat(",", MaxRequestBytes-len(head)-2) + "]}")
+		if checkAgainstOracle(t, body) != nil {
+			t.Fatalf("%s comma flood accepted", key)
+		}
+		per := bytesPerRun(10, func(int) {
+			if _, err := DecodeDecideRequest(body); err == nil {
+				t.Fatalf("%s comma flood accepted", key)
+			}
+		})
+		if bound := uint64(8*MaxTenantDevices + 16<<10); per > bound {
+			t.Errorf("%s: a %d-byte comma flood allocates %d bytes per decode, bound %d", key, len(body), per, bound)
+		}
+	}
+}
+
+// BenchmarkDecodeDecideRequest decodes a 1000-device body (tenant, clock,
+// last_bw), the serving fleet's request, with the scanner and with the
+// encoding/json oracle.
+func BenchmarkDecodeDecideRequest(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	clock := 1230.0
+	req := DecideRequest{Tenant: "t0", Clock: &clock, LastBW: make([]float64, 1000)}
+	for i := range req.LastBW {
+		req.LastBW[i] = rng.ExpFloat64() * 3e6
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (*DecideRequest, error)
+	}{{"scanner", DecodeDecideRequest}, {"encoding-json", decodeDecideOracle}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -85,22 +85,8 @@ func (r *DecideRequest) Validate() error {
 	return nil
 }
 
-// DecodeDecideRequest parses a decide request strictly: unknown fields,
-// trailing garbage, oversized bodies and out-of-range values are all
-// errors. FuzzDecodeRequest pins that no input can make it panic.
-func DecodeDecideRequest(data []byte) (*DecideRequest, error) {
-	var r DecideRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return nil, err
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
 // DecodeRegisterRequest parses a tenant-registration request with the same
-// strictness.
+// strictness as DecodeDecideRequest, through encoding/json.
 func DecodeRegisterRequest(data []byte) (*TenantSpec, error) {
 	var s TenantSpec
 	if err := decodeStrict(data, &s); err != nil {
@@ -112,7 +98,8 @@ func DecodeRegisterRequest(data []byte) (*TenantSpec, error) {
 	return &s, nil
 }
 
-// decodeStrict is the shared strict JSON decoding core.
+// decodeStrict is the strict encoding/json core of the tenant-spec
+// decoders: unknown fields and trailing data are errors.
 func decodeStrict(data []byte, v interface{}) error {
 	if len(data) > MaxRequestBytes {
 		return fmt.Errorf("server: request body %d bytes exceeds the %d-byte bound", len(data), MaxRequestBytes)

@@ -8,9 +8,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -174,9 +174,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// readBody reads a bounded request body.
+// maxPresizedBody caps the buffer readBody sizes from a declared
+// Content-Length: about the decide body of a MaxTenantDevices fleet
+// (last_bw and down, ~100 KiB). A longer body still reads, its buffer
+// growing with the bytes that arrive, so a client that declares a length it
+// never sends cannot make the server hold more than this.
+const maxPresizedBody = 128 << 10
+
+// readBody reads a request body of at most MaxRequestBytes. The buffer
+// starts at the declared length (up to maxPresizedBody), so a decide body is
+// read into one allocation; io.ReadAll would grow its buffer step by step
+// (13 allocations for an 18 KB decide body).
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	size := min(max(r.ContentLength, 0), maxPresizedBody)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // writeJSON renders one JSON response.
@@ -330,14 +345,18 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	select {
 	case res := <-c.resp:
-		if res.status == http.StatusOK {
+		switch res.status {
+		case http.StatusOK:
 			writeJSON(w, http.StatusOK, res.plan)
-		} else {
-			if res.status == http.StatusGatewayTimeout {
-				s.counters.Timeouts.Add(1)
-			}
-			writeError(w, res.status, res.errMsg, res.retryAfter)
+			return
+		case http.StatusGatewayTimeout:
+			s.counters.Timeouts.Add(1)
+		case http.StatusBadRequest:
+			// The worker checks the request against the tenant's fleet
+			// size, which a reload may have changed since decode.
+			s.counters.Malformed.Add(1)
 		}
+		writeError(w, res.status, res.errMsg, res.retryAfter)
 	case <-ctx.Done():
 		// The worker will still drain the call (and observe the expired
 		// context); the client gets its timeout now.

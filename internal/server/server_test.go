@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +187,106 @@ func TestMalformedAndUnknown(t *testing.T) {
 	}
 }
 
+// terminalSum adds the counters a decide request can end in; every request
+// must land in exactly one of them.
+func terminalSum(c map[string]int64) int64 {
+	return c["decisions"] + c["malformed"] + c["not_found"] + c["shed_rate"] + c["shed_queue"] +
+		c["shed_deadline"] + c["shed_drain"] + c["timeouts"]
+}
+
+// TestLengthMismatchCountedMalformed checks that a last_bw or down of the
+// wrong length, which only the tenant worker can detect, is answered 400,
+// counted as malformed, and leaves the tenant's clock untouched.
+func TestLengthMismatchCountedMalformed(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	registerTenant(t, ts, TenantSpec{Name: "alpha", N: 3, Primary: PrimaryFresh})
+	clock := 999.0
+	for _, req := range []DecideRequest{
+		{Tenant: "alpha", Clock: &clock, LastBW: []float64{1e6, 2e6}},
+		{Tenant: "alpha", Clock: &clock, Down: []bool{false, true, false, true}},
+	} {
+		if _, status := decide(t, ts, req); status != http.StatusBadRequest {
+			t.Fatalf("length mismatch: status %d, want 400", status)
+		}
+		c := s.Counters().Snapshot()
+		if c["requests"] != terminalSum(c) {
+			t.Fatalf("requests %d, terminal counters sum to %d: %v", c["requests"], terminalSum(c), c)
+		}
+	}
+	dr, status := decide(t, ts, DecideRequest{Tenant: "alpha"})
+	if status != http.StatusOK {
+		t.Fatalf("valid decide after mismatches: status %d", status)
+	}
+	if dr.Clock != 0 {
+		t.Fatalf("a refused request moved the tenant clock to %v", dr.Clock)
+	}
+	c := s.Counters().Snapshot()
+	if c["malformed"] != 2 || c["decisions"] != 1 || c["requests"] != terminalSum(c) {
+		t.Fatalf("counters after 2 mismatches and 1 decision: %v", c)
+	}
+}
+
+// bytesPerRun returns the heap bytes f allocates per call, averaged over
+// the calls f(1) … f(runs) after a warm-up call f(0).
+func bytesPerRun(runs int, f func(i int)) uint64 {
+	f(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestReadBodyBounded checks readBody's buffer against what the client
+// sends: a body read in one buffer of about its size, a declared length
+// that is never sent held to maxPresizedBody instead of allocated, a body
+// longer than the presize read intact, and one past MaxRequestBytes
+// refused.
+func TestReadBodyBounded(t *testing.T) {
+	const runs = 20
+	requests := func(body string, declared int64) []*http.Request {
+		rs := make([]*http.Request, runs+1)
+		for i := range rs {
+			rs[i] = httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(body))
+			rs[i].ContentLength = declared
+		}
+		return rs
+	}
+	read := func(rs []*http.Request, want string) func(int) {
+		return func(i int) {
+			data, err := readBody(httptest.NewRecorder(), rs[i])
+			if err != nil || string(data) != want {
+				t.Fatalf("readBody: %d bytes, error %v; want the %d-byte body", len(data), err, len(want))
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+
+	fleet := `{"tenant": "t0", "last_bw": [` + strings.Repeat("1234567.891011, ", 1100) + `1]}`
+	rs := requests(fleet, int64(len(fleet)))
+	if per := bytesPerRun(runs, read(rs, fleet)); per > uint64(len(fleet))*3/2 {
+		t.Errorf("a %d-byte body allocates %d bytes per read, want one buffer of about its size", len(fleet), per)
+	}
+
+	small := `{"tenant": "a"}`
+	rs = requests(small, MaxRequestBytes)
+	if per := bytesPerRun(runs, read(rs, small)); per > maxPresizedBody+32<<10 {
+		t.Errorf("a %d-byte body declaring %d bytes allocates %d bytes per read, bound %d",
+			len(small), MaxRequestBytes, per, maxPresizedBody)
+	}
+
+	long := strings.Repeat("x", 3*maxPresizedBody)
+	read(requests(long, int64(len(long))), long)(0)
+	read(requests(long, -1), long)(0)
+
+	over := strings.Repeat("x", MaxRequestBytes+1)
+	if _, err := readBody(rec, requests(over, int64(len(over)))[0]); err == nil {
+		t.Fatal("a body past MaxRequestBytes was read")
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	// 1 request/s with a burst of 2: the third immediate request must be
@@ -299,14 +400,20 @@ func TestRequestTimeout(t *testing.T) {
 
 func TestDegradeLadderAndRecovery(t *testing.T) {
 	cfg := testConfig()
-	cfg.ActorBudget = time.Nanosecond // every guarded decision blows the watchdog
+	// The actor answers only after a second, far past its millisecond
+	// budget: the watchdog's timer always fires first, and the still-busy
+	// actor is skipped by the decisions that follow. (A 1ns budget could
+	// leave the result and the timer ready together.)
+	cfg.ActorBudget = time.Millisecond
+	cfg.SlowActor = time.Second
 	cfg.DegradeAfter = 3
 	cfg.Cooldown = 4
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "lad", N: 3, Primary: PrimaryFresh})
 
 	tn := s.Tenant("lad")
-	// Three watchdog-tripped decisions demote the tenant.
+	// Three decisions off the primary (one timed out, two skipped while the
+	// actor is busy) demote the tenant.
 	for k := 0; k < 3; k++ {
 		if _, status := decide(t, ts, DecideRequest{Tenant: "lad"}); status != http.StatusOK {
 			t.Fatalf("decide %d: status %d", k, status)

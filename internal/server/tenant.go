@@ -563,15 +563,8 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	if req.ObservedCost != nil {
-		// Close the realized-cost loop on the previous decision before
-		// pricing the next one.
-		t.guard.Observe(fl.IterationStats{Cost: *req.ObservedCost})
-	}
-
-	if req.Clock != nil {
-		t.clock = *req.Clock
-	}
+	// A request that does not fit the fleet is refused before it touches
+	// any tenant state (the handler counts it as malformed).
 	if len(req.LastBW) > 0 && len(req.LastBW) != t.sys.N() {
 		return callResult{status: http.StatusBadRequest,
 			errMsg: fmt.Sprintf("%d bandwidth observations for %d devices", len(req.LastBW), t.sys.N())}
@@ -579,6 +572,15 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 	if len(req.Down) > 0 && len(req.Down) != t.sys.N() {
 		return callResult{status: http.StatusBadRequest,
 			errMsg: fmt.Sprintf("%d down flags for %d devices", len(req.Down), t.sys.N())}
+	}
+
+	if req.ObservedCost != nil {
+		// Close the realized-cost loop on the previous decision before
+		// pricing the next one.
+		t.guard.Observe(fl.IterationStats{Cost: *req.ObservedCost})
+	}
+	if req.Clock != nil {
+		t.clock = *req.Clock
 	}
 
 	n := req.Count

@@ -4,10 +4,9 @@ package trace
 
 import "testing"
 
-// Steady-state allocation regression tests: once a trace's index and slot
-// tables are warm, the query API on the simulation hot path must not
-// allocate (DESIGN.md §10). Guarded from -race builds, whose
-// instrumentation allocates.
+// Steady-state allocation regression tests: once a trace's index is warm,
+// the query API on the simulation hot path must not allocate (DESIGN.md
+// §10). Guarded from -race builds, whose instrumentation allocates.
 
 func TestAllocsIntegrate(t *testing.T) {
 	tr := benchTrace(9)
@@ -36,7 +35,7 @@ func TestAllocsUploadFinish(t *testing.T) {
 
 func TestAllocsHistoryInto(t *testing.T) {
 	tr := benchTrace(9)
-	buf := tr.HistoryInto(nil, 100, 10, 5) // warm index, slot table, buffer
+	buf := tr.HistoryInto(nil, 100, 10, 5) // warm index and buffer
 	if n := testing.AllocsPerRun(100, func() {
 		buf = tr.HistoryInto(buf, 731.3, 10, 5)
 	}); n != 0 {
@@ -46,7 +45,7 @@ func TestAllocsHistoryInto(t *testing.T) {
 
 func TestAllocsSlot(t *testing.T) {
 	tr := benchTrace(9)
-	tr.Slot(0, 10) // warm the memo table
+	tr.Slot(0, 10) // warm the index
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Slot(-17, 10)
 	}); n != 0 {

@@ -229,7 +229,7 @@ func TestDifferentialSlotAndHistory(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(60))
 		d := tr.Duration()
-		// Widths that divide the cycle exactly (memoized table) and widths
+		// Widths that divide the cycle exactly (period-reduced) and widths
 		// that do not (direct path).
 		widths := []float64{tr.Interval, d / 4, d, 1.37 * tr.Interval, d / 3.1}
 		for _, h := range widths {

@@ -1,17 +1,14 @@
 package trace
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // This file is the indexed trace engine. A Trace lazily builds (and caches)
 // a prefix-sum index of cumulative byte volume at sample boundaries, which
 // turns the windowed integral of eq. (3) into O(1) arithmetic on two prefix
 // lookups, the upload-finish solve into a galloping search over the prefix
-// array from the upload's start segment, and slot averages into reads from a
-// memoized per-slot-width table. Every wall-clock time is wrapped into the
-// replay cycle by mod, an exact FMA remainder equal to math.Mod bit for bit.
+// array from the upload's start segment, and a slot average into two prefix
+// lookups (slots.go). Every wall-clock time is wrapped into the replay cycle
+// by mod, an exact FMA remainder equal to math.Mod bit for bit.
 // The index is derived state only: it is built deterministically from
 // (Interval, Samples), it is dropped by Clone (copy-on-write safety — a
 // clone whose samples are then edited re-indexes lazily from its own data),
@@ -23,10 +20,6 @@ import (
 // Smooth, Concat) already return fresh traces; mutate-after-Clone, the
 // pattern the tests use, is safe because Clone never shares the cache.
 
-// maxSlotTableSlots bounds the memoized slot-average table; a slot pattern
-// with a longer period is computed directly (still O(1) via the prefix sums).
-const maxSlotTableSlots = 1 << 20
-
 // traceIndex is the immutable acceleration structure of one Trace.
 type traceIndex struct {
 	// prefix[i] is the byte volume over [0, i·Interval); len(Samples)+1
@@ -34,19 +27,6 @@ type traceIndex struct {
 	prefix []float64
 	// cycleVol is the byte volume of one full replay cycle.
 	cycleVol float64
-	// slots heads an immutable linked list of per-width slot tables,
-	// extended by CAS on first use of a new width.
-	slots atomic.Pointer[slotTable]
-}
-
-// slotTable memoizes the per-slot bandwidth averages for one slot width h.
-// vals[i] is the average of slot i; slot j maps to vals[j mod q]. A nil vals
-// records that the width is ineligible (the slot pattern does not repeat
-// within maxSlotTableSlots), so the decision is not re-derived per call.
-type slotTable struct {
-	width float64
-	vals  []float64
-	next  *slotTable
 }
 
 // index returns the trace's acceleration structure, building it on first
@@ -164,48 +144,4 @@ func (ix *traceIndex) invCum(tr *Trace, hint int, rem float64) float64 {
 		return tr.Duration()
 	}
 	return float64(i)*tr.Interval + (rem-ix.prefix[i])/tr.Samples[i]
-}
-
-// slotsFor returns the memoized slot table for width h, building it on
-// first use, or nil when the width is ineligible for memoization (the slot
-// pattern does not repeat every q = d/h slots for an integer q within
-// maxSlotTableSlots).
-func (ix *traceIndex) slotsFor(tr *Trace, h float64) *slotTable {
-	for t := ix.slots.Load(); t != nil; t = t.next {
-		if t.width == h {
-			if t.vals == nil {
-				return nil
-			}
-			return t
-		}
-	}
-	tbl := &slotTable{width: h}
-	d := tr.Duration()
-	q := math.Round(d / h)
-	if q >= 1 && q <= maxSlotTableSlots && math.Abs(q*h-d) <= 1e-9*d {
-		vals := make([]float64, int(q))
-		for i := range vals {
-			vals[i] = tr.slotDirect(i, h)
-		}
-		tbl.vals = vals
-	}
-	for {
-		head := ix.slots.Load()
-		// Another goroutine may have installed the same width meanwhile.
-		for t := head; t != nil; t = t.next {
-			if t.width == h {
-				if t.vals == nil {
-					return nil
-				}
-				return t
-			}
-		}
-		tbl.next = head
-		if ix.slots.CompareAndSwap(head, tbl) {
-			if tbl.vals == nil {
-				return nil
-			}
-			return tbl
-		}
-	}
 }

@@ -184,39 +184,6 @@ func (tr *Trace) UploadFinish(t0 float64, bytes float64) (float64, error) {
 	return base + cycles*d + ix.invCum(tr, i0, rem), nil
 }
 
-// Slot returns the average bandwidth in the j-th slot of width h seconds,
-// i.e. over [j·h, (j+1)·h), replaying cyclically. Negative j wraps around,
-// matching the paper's state construction B_i(⌊t/h⌋ - k) for history slots
-// that precede the randomly chosen start time.
-//
-// When the slot pattern repeats every q = d/h slots for an integer q, the
-// q averages are computed once and memoized per width (see index.go), so a
-// steady-state Slot is a table read.
-func (tr *Trace) Slot(j int, h float64) float64 {
-	if h <= 0 {
-		panic("trace: non-positive slot width")
-	}
-	if tbl := tr.index().slotsFor(tr, h); tbl != nil {
-		i := j % len(tbl.vals)
-		if i < 0 {
-			i += len(tbl.vals)
-		}
-		return tbl.vals[i]
-	}
-	return tr.slotDirect(j, h)
-}
-
-// slotDirect computes a slot average straight from the prefix index, with
-// no memo table — the defining formula of Slot.
-func (tr *Trace) slotDirect(j int, h float64) float64 {
-	d := tr.Duration()
-	start := mod(float64(j)*h, d)
-	if start < 0 {
-		start += d
-	}
-	return tr.Average(start, start+h)
-}
-
 // History returns the H+1 most recent slot averages ending at the slot that
 // contains time t, most recent first:
 //
