@@ -8,10 +8,13 @@
 //
 //	flserver [-addr :8700] [-agent agent.gob] [-snapshot flserver.snap.json]
 //	         [-audit-dir audits] [-rate 0] [-burst 32] [-queue-cap 256]
-//	         [-request-timeout 1s] [-actor-budget 0] [-degrade-after 8]
-//	         [-cooldown 64] [-drain-timeout 10s] [-chaos-slow-actor 0]
-//	         [-tenants tenants.json] [-record-plans] [-online] [-online-dir ckpts]
-//	         [-telemetry-interval 0] [-pprof ""]
+//	         [-request-timeout 1s] [-actor-budget 0] [-drain-timeout 10s]
+//	         [-chaos-slow-actor 0] [-tenants tenants.json] [-record-plans]
+//	         [-online] [-online-dir ckpts] [-telemetry-interval 0] [-pprof ""]
+//
+// Every decision is served by the tenant's guard chain (actor → heuristic →
+// max-frequency, with circuit breakers); a response's mode names the first
+// level of that chain whose breaker is closed ("guarded" for the actor).
 //
 // -tenants points at a declarative spec file (JSON array of tenant specs)
 // loaded on boot; SIGHUP or POST /v1/reload re-reads it atomically,
@@ -67,8 +70,6 @@ func main() {
 		queueCap = flag.Int("queue-cap", 256, "default per-tenant queue bound")
 		reqTO    = flag.Duration("request-timeout", time.Second, "default end-to-end request budget")
 		actorBud = flag.Duration("actor-budget", 0, "guard per-decision latency watchdog (0 disables)")
-		degAfter = flag.Int("degrade-after", 8, "consecutive bad guarded decisions before demoting a tenant")
-		cooldown = flag.Int("cooldown", 64, "decisions on a lower ladder rung before probing back up")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 
 		slowActor = flag.Duration("chaos-slow-actor", 0, "chaos: inject this much latency into every tenant's primary actor")
@@ -89,8 +90,6 @@ func main() {
 	cfg.QueueCap = *queueCap
 	cfg.RequestTimeout = *reqTO
 	cfg.ActorBudget = *actorBud
-	cfg.DegradeAfter = *degAfter
-	cfg.Cooldown = *cooldown
 	cfg.SlowActor = *slowActor
 	cfg.AuditDir = *auditDir
 	cfg.SnapshotPath = *snapPath

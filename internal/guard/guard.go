@@ -351,14 +351,7 @@ func ChainFromSpec(sys *fl.System, spec string, minFreqFrac float64) ([]sched.Sc
 	for _, part := range strings.Split(spec, ",") {
 		switch strings.TrimSpace(part) {
 		case "heuristic":
-			bw := make([]float64, sys.N())
-			for i, tr := range sys.Traces {
-				bw[i] = tr.Summary().Mean
-				if bw[i] <= 0 {
-					bw[i] = 1 // an all-outage trace: assume a trickle
-				}
-			}
-			h, err := sched.NewHeuristic(bw, minFreqFrac)
+			h, err := Heuristic(sys, minFreqFrac)
 			if err != nil {
 				return nil, err
 			}
@@ -375,8 +368,40 @@ func ChainFromSpec(sys *fl.System, spec string, minFreqFrac float64) ([]sched.Sc
 	return out, nil
 }
 
+// Heuristic builds the paper's re-optimizing baseline seeded from the
+// system's trace means, as a fallback stage or as a primary.
+func Heuristic(sys *fl.System, minFreqFrac float64) (*sched.Heuristic, error) {
+	return sched.NewHeuristic(traceMeans(sys), minFreqFrac)
+}
+
+// traceMeans is each device's long-run trace mean, the bandwidth assumed
+// when nothing better is known. An all-outage trace is assumed to trickle
+// at 1 B/s.
+func traceMeans(sys *fl.System) []float64 {
+	bw := make([]float64, sys.N())
+	for i, tr := range sys.Traces {
+		bw[i] = tr.Summary().Mean
+		if bw[i] <= 0 {
+			bw[i] = 1
+		}
+	}
+	return bw
+}
+
 // Name implements sched.Scheduler.
 func (g *Guard) Name() string { return g.chain[0].name + "+guard" }
+
+// Level returns the index and name of the first chain level whose breaker
+// is closed: 0 while the primary serves undisturbed, the terminal safe mode
+// when every breaker is open. It moves to a higher index only when a
+// breaker trips.
+func (g *Guard) Level() (int, string) {
+	i := 0
+	for g.chain[i].br != nil && g.chain[i].br.open {
+		i++
+	}
+	return i, g.chain[i].name
+}
 
 // Audit exposes the decision-audit accumulator.
 func (g *Guard) Audit() *Audit { return g.aud }
@@ -415,15 +440,11 @@ func (g *Guard) ensureBounds(sys *fl.System) {
 	g.floors = make([]float64, n)
 	g.caps = make([]float64, n)
 	g.maxBuf = make([]float64, n)
-	g.bwMeans = make([]float64, n)
+	g.bwMeans = traceMeans(sys)
 	for i, d := range sys.Devices {
 		g.floors[i] = g.cfg.Env.MinFreqFrac * d.MaxFreqHz
 		g.caps[i] = d.MaxFreqHz
 		g.maxBuf[i] = d.MaxFreqHz
-		g.bwMeans[i] = sys.Traces[i].Summary().Mean
-		if g.bwMeans[i] <= 0 {
-			g.bwMeans[i] = 1
-		}
 	}
 }
 

@@ -6,6 +6,14 @@ import (
 	"repro/internal/fl"
 )
 
+// Observer is implemented by schedulers that want to see each iteration's
+// outcome (beyond the LastBW snapshot the Context already carries) — the
+// guard's cost-regression breaker closes its loop through this. Run and
+// RunOpts honor it after every step.
+type Observer interface {
+	Observe(fl.IterationStats)
+}
+
 // Run drives a scheduler through `iters` synchronous FL iterations starting
 // at the given wall-clock time and returns the per-iteration statistics —
 // the online-reasoning loop behind Figures 7 and 8. It is the fault-free

@@ -374,6 +374,35 @@ func TestRunSurfacesSchedulerErrors(t *testing.T) {
 	}
 }
 
+// observingMaxFreq records every iteration Run reports back to it.
+type observingMaxFreq struct {
+	MaxFreq
+	seen []fl.IterationStats
+}
+
+func (o *observingMaxFreq) Observe(it fl.IterationStats) { o.seen = append(o.seen, it) }
+
+// TestRunFeedsObserver: Run hands each iteration's stats to an Observer
+// scheduler right after the step, the loop the guard's cost-regression
+// breaker closes through.
+func TestRunFeedsObserver(t *testing.T) {
+	sys := dynamicSystem(2, 7)
+	obs := &observingMaxFreq{}
+	its, err := Run(sys, obs, 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.seen) != len(its) {
+		t.Fatalf("observer saw %d of %d iterations", len(obs.seen), len(its))
+	}
+	for k := range its {
+		if obs.seen[k].Index != k || obs.seen[k].Cost != its[k].Cost {
+			t.Fatalf("iteration %d observed as index %d cost %v, run reports cost %v",
+				k, obs.seen[k].Index, obs.seen[k].Cost, its[k].Cost)
+		}
+	}
+}
+
 type badScheduler struct{}
 
 func (badScheduler) Name() string { return "bad" }

@@ -22,13 +22,16 @@ import (
 //     decoded; a repeated key overwrites the earlier value;
 //   - null is a no-op for tenant, deadline_ms and count and sets clock,
 //     observed_cost, last_bw and down to nil;
-//   - last_bw and down decode into the backing array an earlier occurrence
-//     of the same key left, so a null element keeps what that array held at
-//     its index (0 when nothing did), and [] or null drops the array;
 //   - numbers follow the JSON grammar and convert with strconv, so 1e400 and
 //     a non-integral count are errors and -0 stays -0.
 //
-// FuzzDecodeRequest holds it to the encoding/json path on arbitrary input.
+// One divergence is deliberate: a null element of last_bw or down is an
+// error. encoding/json would decode it as 0 (or false), or, under a repeated
+// key, keep what the earlier array left at its index, so a missing
+// observation would pass as a real one.
+//
+// FuzzDecodeRequest holds it to the encoding/json path, with that rule
+// added, on arbitrary input.
 func DecodeDecideRequest(data []byte) (*DecideRequest, error) {
 	if len(data) > MaxRequestBytes {
 		return nil, fmt.Errorf("server: request body %d bytes exceeds the %d-byte bound", len(data), MaxRequestBytes)
@@ -64,11 +67,6 @@ func fieldOf(key []byte) string {
 type decideDecoder struct {
 	data []byte
 	off  int
-	// bw and down hold every element written to last_bw and down since the
-	// key's array was last dropped: the backing arrays encoding/json reuses
-	// when a key repeats.
-	bw   []float64
-	down []bool
 	// buf receives strings with escapes.
 	buf []byte
 }
@@ -172,9 +170,9 @@ func (d *decideDecoder) field(r *DecideRequest, f string) (err error) {
 			r.Count, err = d.int()
 		}
 	case "last_bw":
-		r.LastBW, err = list(d, &d.bw, null, d.float)
+		r.LastBW, err = list(d, null, d.float)
 	case "down":
-		r.Down, err = list(d, &d.down, null, d.bool)
+		r.Down, err = list(d, null, d.bool)
 	}
 	return err
 }
@@ -293,50 +291,36 @@ func digits(b []byte, i int) int {
 }
 
 // list decodes a JSON array (or a null, already consumed) of elements read
-// by elem, the way encoding/json decodes into a slice field. *hw holds every
-// element written since the field's array was last dropped: a repeated key
-// decodes into that backing array, so a null element keeps what it holds at
-// the index (0 past its end). [] and null drop it.
-func list[T any](d *decideDecoder, hw *[]T, null bool, elem func() (T, error)) ([]T, error) {
+// by elem. A null element is an error (see DecodeDecideRequest).
+func list[T any](d *decideDecoder, null bool, elem func() (T, error)) ([]T, error) {
 	if null {
-		*hw = nil
 		return nil, nil
 	}
 	if d.peek() != '[' {
 		return nil, d.errorf("want an array")
 	}
-	if *hw == nil {
-		// Size a fresh array from its commas, a hint only, capped at the
-		// longest list Validate accepts.
-		rest := d.data[d.off:]
-		if end := bytes.IndexByte(rest, ']'); end > 0 {
-			*hw = make([]T, 0, min(bytes.Count(rest[:end], []byte{','})+1, MaxTenantDevices))
-		}
+	// Size the array from its commas, a hint only, capped at the longest
+	// list Validate accepts.
+	var out []T
+	rest := d.data[d.off:]
+	if end := bytes.IndexByte(rest, ']'); end > 0 {
+		out = make([]T, 0, min(bytes.Count(rest[:end], []byte{','})+1, MaxTenantDevices))
 	}
 	d.off++
 	d.skipSpace()
 	if d.peek() == ']' {
 		d.off++
-		*hw = nil
 		return []T{}, nil
 	}
-	for i := 0; ; i++ {
+	for {
 		if d.null() {
-			if i >= len(*hw) {
-				var zero T
-				*hw = append(*hw, zero)
-			}
-		} else {
-			v, err := elem()
-			if err != nil {
-				return nil, err
-			}
-			if i < len(*hw) {
-				(*hw)[i] = v
-			} else {
-				*hw = append(*hw, v)
-			}
+			return nil, d.errorf("null array element")
 		}
+		v, err := elem()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 		d.skipSpace()
 		switch d.peek() {
 		case ',':
@@ -344,7 +328,7 @@ func list[T any](d *decideDecoder, hw *[]T, null bool, elem func() (T, error)) (
 			d.skipSpace()
 		case ']':
 			d.off++
-			return (*hw)[: i+1 : i+1], nil
+			return out, nil
 		default:
 			return nil, d.errorf("want ',' or ']' after array element")
 		}

@@ -1,26 +1,71 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // decodeDecideOracle is the encoding/json decoding of a decide request that
 // DecodeDecideRequest must reproduce: strict decoding (unknown fields and
-// trailing data rejected) followed by Validate.
+// trailing data rejected), the scanner's one divergence (a null element of
+// last_bw or down is an error), then Validate.
 func decodeDecideOracle(data []byte) (*DecideRequest, error) {
 	var r DecideRequest
 	if err := decodeStrict(data, &r); err != nil {
+		return nil, err
+	}
+	if err := rejectNullElements(data); err != nil {
 		return nil, err
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// rejectNullElements walks a request that decodeStrict accepted, so a flat
+// object of known fields, and fails on a null array element under a key
+// that encoding/json maps to last_bw or down (equal under case folding).
+func rejectNullElements(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if _, err := dec.Token(); err != nil {
+		return err
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		name, _ := key.(string)
+		list := strings.EqualFold(name, "last_bw") || strings.EqualFold(name, "down")
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		if tok != json.Delim('[') {
+			continue
+		}
+		for dec.More() {
+			el, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			if el == nil && list {
+				return fmt.Errorf("null element in %q", name)
+			}
+		}
+		if _, err := dec.Token(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // diffRequest describes the first difference between two decoded requests,
@@ -104,7 +149,8 @@ var decodeCorners = []string{
 	// null for every field.
 	`{"tenant": null, "clock": null, "last_bw": null, "down": null, "deadline_ms": null, "observed_cost": null, "count": null}`,
 	`{"tenant": "a", "clock": null, "last_bw": null, "down": null, "deadline_ms": null, "observed_cost": null, "count": null}`,
-	// null elements keep what the slice already held at their index.
+	// A null element is an error: the scanner's one divergence from
+	// encoding/json, which the oracle applies too.
 	`{"tenant": "a", "last_bw": [1, null, 3], "down": [null, true]}`,
 	`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4], "last_bw": [null, null]}`,
 	`{"tenant": "a", "down": [true, false, true], "down": [false], "down": [null, null, null, null]}`,
@@ -176,18 +222,68 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// FuzzParseTenantSpecs holds the -tenants file and reload parser to its
+// contract on arbitrary input: it never panics, a rejection is an error
+// that names the server, and every accepted list validates and comes back
+// unchanged from a json.Marshal round trip through the parser.
+func FuzzParseTenantSpecs(f *testing.F) {
+	for _, seed := range []string{
+		`[]`,
+		`null`,
+		`[{"name": "a", "n": 3}]`,
+		`[{"name": "a", "n": 3, "lambda": 0.5, "seed": 7, "primary": "fresh", "fallback": "maxfreq",
+		  "ood_threshold": -1, "rate": 100, "burst": 8, "queue_cap": 16, "tick_sec": 5}]`,
+		`[{"NAME": "b", "N": 4096, "Primary": "heuristic", "lambda": -0, "fallback": "\ud800x"}]`,
+		`[{"name": "a", "n": 3}, {"name": "a", "n": 4}]`,
+		`[{"name": "a", "n": 3, "bogus": 1}]`,
+		`[{"name": "a", "n": 0}]`,
+		`[{"name": "a/b", "n": 3}]`,
+		`[{"name": "a", "n": 3, "rate": 1e400}]`,
+		`[{"name": "a", "n": 3}] trailing`,
+		`{"name": "a", "n": 3}`,
+		`[{"name": "a", "n": 3.5}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := ParseTenantSpecs(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "server: ") {
+				t.Fatalf("error without context: %v", err)
+			}
+			return
+		}
+		for i := range specs {
+			if verr := specs[i].Validate(); verr != nil {
+				t.Fatalf("accepted spec %d fails its own validation: %v", i, verr)
+			}
+		}
+		again, err := json.Marshal(specs)
+		if err != nil {
+			t.Fatalf("accepted specs do not marshal: %v", err)
+		}
+		back, err := ParseTenantSpecs(again)
+		if err != nil {
+			t.Fatalf("re-marshaled specs %s rejected: %v", again, err)
+		}
+		if !reflect.DeepEqual(back, specs) {
+			t.Fatalf("round trip changed the specs:\n%+v\n%+v", specs, back)
+		}
+	})
+}
+
 // TestDecodeDecideRequestSemantics pins the decoded values of the
-// duplicate-key and null-element corners, beside the oracle's agreement.
+// duplicate-key corners and the rejection of null elements, beside the
+// oracle's agreement.
 func TestDecodeDecideRequestSemantics(t *testing.T) {
 	for _, tc := range []struct {
 		body   string
 		lastBW string
 		down   string
 	}{
-		{`{"tenant": "a", "last_bw": [1, null, 3]}`, "[1 0 3]", "[]"},
-		{`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4], "last_bw": [null, null]}`, "[4 2]", "[]"},
-		{`{"tenant": "a", "down": [true, false, true], "down": [false], "down": [null, null, null, null]}`, "[]", "[false false true false]"},
-		{`{"tenant": "a", "last_bw": [1, 2], "last_bw": [], "last_bw": [null]}`, "[0]", "[]"},
+		{`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4]}`, "[4]", "[]"},
+		{`{"tenant": "a", "down": [true, false, true], "down": [false]}`, "[]", "[false]"},
+		{`{"tenant": "a", "last_bw": [1, 2], "last_bw": [], "down": [true], "down": null}`, "[]", "[]"},
 		{`{"tenant": "a", "last_bw": [-0]}`, "[-0]", "[]"},
 	} {
 		r := checkAgainstOracle(t, []byte(tc.body))
@@ -200,6 +296,17 @@ func TestDecodeDecideRequestSemantics(t *testing.T) {
 		if got := fmt.Sprint(r.Down); got != tc.down {
 			t.Fatalf("%s: down %s, want %s", tc.body, got, tc.down)
 		}
+	}
+	for _, body := range []string{
+		`{"tenant": "a", "last_bw": [1, null, 3]}`,
+		`{"tenant": "a", "down": [null, true]}`,
+		`{"tenant": "a", "last_bw": [1, 2, 3], "last_bw": [4], "last_bw": [null, null]}`,
+		`{"tenant": "a", "LAST_BW": [1, 2], "last_bw": null, "Last_bw": [null]}`,
+	} {
+		if _, err := DecodeDecideRequest([]byte(body)); err == nil {
+			t.Fatalf("%s: null element accepted", body)
+		}
+		checkAgainstOracle(t, []byte(body))
 	}
 	r := checkAgainstOracle(t, []byte("{\"tenant\": \"a\", \"cloc\u212a\": 7, \"CLOCK\": 8}"))
 	if r == nil || r.Clock == nil || *r.Clock != 8 {

@@ -37,9 +37,11 @@ type Counters struct {
 	// Decisions counts successfully served frequency plans.
 	Decisions atomic.Int64
 	// Degraded counts served decisions that did not come from the
-	// tenant's primary layer (guard fallback or ladder degradation).
+	// tenant's primary layer.
 	Degraded atomic.Int64
-	// DegradeTransitions counts ladder mode changes away from guarded.
+	// DegradeTransitions counts moves of a tenant's guard to a lower level
+	// (Guard.Level), checked after each observation and decision; each
+	// follows at least one breaker trip.
 	DegradeTransitions atomic.Int64
 }
 

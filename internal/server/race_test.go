@@ -23,13 +23,9 @@ import (
 // the goroutines interleave, each tenant's audit is one gap-free serial
 // decision stream (total == served decisions, k strictly sequential).
 func TestGuardChainConcurrentHammer(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.QueueCap = 4096
 	cfg.RequestTimeout = 30 * time.Second
-	// Keep the ladder parked on guarded: every decision must flow through
-	// the guard chain so the audit accounts for all of them, even when the
-	// cost feedback trips breakers inside the chain.
-	cfg.DegradeAfter = 1 << 20
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

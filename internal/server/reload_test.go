@@ -60,7 +60,7 @@ func TestParseTenantSpecs(t *testing.T) {
 // its state.
 func TestReloadAddRebuildUnchanged(t *testing.T) {
 	src := &specSource{}
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.TenantSource = src.read
 	s, ts := newTestServer(t, cfg)
 
@@ -114,7 +114,7 @@ func TestReloadAddRebuildUnchanged(t *testing.T) {
 // the running configuration is untouched.
 func TestReloadAtomicOnBadSpec(t *testing.T) {
 	src := &specSource{}
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.TenantSource = src.read
 	s, ts := newTestServer(t, cfg)
 
@@ -147,7 +147,7 @@ func TestReloadAtomicOnBadSpec(t *testing.T) {
 // honest shed), never a dropped connection or a send-on-closed panic.
 func TestReloadZeroDroppedUnderLoad(t *testing.T) {
 	src := &specSource{}
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.TenantSource = src.read
 	s, ts := newTestServer(t, cfg)
 
@@ -202,7 +202,7 @@ func TestReloadZeroDroppedUnderLoad(t *testing.T) {
 // TestAuditExportReplayable: the audit endpoint exports canonical lines
 // that guard.ParseLines reads back; with RecordPlans they carry plans.
 func TestAuditExportReplayable(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.RecordPlans = true
 	_, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "aud", N: 2, Seed: 1, Primary: PrimaryFresh})
@@ -253,7 +253,7 @@ func TestAuditExportReplayable(t *testing.T) {
 // tenant streams decisions into its loop (buffer fills) while serving
 // normally, and a heuristic tenant carries no loop.
 func TestOnlineLoopWiredIntoTenant(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.Online = &online.Config{
 		BufferCap:  64,
 		MinSamples: 32,
@@ -300,7 +300,7 @@ func TestOnlineLoopWiredIntoTenant(t *testing.T) {
 // TestSwapActorHotSwap: promoting a cloned policy through swapActor keeps
 // the tenant serving and swaps the DRL's weights in place.
 func TestSwapActorHotSwap(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.Online = &online.Config{BufferCap: 64, MinSamples: 32, Workers: 1}
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "swap", N: 2, Seed: 1, Primary: PrimaryFresh})

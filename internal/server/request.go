@@ -146,10 +146,12 @@ type DecideResponse struct {
 	Plans [][]float64 `json:"plans,omitempty"`
 	// Count is how many decisions this response carries.
 	Count int `json:"count"`
-	// Layer names the guard layer (or ladder stage) that produced the
-	// final plan: "drl", "heuristic" or "maxfreq".
+	// Layer names the guard level that produced the final plan: "drl",
+	// "heuristic" or "maxfreq".
 	Layer string `json:"layer"`
-	// Mode is the tenant's ladder mode after serving.
+	// Mode is the tenant's serving mode after serving (see Mode): "guarded"
+	// while the primary's breaker is closed, else the first fallback level
+	// whose breaker is closed.
 	Mode string `json:"mode"`
 	// Iter is the first decision's 0-based index.
 	Iter int `json:"iter"`

@@ -2,9 +2,11 @@
 // guarded fleet actor: a sharded tenant registry where each tenant owns a
 // guard chain, fronted by the overload pipeline DESIGN.md §13 specifies —
 // token-bucket admission, a bounded per-tenant queue with deadline-aware
-// shedding, per-request timeouts, a degradation ladder (guarded → heuristic
-// → max-frequency) and a graceful drain that finishes every in-flight
-// request, flushes audits and snapshots the registry crash-safely.
+// shedding, per-request timeouts and a graceful drain that finishes every
+// in-flight request, flushes audits and snapshots the registry
+// crash-safely. Every decision is served by the tenant's guard chain
+// (actor → heuristic → max-frequency); the tenant's mode is read off that
+// chain's breakers.
 package server
 
 import (
@@ -43,14 +45,8 @@ type Config struct {
 	// ActorBudget is the guard's per-decision latency watchdog (0
 	// disables).
 	ActorBudget time.Duration
-	// DegradeAfter is how many consecutive off-primary or failed guarded
-	// decisions demote a tenant to the heuristic rung.
-	DegradeAfter int
-	// Cooldown is how many decisions a demoted tenant serves on the lower
-	// rung before probing back up.
-	Cooldown int
 	// SlowActor injects artificial latency into every tenant's primary —
-	// the chaos hook exercising the watchdog and ladder.
+	// the chaos hook exercising the watchdog.
 	SlowActor time.Duration
 	// AuditDir, when set, receives one <tenant>.audit file per tenant on
 	// drain.
@@ -78,15 +74,12 @@ type Config struct {
 }
 
 // DefaultServerConfig returns production-shaped defaults: no admission
-// limit (opt-in per tenant), a 256-deep queue, a 1s request budget and a
-// ladder that degrades after 8 consecutive bad decisions and probes back
-// after 64.
+// limit (opt-in per tenant), a 256-deep queue and a 1s request budget.
+// Degradation is the guard's own (guard.Config defaults).
 func DefaultServerConfig() Config {
 	return Config{
 		QueueCap:       256,
 		RequestTimeout: time.Second,
-		DegradeAfter:   8,
-		Cooldown:       64,
 	}
 }
 
@@ -109,12 +102,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = time.Second
-	}
-	if cfg.DegradeAfter <= 0 {
-		cfg.DegradeAfter = 8
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 64
 	}
 	s := &Server{cfg: cfg, reg: newRegistry(), started: time.Now()}
 	if cfg.SnapshotPath != "" {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,16 +16,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-)
 
-// testConfig is a fast server config: fresh actors, small ladder, no
-// admission limit.
-func testConfig() Config {
-	cfg := DefaultServerConfig()
-	cfg.DegradeAfter = 3
-	cfg.Cooldown = 5
-	return cfg
-}
+	"repro/internal/env"
+	"repro/internal/guard"
+)
 
 // newTestServer boots a server and its HTTP front end.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -73,7 +69,7 @@ func decide(t *testing.T, ts *httptest.Server, req DecideRequest) (*DecideRespon
 }
 
 func TestRegisterAndDecide(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	_, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "alpha", N: 3, Seed: 1, Primary: PrimaryFresh})
 
 	for k := 0; k < 5; k++ {
@@ -99,7 +95,7 @@ func TestRegisterAndDecide(t *testing.T) {
 }
 
 func TestBatchedDecide(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
+	s, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "batch", N: 3, Seed: 1, Primary: PrimaryFresh})
 
 	dr, status := decide(t, ts, DecideRequest{Tenant: "batch", Count: 5})
@@ -143,7 +139,7 @@ func TestBatchedDecide(t *testing.T) {
 }
 
 func TestDecideHeuristicPrimary(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	_, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "h", N: 3, Primary: PrimaryHeuristic})
 	dr, status := decide(t, ts, DecideRequest{Tenant: "h"})
 	if status != http.StatusOK {
@@ -155,7 +151,7 @@ func TestDecideHeuristicPrimary(t *testing.T) {
 }
 
 func TestMalformedAndUnknown(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
+	s, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "alpha", N: 3, Primary: PrimaryFresh})
 
 	cases := []struct {
@@ -167,6 +163,7 @@ func TestMalformedAndUnknown(t *testing.T) {
 		{"trailing", `{"tenant": "alpha"} x`, http.StatusBadRequest},
 		{"bad name", `{"tenant": "../../etc/passwd"}`, http.StatusBadRequest},
 		{"negative clock", `{"tenant": "alpha", "clock": -5}`, http.StatusBadRequest},
+		{"null bandwidth", `{"tenant": "alpha", "last_bw": [1, null, 3]}`, http.StatusBadRequest},
 		{"unknown tenant", `{"tenant": "nobody"}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -179,8 +176,8 @@ func TestMalformedAndUnknown(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 	}
-	if got := s.Counters().Malformed.Load(); got != 5 {
-		t.Fatalf("malformed counter %d, want 5", got)
+	if got := s.Counters().Malformed.Load(); got != 6 {
+		t.Fatalf("malformed counter %d, want 6", got)
 	}
 	if got := s.Counters().NotFound.Load(); got != 1 {
 		t.Fatalf("not_found counter %d, want 1", got)
@@ -198,7 +195,7 @@ func terminalSum(c map[string]int64) int64 {
 // wrong length, which only the tenant worker can detect, is answered 400,
 // counted as malformed, and leaves the tenant's clock untouched.
 func TestLengthMismatchCountedMalformed(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
+	s, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "alpha", N: 3, Primary: PrimaryFresh})
 	clock := 999.0
 	for _, req := range []DecideRequest{
@@ -288,7 +285,7 @@ func TestReadBodyBounded(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	_, ts := newTestServer(t, DefaultServerConfig())
 	// 1 request/s with a burst of 2: the third immediate request must be
 	// rejected with an honest Retry-After.
 	registerTenant(t, ts, TenantSpec{Name: "limited", N: 3, Primary: PrimaryHeuristic, Rate: 1, Burst: 2})
@@ -320,7 +317,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestQueueSheddingUnderSlowActor(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.SlowActor = 50 * time.Millisecond
 	cfg.QueueCap = 1
 	cfg.RequestTimeout = 5 * time.Second
@@ -362,7 +359,7 @@ func TestQueueSheddingUnderSlowActor(t *testing.T) {
 }
 
 func TestDeadlineShedding(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.SlowActor = 30 * time.Millisecond
 	cfg.RequestTimeout = 5 * time.Second
 	s, ts := newTestServer(t, cfg)
@@ -383,7 +380,7 @@ func TestDeadlineShedding(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.SlowActor = 200 * time.Millisecond
 	cfg.RequestTimeout = 20 * time.Millisecond
 	s, ts := newTestServer(t, cfg)
@@ -398,54 +395,216 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// checkActionBox fails unless plan holds one frequency per device of the
+// tenant, each inside the guard's action box [MinFreqFrac·max, max].
+func checkActionBox(t *testing.T, tn *Tenant, plan []float64) {
+	t.Helper()
+	if len(plan) != tn.sys.N() {
+		t.Fatalf("%d frequencies for %d devices", len(plan), tn.sys.N())
+	}
+	minFrac := env.DefaultConfig().MinFreqFrac
+	for i, d := range tn.sys.Devices {
+		if !(plan[i] >= minFrac*d.MaxFreqHz && plan[i] <= d.MaxFreqHz) {
+			t.Fatalf("device %d frequency %v outside [%v, %v]", i, plan[i], minFrac*d.MaxFreqHz, d.MaxFreqHz)
+		}
+	}
+}
+
+// trips counts the breaker trips in a tenant's audit events.
+func trips(st TenantStats) int64 {
+	var n int64
+	for ev, k := range st.Events {
+		if strings.HasSuffix(ev, ":trip") {
+			n += int64(k)
+		}
+	}
+	return n
+}
+
+// TestDegradeLadderAndRecovery drives a tenant's mode through its guard's
+// breakers. Demotion: the actor answers only after a second, far past its
+// millisecond budget, so the watchdog's timer always fires first and the
+// still-busy actor is skipped by the decisions that follow (a 1ns budget
+// could leave the result and the timer ready together); its breaker trips,
+// and every response is still a feasible plan. Recovery: realized costs far
+// above the safe plan trip a healthy actor; once the client stops reporting
+// them, the probation window ends in a probe and the actor serves again.
 func TestDegradeLadderAndRecovery(t *testing.T) {
-	cfg := testConfig()
-	// The actor answers only after a second, far past its millisecond
-	// budget: the watchdog's timer always fires first, and the still-busy
-	// actor is skipped by the decisions that follow. (A 1ns budget could
-	// leave the result and the timer ready together.)
+	cfg := DefaultServerConfig()
 	cfg.ActorBudget = time.Millisecond
 	cfg.SlowActor = time.Second
-	cfg.DegradeAfter = 3
-	cfg.Cooldown = 4
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "lad", N: 3, Primary: PrimaryFresh})
-
 	tn := s.Tenant("lad")
-	// Three decisions off the primary (one timed out, two skipped while the
-	// actor is busy) demote the tenant.
-	for k := 0; k < 3; k++ {
-		if _, status := decide(t, ts, DecideRequest{Tenant: "lad"}); status != http.StatusOK {
+	var dr *DecideResponse
+	for k := 0; k < guard.DefaultTripAfter+2; k++ {
+		var status int
+		if dr, status = decide(t, ts, DecideRequest{Tenant: "lad"}); status != http.StatusOK {
+			t.Fatalf("slow actor, decide %d: status %d", k, status)
+		}
+		checkActionBox(t, tn, dr.Freqs)
+	}
+	if dr.Mode == string(ModeGuarded) || dr.Layer == tn.primary {
+		t.Fatalf("slow actor: mode %q, layer %q after %d decisions, want degraded", dr.Mode, dr.Layer, guard.DefaultTripAfter+2)
+	}
+	if got := s.Counters().DegradeTransitions.Load(); got < 1 {
+		t.Fatalf("slow actor: %d degrade transitions, want at least 1", got)
+	}
+
+	s, ts = newTestServer(t, DefaultServerConfig())
+	registerTenant(t, ts, TenantSpec{Name: "heal", N: 3, Primary: PrimaryFresh})
+	tn = s.Tenant("heal")
+	huge := 1e12
+	for k := 0; k <= guard.DefaultTripAfter; k++ {
+		req := DecideRequest{Tenant: "heal"}
+		if k > 0 {
+			req.ObservedCost = &huge // decision k-1 cost far more than the safe plan
+		}
+		dr, status := decide(t, ts, req)
+		if status != http.StatusOK {
+			t.Fatalf("cost fault, decide %d: status %d", k, status)
+		}
+		if tripped := k == guard.DefaultTripAfter; (dr.Mode != string(ModeGuarded)) != tripped {
+			t.Fatalf("cost fault, decide %d: mode %q (tripped %v)", k, dr.Mode, tripped)
+		}
+	}
+	healed := -1
+	for k := 1; k <= guard.DefaultProbation+2 && healed < 0; k++ {
+		dr, status := decide(t, ts, DecideRequest{Tenant: "heal"})
+		if status != http.StatusOK {
+			t.Fatalf("healed, decide %d: status %d", k, status)
+		}
+		checkActionBox(t, tn, dr.Freqs)
+		if dr.Mode == string(ModeGuarded) && dr.Layer == tn.primary {
+			healed = k
+		}
+	}
+	if healed < 0 {
+		t.Fatalf("tenant not back to guarded within %d decisions of the trip", guard.DefaultProbation+2)
+	}
+	st := tn.Stats()
+	if got := s.Counters().DegradeTransitions.Load(); got != 1 || got > trips(st) {
+		t.Fatalf("cost fault: %d degrade transitions for %d trips, want 1", got, trips(st))
+	}
+}
+
+// TestDegradeRateBoundedByProbation: whatever realized costs a client
+// reports, a tenant's mode leaves guarded at most once in any window of
+// guard.DefaultProbation decisions (a trip opens the primary for that many
+// decisions, and re-closing it takes a probe), and every degrade transition
+// follows a breaker trip.
+func TestDegradeRateBoundedByProbation(t *testing.T) {
+	s, err := New(DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.BeginDrainForTest(t)
+	huge, low := 1e12, 0.0
+	var left int64
+	for seed := int64(1); seed <= 16; seed++ {
+		spec := TenantSpec{Name: fmt.Sprintf("prop-%d", seed), N: 3, Seed: seed, Primary: PrimaryFresh}
+		tn, err := s.Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		pHuge := rng.Float64()
+		lastLeave, guarded := -guard.DefaultProbation, true
+		for k := 0; k < 300; k++ {
+			req := &DecideRequest{Tenant: spec.Name}
+			switch u := rng.Float64(); {
+			case u < pHuge:
+				req.ObservedCost = &huge
+			case u < (1+pHuge)/2:
+				req.ObservedCost = &low
+			}
+			res := tn.decide(s, req)
+			if res.status != http.StatusOK {
+				t.Fatalf("seed %d decide %d: status %d (%s)", seed, k, res.status, res.errMsg)
+			}
+			checkActionBox(t, tn, res.plan.Freqs)
+			now := res.plan.Mode == string(ModeGuarded)
+			if guarded && !now {
+				if k-lastLeave < guard.DefaultProbation {
+					t.Fatalf("seed %d: mode left guarded at decisions %d and %d, inside one %d-decision window",
+						seed, lastLeave, k, guard.DefaultProbation)
+				}
+				lastLeave = k
+				left++
+			}
+			guarded = now
+		}
+	}
+	var tripped int64
+	for _, st := range s.statsSnapshot().Tenants {
+		tripped += trips(st)
+	}
+	got := s.Counters().DegradeTransitions.Load()
+	if left == 0 || got < left || got > tripped {
+		t.Fatalf("mode left guarded %d times, %d degrade transitions, %d trips; want left <= transitions <= trips, left > 0",
+			left, got, tripped)
+	}
+}
+
+// TestAuditGapFreeUnderDegradation: a tenant whose actor times out on every
+// call degrades, yet every decision still goes through its guard, so the
+// audit accounts for each one and its lines are one serial stream.
+func TestAuditGapFreeUnderDegradation(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.ActorBudget = time.Millisecond
+	cfg.SlowActor = time.Second
+	_, ts := newTestServer(t, cfg)
+	registerTenant(t, ts, TenantSpec{Name: "gap", N: 3, Primary: PrimaryFresh})
+	const n = 40
+	for k := 0; k < n; k++ {
+		if _, status := decide(t, ts, DecideRequest{Tenant: "gap"}); status != http.StatusOK {
 			t.Fatalf("decide %d: status %d", k, status)
 		}
 	}
-	if tn.Mode() != ModeHeuristic {
-		t.Fatalf("mode %v after %d bad decisions, want heuristic", tn.Mode(), 3)
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Counters().DegradeTransitions.Load() == 0 {
-		t.Fatal("degrade transition not counted")
+	var body statsBody
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The heuristic rung serves successfully; after the cooldown the
-	// tenant probes guarded again (and will re-degrade after one strike —
-	// mode right after the probe decision window must be guarded at least
-	// once).
-	sawGuarded := false
-	for k := 0; k < 10; k++ {
-		dr, status := decide(t, ts, DecideRequest{Tenant: "lad"})
-		if status != http.StatusOK {
-			t.Fatalf("post-degrade decide %d: status %d", k, status)
+	if body.Counters["decisions"] != n || body.Counters["degrade_transitions"] < 1 || len(body.Tenants) != 1 {
+		t.Fatalf("stats after %d decisions under a slow actor: %v, %d tenants", n, body.Counters, len(body.Tenants))
+	}
+	served := 0
+	for _, k := range body.Tenants[0].Served {
+		served += k
+	}
+	if int64(served) != body.Counters["decisions"] {
+		t.Fatalf("audit served %d decisions of %d: %v", served, body.Counters["decisions"], body.Tenants[0].Served)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/tenants/gap/audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := guard.ParseLines(string(text))
+	if len(recs) != n {
+		t.Fatalf("%d audit lines for %d decisions", len(recs), n)
+	}
+	for i, d := range recs {
+		if d.Iter != i {
+			t.Fatalf("audit line %d has k=%d", i, d.Iter)
 		}
-		if dr.Mode == "guarded" {
-			sawGuarded = true
-		}
-	}
-	if !sawGuarded {
-		t.Fatal("tenant never probed back to guarded within 10 post-cooldown decisions")
 	}
 }
 
 func TestDrainNoDroppedInFlight(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.SlowActor = 5 * time.Millisecond
 	cfg.RequestTimeout = 10 * time.Second
 	cfg.QueueCap = 1024
@@ -501,7 +660,7 @@ func TestDrainNoDroppedInFlight(t *testing.T) {
 // returns the drained audit bytes for the tenant.
 func driveSequence(t *testing.T, auditDir string) []byte {
 	t.Helper()
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.AuditDir = auditDir
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "stable", N: 3, Seed: 7, Primary: PrimaryFresh})
@@ -545,7 +704,7 @@ func TestAuditByteStableAcrossRuns(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "reg.snap.json")
 
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.SnapshotPath = snap
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "persist", N: 3, Seed: 3, Primary: PrimaryFresh})
@@ -601,7 +760,7 @@ func (s *Server) BeginDrainForTest(t *testing.T) *DrainReport {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	_, ts := newTestServer(t, DefaultServerConfig())
 	registerTenant(t, ts, TenantSpec{Name: "st", N: 3, Primary: PrimaryFresh})
 	if _, status := decide(t, ts, DecideRequest{Tenant: "st"}); status != http.StatusOK {
 		t.Fatalf("decide status %d", status)
@@ -627,7 +786,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestHealthzReflectsDrain(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
+	s, ts := newTestServer(t, DefaultServerConfig())
 	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +807,7 @@ func TestHealthzReflectsDrain(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	_, ts := newTestServer(t, DefaultServerConfig())
 	bad := []string{
 		`{"name": "", "n": 3}`,
 		`{"name": "x", "n": 0}`,

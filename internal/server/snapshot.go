@@ -27,9 +27,6 @@ type TenantState struct {
 	Iter int `json:"iter"`
 	// Clock is the tenant's internal wall clock, seconds.
 	Clock float64 `json:"clock"`
-	// Mode is the ladder mode at snapshot time (informational; a restart
-	// begins guarded and re-degrades if the fault persists).
-	Mode string `json:"mode"`
 }
 
 // snapshot captures every registered tenant in name order.
@@ -41,7 +38,6 @@ func (s *Server) snapshot() *Snapshot {
 			Spec:  t.spec,
 			Iter:  t.iter,
 			Clock: t.clock,
-			Mode:  t.Mode().String(),
 		})
 		t.mu.Unlock()
 	}

@@ -12,7 +12,7 @@ import (
 // and registry snapshot all land on disk while the server keeps serving.
 func TestFlushTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.AuditDir = filepath.Join(dir, "audits")
 	cfg.SnapshotPath = filepath.Join(dir, "reg.snap.json")
 	s, ts := newTestServer(t, cfg)
@@ -66,7 +66,7 @@ func TestFlushTelemetry(t *testing.T) {
 
 // TestFlushTelemetryNoop checks the unconfigured server flushes nothing.
 func TestFlushTelemetryNoop(t *testing.T) {
-	s, _ := newTestServer(t, testConfig())
+	s, _ := newTestServer(t, DefaultServerConfig())
 	rep, err := s.FlushTelemetry()
 	if err != nil {
 		t.Fatalf("FlushTelemetry: %v", err)
@@ -80,7 +80,7 @@ func TestFlushTelemetryNoop(t *testing.T) {
 // is idempotent and halts further flushes.
 func TestStartTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig()
+	cfg := DefaultServerConfig()
 	cfg.AuditDir = dir
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "tick", N: 3, Seed: 1, Primary: PrimaryFresh})

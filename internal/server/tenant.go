@@ -19,36 +19,17 @@ import (
 	"repro/internal/sched"
 )
 
-// Mode is a tenant's position on the degradation ladder. The ladder is the
-// server-level breaker above the guard's own fallback chain: when the
-// guarded path keeps failing (the guard serves off-primary decision after
-// decision, errors, or blows its latency budget), the whole guard is
-// bypassed for progressively cheaper, safer plans, then probed back.
-type Mode int32
+// Mode is a tenant's serving mode, read off its guard's breakers
+// (guard.Guard.Level): ModeGuarded while the primary's breaker is closed,
+// otherwise the name of the first fallback level whose breaker is closed —
+// "heuristic", or "maxfreq" when every breaker is open.
+type Mode string
 
-// Ladder rungs, in degradation order.
-const (
-	// ModeGuarded serves through the full guard chain (actor first).
-	ModeGuarded Mode = iota
-	// ModeHeuristic bypasses the guard and serves the re-optimizing
-	// heuristic baseline directly (sanitized into the action box).
-	ModeHeuristic
-	// ModeMaxFreq serves the precomputed max-frequency safe plan — the
-	// terminal mode that cannot fail.
-	ModeMaxFreq
-)
+// ModeGuarded is the mode of a tenant whose primary is in service.
+const ModeGuarded Mode = "guarded"
 
 // String names the mode for responses and stats.
-func (m Mode) String() string {
-	switch m {
-	case ModeGuarded:
-		return "guarded"
-	case ModeHeuristic:
-		return "heuristic"
-	default:
-		return "maxfreq"
-	}
-}
+func (m Mode) String() string { return string(m) }
 
 // Primary kinds a tenant may request.
 const (
@@ -147,31 +128,21 @@ type callResult struct {
 }
 
 // Tenant is one registered tenant: its simulated FL system, its guard
-// chain, its admission/queue state and its ladder position. All decision
-// state (guard, schedulers, clock, ladder counters) is owned by the
-// tenant's single worker goroutine under mu; stats readers take mu briefly.
+// chain and its admission/queue state. All decision state (guard, clock,
+// iterator) is owned by the tenant's single worker goroutine under mu;
+// stats readers take mu briefly.
 type Tenant struct {
 	spec TenantSpec
 	sys  *fl.System
 
-	mu        sync.Mutex
-	guard     *guard.Guard
-	drl       *sched.DRL // nil for heuristic-primary tenants
-	primary   string     // layer name of the guard's primary
-	heuristic sched.Scheduler
-	maxPlan   []float64
-	floors    []float64
-	caps      []float64
-	iter      int
-	clock     float64
-
-	// Ladder state (worker-owned under mu; mode is atomic for cheap
-	// reads from stats and responses).
-	mode           atomic.Int32
-	consecFallback int
-	cooldown       int
-	degradeAfter   int
-	cooldownN      int
+	mu      sync.Mutex
+	guard   *guard.Guard
+	drl     *sched.DRL // nil for heuristic-primary tenants
+	primary string     // layer name of the guard's primary
+	maxPlan []float64  // served when the guard itself errors
+	level   int        // the guard's Level index after the last decision or observation
+	iter    int
+	clock   float64
 
 	bucket *Bucket
 	queue  chan *call
@@ -216,12 +187,7 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
 	}
 
-	t := &Tenant{
-		spec:         spec,
-		sys:          sys,
-		degradeAfter: cfg.DegradeAfter,
-		cooldownN:    cfg.Cooldown,
-	}
+	t := &Tenant{spec: spec, sys: sys}
 
 	// Resolve the primary actor.
 	primaryKind := spec.Primary
@@ -273,7 +239,7 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		t.drl = drl
 		primary = drl
 	case PrimaryHeuristic:
-		h, err := heuristicFor(sys, envCfg.MinFreqFrac)
+		h, err := guard.Heuristic(sys, envCfg.MinFreqFrac)
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
 		}
@@ -281,7 +247,7 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		agent = nil
 	}
 
-	// Chaos hook: a slow actor exposes the watchdog + ladder path.
+	// Chaos hook: a slow actor exposes the watchdog path.
 	if cfg.SlowActor > 0 {
 		primary = &slowScheduler{inner: primary, delay: cfg.SlowActor}
 	}
@@ -317,18 +283,9 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
 	}
 
-	// Ladder backstops: heuristic and the precomputed safe plan.
-	t.heuristic, err = heuristicFor(sys, envCfg.MinFreqFrac)
-	if err != nil {
-		return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
-	}
 	t.maxPlan = make([]float64, sys.N())
-	t.floors = make([]float64, sys.N())
-	t.caps = make([]float64, sys.N())
 	for i, d := range sys.Devices {
 		t.maxPlan[i] = d.MaxFreqHz
-		t.floors[i] = envCfg.MinFreqFrac * d.MaxFreqHz
-		t.caps[i] = d.MaxFreqHz
 	}
 
 	// Online continual learning: only DRL-primary tenants carry a loop
@@ -383,27 +340,14 @@ func freshAgent(sys *fl.System, seed int64) (*core.Agent, error) {
 	return tr.Agent(), nil
 }
 
-// heuristicFor seeds the re-optimizing baseline from the tenant's trace
-// means, exactly as guard.ChainFromSpec does.
-func heuristicFor(sys *fl.System, minFrac float64) (sched.Scheduler, error) {
-	bw := make([]float64, sys.N())
-	for i, tr := range sys.Traces {
-		bw[i] = tr.Summary().Mean
-		if bw[i] <= 0 {
-			bw[i] = 1
-		}
-	}
-	return sched.NewHeuristic(bw, minFrac)
-}
-
 // slowScheduler injects artificial actor latency — the chaos hook that
-// drives the watchdog/ladder path in tests and smoke runs.
+// drives the guard's watchdog in tests and smoke runs.
 type slowScheduler struct {
 	inner sched.Scheduler
 	delay time.Duration
 }
 
-// Name implements sched.Scheduler (keeping the wrapped name so ladder and
+// Name implements sched.Scheduler (keeping the wrapped name so layer and
 // audit attribution are unchanged).
 func (s *slowScheduler) Name() string { return s.inner.Name() }
 
@@ -413,8 +357,24 @@ func (s *slowScheduler) Frequencies(ctx sched.Context) ([]float64, error) {
 	return s.inner.Frequencies(ctx)
 }
 
-// Mode returns the tenant's current ladder mode.
-func (t *Tenant) Mode() Mode { return Mode(t.mode.Load()) }
+// mode derives the tenant's serving mode from its guard. Must hold t.mu.
+func (t *Tenant) mode() Mode {
+	if i, name := t.guard.Level(); i > 0 {
+		return Mode(name)
+	}
+	return ModeGuarded
+}
+
+// trackLevel counts a move of the guard's first closed level to a lower
+// one, which only a breaker trip causes, as a degrade transition. Must hold
+// t.mu.
+func (t *Tenant) trackLevel(s *Server) {
+	i, _ := t.guard.Level()
+	if i > t.level {
+		s.counters.DegradeTransitions.Add(1)
+	}
+	t.level = i
+}
 
 // QueueLen returns the instantaneous queue depth.
 func (t *Tenant) QueueLen() int { return len(t.queue) }
@@ -555,10 +515,10 @@ func (t *Tenant) serveCall(s *Server, c *call) {
 	c.resp <- res
 }
 
-// decide makes one decision (or a batch) at the tenant's current ladder
-// mode, advancing the ladder on each outcome. The guard sees the whole
-// batch as consecutive serial decisions under one lock hold — batching
-// amortizes the HTTP round trip without changing decision semantics.
+// decide makes one decision (or a batch) through the tenant's guard. The
+// guard sees the whole batch as consecutive serial decisions under one
+// lock hold — batching amortizes the HTTP round trip without changing
+// decision semantics.
 func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -578,6 +538,7 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 		// Close the realized-cost loop on the previous decision before
 		// pricing the next one.
 		t.guard.Observe(fl.IterationStats{Cost: *req.ObservedCost})
+		t.trackLevel(s)
 	}
 	if req.Clock != nil {
 		t.clock = *req.Clock
@@ -606,49 +567,32 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 			resp.Plans = append(resp.Plans, fs)
 		}
 	}
-	resp.Mode = Mode(t.mode.Load()).String()
+	resp.Mode = t.mode().String()
 	return callResult{status: http.StatusOK, plan: resp}
 }
 
-// decideOne serves one decision at the current ladder mode. Must hold
-// t.mu. It cannot fail: errors fall through to the max-frequency plan.
+// decideOne serves one decision through the guard. Must hold t.mu. It
+// cannot fail: a guard error falls through to the max-frequency plan.
 func (t *Tenant) decideOne(s *Server, ctx sched.Context) (fs []float64, layer string) {
-	mode := Mode(t.mode.Load())
-	var err error
-	switch mode {
-	case ModeGuarded:
-		fs, err = t.guard.Frequencies(ctx)
-		if err == nil {
-			if d, ok := t.guard.Audit().Last(); ok {
-				layer = d.Layer
-				if t.onlineCh != nil {
-					// Stream the decision to the continual-learning
-					// goroutine; a full channel drops the sample (counted)
-					// rather than ever stalling the decide path.
-					select {
-					case t.onlineCh <- d:
-					default:
-						t.onlineDropped.Add(1)
-					}
-				}
-			}
-		}
-	case ModeHeuristic:
-		fs, err = t.heuristic.Frequencies(ctx)
-		if err == nil {
-			_, err = guard.Sanitize(fs, t.floors, t.caps)
-		}
-		layer = "heuristic"
-	default: // ModeMaxFreq
-		fs = append([]float64(nil), t.maxPlan...)
-		layer = "maxfreq"
-	}
+	fs, err := t.guard.Frequencies(ctx)
 	if err != nil {
 		// Terminal backstop: the max-frequency plan cannot fail, so the
 		// caller still gets a valid (if expensive) plan.
 		s.counters.Errors.Add(1)
 		fs = append([]float64(nil), t.maxPlan...)
 		layer = "maxfreq"
+	} else if d, ok := t.guard.Audit().Last(); ok {
+		layer = d.Layer
+		if t.onlineCh != nil {
+			// Stream the decision to the continual-learning goroutine; a
+			// full channel drops the sample (counted) rather than ever
+			// stalling the decide path.
+			select {
+			case t.onlineCh <- d:
+			default:
+				t.onlineDropped.Add(1)
+			}
+		}
 	}
 
 	t.iter++
@@ -658,62 +602,12 @@ func (t *Tenant) decideOne(s *Server, ctx sched.Context) (fs []float64, layer st
 	}
 	t.clock += tick
 
-	t.advanceLadder(s, mode, layer, err)
+	t.trackLevel(s)
 	s.counters.Decisions.Add(1)
 	if layer != t.primary {
 		s.counters.Degraded.Add(1)
 	}
 	return fs, layer
-}
-
-// advanceLadder folds one decision outcome into the degradation ladder:
-//
-//	guarded   --degradeAfter consecutive off-primary serves or errors-->  heuristic
-//	heuristic --any error--> maxfreq; --cooldown elapsed--> probe guarded
-//	maxfreq   --cooldown elapsed--> heuristic
-//
-// A probe returns to guarded with one strike left, so a still-broken
-// guard re-degrades after a single bad decision instead of degradeAfter.
-func (t *Tenant) advanceLadder(s *Server, mode Mode, layer string, err error) {
-	switch mode {
-	case ModeGuarded:
-		if err != nil || layer != t.primary {
-			t.consecFallback++
-			if t.consecFallback >= t.degradeAfter {
-				t.setMode(s, ModeHeuristic)
-				t.cooldown = t.cooldownN
-			}
-		} else {
-			t.consecFallback = 0
-		}
-	case ModeHeuristic:
-		if err != nil {
-			t.setMode(s, ModeMaxFreq)
-			t.cooldown = t.cooldownN
-			return
-		}
-		t.cooldown--
-		if t.cooldown <= 0 {
-			// Probe: back to guarded with one strike left.
-			t.mode.Store(int32(ModeGuarded))
-			t.consecFallback = t.degradeAfter - 1
-		}
-	default: // ModeMaxFreq
-		t.cooldown--
-		if t.cooldown <= 0 {
-			t.mode.Store(int32(ModeHeuristic))
-			t.cooldown = t.cooldownN
-		}
-	}
-}
-
-// setMode records a degradation transition.
-func (t *Tenant) setMode(s *Server, m Mode) {
-	t.consecFallback = 0
-	if Mode(t.mode.Load()) != m {
-		s.counters.DegradeTransitions.Add(1)
-	}
-	t.mode.Store(int32(m))
 }
 
 // TenantStats is a tenant's row in /v1/stats.
@@ -744,7 +638,7 @@ func (t *Tenant) Stats() TenantStats {
 		Name:      t.spec.Name,
 		N:         t.sys.N(),
 		Primary:   t.primary,
-		Mode:      t.Mode().String(),
+		Mode:      t.mode().String(),
 		Decisions: t.iter,
 		Accepted:  t.accepted.Load(),
 		Responded: t.responded.Load(),
