@@ -170,12 +170,11 @@ func benchPPOBatch(b *testing.B, workers int) (*rl.PPO, *rl.Batch) {
 		buf.Add(rl.Transition{State: s, Action: a.Clone(), Reward: rng.NormFloat64(),
 			LogProb: logp, Value: agent.Value(s), Done: rng.Intn(40) == 0})
 	}
-	return agent, rl.MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda)
+	return agent, rl.MakeBatchInto(&rl.Batch{}, buf, 0, cfg.Gamma, cfg.Lambda)
 }
 
 // BenchmarkPPOUpdate measures one PPO update over a 256-sample buffer with
-// the paper-scale joint actor (single-threaded engine — the
-// results/BENCH_train.json number).
+// the paper-scale joint actor (single-threaded engine).
 func BenchmarkPPOUpdate(b *testing.B) {
 	agent, batch := benchPPOBatch(b, 0)
 	b.ResetTimer()
@@ -220,7 +219,7 @@ func BenchmarkA2CUpdate(b *testing.B) {
 		buf.Add(rl.Transition{State: s, Action: a.Clone(), Reward: rng.NormFloat64(),
 			LogProb: logp, Value: critic.Forward(s)[0], Done: rng.Intn(40) == 0})
 	}
-	batch := rl.MakeBatch(buf, 0, 0.99, 0.95)
+	batch := rl.MakeBatchInto(&rl.Batch{}, buf, 0, 0.99, 0.95)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := agent.Update(batch); err != nil {

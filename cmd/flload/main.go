@@ -8,7 +8,7 @@
 //
 //	flload [-addr http://localhost:8700] [-tenants 4] [-n 3] [-workers 32]
 //	       [-duration 10s] [-deadline-ms 250] [-seed 1]
-//	       [-out results/BENCH_serving.json] [-max-p99-ms 0]
+//	       [-out flload.json] [-max-p99-ms 0]
 //	       [-chaos 0] [-observe-cost]
 //
 // With -chaos p, fraction p of requests are deliberately malformed (five
@@ -72,7 +72,7 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "load duration")
 		deadline = flag.Float64("deadline-ms", 250, "per-request deadline sent to the server (0 = server default)")
 		seed     = flag.Int64("seed", 1, "tenant scenario seed base")
-		out      = flag.String("out", "results/BENCH_serving.json", "benchmark JSON output path")
+		out      = flag.String("out", "flload.json", "benchmark JSON output path")
 		maxP99   = flag.Float64("max-p99-ms", 0, "fail (exit 1) if client p99 exceeds this many ms (0 = no bound)")
 		batch    = flag.Int("batch", 1, "decisions per request (amortizes the HTTP round trip; charged per decision by admission)")
 		chaos    = flag.Float64("chaos", 0, "fraction of requests sent malformed (0..1)")

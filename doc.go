@@ -20,8 +20,8 @@
 //     datasets.
 //   - internal/device, internal/fl — the §III system model: eqs. (1)–(6),
 //     the synchronous barrier (5) and the wall-clock recursion (11).
-//   - internal/fedavg — real FedAvg training (eqs. 7–8) gating on the
-//     quality constraint (10).
+//   - internal/fedavg — real FedAvg training (eqs. 7–8); examples/fedavg
+//     gates it on the quality constraint (10).
 //   - internal/env, internal/sched, internal/core — the MDP of §IV, the
 //     baseline schedulers of §V (Heuristic [3], Static [4], plus
 //     MaxFreq/Random/Oracle references), and Algorithm 1's offline

@@ -312,22 +312,6 @@ func Bicycle4G() *Profile {
 	}
 }
 
-// Constant returns a profile whose traces hold a fixed bandwidth — useful
-// for deterministic tests and the Static baseline's idealized assumption.
-func Constant(bytesPerSec float64) *Profile {
-	return &Profile{
-		Name: "constant",
-		Regimes: []Regime{
-			{Name: "only", Mean: bytesPerSec, Jitter: 0, MeanHold: 1e9},
-		},
-		Trans:    [][]float64{{1}},
-		Floor:    bytesPerSec,
-		Cap:      bytesPerSec,
-		AR1:      0,
-		Interval: 1,
-	}
-}
-
 // WalkingProfiles returns the five distinct walking-style profiles the
 // paper's 50-device simulation samples from ("we randomly select five
 // walking datasets and let each mobile device randomly select one dataset").
@@ -343,59 +327,4 @@ func WalkingProfiles() []*Profile {
 		}
 	}
 	return base
-}
-
-// Dataset is a collection of traces devices can sample from, standing in
-// for the paper's trace files.
-type Dataset struct {
-	Traces []*trace.Trace
-}
-
-// NewDataset generates count traces of the given duration from profile,
-// seeded deterministically from baseSeed.
-func NewDataset(p *Profile, count int, durationSec float64, baseSeed int64) (*Dataset, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("bandwidth: dataset count %d must be positive", count)
-	}
-	ds := &Dataset{}
-	for i := 0; i < count; i++ {
-		tr, err := p.Generate(fmt.Sprintf("%s-%02d", p.Name, i), durationSec, baseSeed+int64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		ds.Traces = append(ds.Traces, tr)
-	}
-	return ds, nil
-}
-
-// NewMixedDataset draws traces round-robin from several profiles, matching
-// the 50-device simulation where each device picks one of five datasets.
-func NewMixedDataset(profiles []*Profile, count int, durationSec float64, baseSeed int64) (*Dataset, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("bandwidth: no profiles")
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("bandwidth: dataset count %d must be positive", count)
-	}
-	ds := &Dataset{}
-	for i := 0; i < count; i++ {
-		p := profiles[i%len(profiles)]
-		tr, err := p.Generate(fmt.Sprintf("%s-%02d", p.Name, i), durationSec, baseSeed+int64(i)*104729)
-		if err != nil {
-			return nil, err
-		}
-		ds.Traces = append(ds.Traces, tr)
-	}
-	return ds, nil
-}
-
-// Sample returns trace i modulo the dataset size. An empty dataset is a
-// programmer error (every constructor returns a non-empty dataset or an
-// error), so it panics with context rather than with a bare
-// divide-by-zero.
-func (d *Dataset) Sample(i int) *trace.Trace {
-	if len(d.Traces) == 0 {
-		panic("bandwidth: Sample on empty dataset")
-	}
-	return d.Traces[((i%len(d.Traces))+len(d.Traces))%len(d.Traces)]
 }

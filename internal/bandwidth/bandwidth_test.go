@@ -7,7 +7,7 @@ import (
 )
 
 func TestProfilesValidate(t *testing.T) {
-	for _, p := range []*Profile{Walking4G(), BusHSDPA(), Train4G(), Car4G(), Bicycle4G(), Constant(5 * MBps)} {
+	for _, p := range []*Profile{Walking4G(), BusHSDPA(), Train4G(), Car4G(), Bicycle4G()} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -137,16 +137,6 @@ func autocorr(x []float64, lag int) float64 {
 	return num / den
 }
 
-func TestConstantProfile(t *testing.T) {
-	p := Constant(3 * MBps)
-	tr := p.MustGenerate("c", 60, 1)
-	for _, s := range tr.Samples {
-		if s != 3*MBps {
-			t.Fatalf("constant profile produced %v", s)
-		}
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	p := Walking4G()
 	if _, err := p.Generate("x", 0, 1); err == nil {
@@ -167,46 +157,6 @@ func TestMustGeneratePanics(t *testing.T) {
 	p := Walking4G()
 	p.Regimes = nil
 	p.MustGenerate("x", 10, 1)
-}
-
-func TestDataset(t *testing.T) {
-	ds, err := NewDataset(Walking4G(), 4, 120, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Traces) != 4 {
-		t.Fatalf("got %d traces", len(ds.Traces))
-	}
-	if ds.Sample(0) != ds.Traces[0] || ds.Sample(5) != ds.Traces[1] || ds.Sample(-1) != ds.Traces[3] {
-		t.Fatal("Sample indexing wrong")
-	}
-	if _, err := NewDataset(Walking4G(), 0, 120, 1); err == nil {
-		t.Fatal("zero count should error")
-	}
-}
-
-func TestMixedDataset(t *testing.T) {
-	profiles := WalkingProfiles()
-	ds, err := NewMixedDataset(profiles, 12, 200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Traces) != 12 {
-		t.Fatalf("got %d traces", len(ds.Traces))
-	}
-	// Round-robin assignment: trace i comes from profile i%5.
-	for i, tr := range ds.Traces {
-		wantPrefix := profiles[i%5].Name
-		if len(tr.Name) < len(wantPrefix) || tr.Name[:len(wantPrefix)] != wantPrefix {
-			t.Fatalf("trace %d name %q not from profile %q", i, tr.Name, wantPrefix)
-		}
-	}
-	if _, err := NewMixedDataset(nil, 3, 100, 1); err == nil {
-		t.Fatal("empty profile list should error")
-	}
-	if _, err := NewMixedDataset(profiles, -1, 100, 1); err == nil {
-		t.Fatal("negative count should error")
-	}
 }
 
 func TestWalkingProfilesDistinct(t *testing.T) {

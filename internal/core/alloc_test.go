@@ -31,7 +31,7 @@ func TestDRLJointTickZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sched.Context{Sys: sys, Clock: 600}
-	state := env.BuildState(sys, ctx.Clock, drl.Cfg)
+	state, _ := env.BuildStateInto(nil, nil, sys, ctx.Clock, drl.Cfg)
 	dst := make([]float64, n)
 	tick := func() {
 		if _, err := drl.FrequenciesFromStateInto(dst, ctx, state); err != nil {

@@ -127,7 +127,8 @@ func (t *Trainer) CaptureCheckpoint() (*Checkpoint, error) {
 // RestoreCheckpoint loads a snapshot into a freshly constructed trainer.
 // The trainer's configuration must agree with the one that wrote the
 // checkpoint on everything that shapes the training trajectory: seed,
-// algorithm, architecture and collection mode.
+// algorithm, architecture and collection mode. The RNG position must be on
+// the trainer's seed and within maxDraws of the checkpoint's episode.
 func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	switch {
 	case ck.Version != CheckpointVersion:
@@ -144,6 +145,10 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("core: checkpoint episode %d outside [0,%d]", ck.Episode, t.Cfg.Episodes)
 	case len(ck.Stats) != ck.Episode:
 		return fmt.Errorf("core: checkpoint has %d episode stats for episode %d", len(ck.Stats), ck.Episode)
+	case ck.RNG.Seed != ck.Seed:
+		return fmt.Errorf("core: checkpoint rng seed %d, checkpoint seed %d", ck.RNG.Seed, ck.Seed)
+	case ck.RNG.Draws > t.maxDraws(ck.Episode):
+		return fmt.Errorf("core: checkpoint rng position %d draws, at most %d after %d episodes", ck.RNG.Draws, t.maxDraws(ck.Episode), ck.Episode)
 	case len(ck.Buffer) > t.buffer.Cap():
 		return fmt.Errorf("core: checkpoint buffer holds %d samples, capacity is %d", len(ck.Buffer), t.buffer.Cap())
 	}
@@ -177,7 +182,7 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("core: restore critic optimizer: %w", err)
 	}
 	if err := rl.RestoreNormalizer(t.norm, ck.Norm); err != nil {
-		return err
+		return fmt.Errorf("core: restore normalizer: %w", err)
 	}
 	if cp := t.constrainedPPO(); cp != nil {
 		if err := cp.RestoreConstrained(ck.Constrained); err != nil {
@@ -197,6 +202,26 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	t.nextEpisode = ck.Episode
 	t.lastSaved = ck.Episode
 	return nil
+}
+
+// maxDraws bounds the trainer's random draws after the given number of
+// episodes, so that restoring a corrupt RNG position, which replays the
+// stream draw by draw, cannot run unbounded. An episode draws its start
+// time and fault seed, one Gaussian per action component per step when
+// collection is sequential, and, per PPO epoch, one shuffle draw per
+// buffered row; a buffer of BufferSize rows fills every
+// BufferSize/EpisodeLen episodes, so the shuffles average EpisodeLen·Epochs
+// draws an episode. A Gaussian takes a little over one source draw on
+// average. The bound allows twice that count on top of the draws the
+// trainer's construction took (runs at N=3 and N=50 use about half of it),
+// so a checkpoint a run wrote always restores.
+func (t *Trainer) maxDraws(episodes int) uint64 {
+	epochs := 0
+	if t.Cfg.Algo == AlgoPPO {
+		epochs = t.Cfg.PPO.Epochs
+	}
+	perEpisode := uint64(t.Cfg.Env.EpisodeLen)*uint64(t.actor.ActionDim()+epochs) + 2
+	return t.src.State().Draws + 2*uint64(episodes)*perEpisode
 }
 
 // SaveCheckpoint captures the trainer's state and writes it crash-safely:

@@ -200,6 +200,10 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		"parallel": func(ck *Checkpoint, tr **Trainer) { *tr = newTrainer(func(c *Config) { c.Workers = 2 }) },
 		"episode":  func(ck *Checkpoint, tr **Trainer) { ck.Episode = 99 },
 		"stats":    func(ck *Checkpoint, tr **Trainer) { ck.Stats = nil },
+		// A stream on another seed, and a position no 2-episode run
+		// reaches (it would take seconds to replay).
+		"rng seed":  func(ck *Checkpoint, tr **Trainer) { ck.RNG.Seed = 999 },
+		"rng draws": func(ck *Checkpoint, tr **Trainer) { ck.RNG.Draws = 1 << 28 },
 		"buffer": func(ck *Checkpoint, tr **Trainer) {
 			*tr = newTrainer(func(c *Config) { c.BufferSize = 1 })
 		},

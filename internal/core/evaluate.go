@@ -96,13 +96,3 @@ func CalibrateConstraints(sys *fl.System, iters int, timeSlack, energyFrac float
 	}
 	return meanTime * timeSlack, meanEnergy * energyFrac, nil
 }
-
-// ResultByName finds a named result in an Evaluate output.
-func ResultByName(results []EvalResult, name string) (EvalResult, bool) {
-	for _, r := range results {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return EvalResult{}, false
-}

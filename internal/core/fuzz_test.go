@@ -1,7 +1,13 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -35,5 +41,70 @@ func FuzzUnmarshalAgent(f *testing.F) {
 			return
 		}
 		a.Policy.Mean(make(tensor.Vector, a.Policy.StateDim()))
+	})
+}
+
+// FuzzLoadCheckpoint drives the checkpoint loader (the path of fltrain
+// -resume through ResumeTrainer) with arbitrary bytes: LoadCheckpoint, then
+// RestoreCheckpoint into a fresh small trainer. It is seeded with a real
+// checkpoint of that trainer and with copies whose RNG position is on
+// another seed or out of reach. Invariants: no panic, no hang (the RNG
+// replay is bounded), and every error names the package.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := fastConfig()
+	cfg.Hidden = []int{2}
+	cfg.BufferSize = 4
+	cfg.Env.EpisodeLen = 3
+	cfg.Env.History = 1
+	cfg.PPO.Epochs = 1
+	sys := testbedSystem(1, 7)
+	tr, err := NewTrainer(sys, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seen := 0
+	if _, err := tr.Run(func(EpisodeStats) {
+		if seen++; seen == 2 {
+			tr.Stop()
+		}
+	}); !errors.Is(err, ErrInterrupted) {
+		f.Fatalf("expected ErrInterrupted, got %v", err)
+	}
+	ck, err := tr.CaptureCheckpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if fresh, err := NewTrainer(sys, cfg); err != nil || fresh.RestoreCheckpoint(ck) != nil {
+		f.Fatal("the seed checkpoint does not restore into a fresh trainer")
+	}
+	for _, mut := range []func(*Checkpoint){
+		func(*Checkpoint) {},
+		func(ck *Checkpoint) { ck.RNG.Seed = 999 },
+		func(ck *Checkpoint) { ck.RNG.Draws = math.MaxUint64 },
+	} {
+		c := *ck
+		mut(&c)
+		data, err := json.Marshal(&c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err == nil {
+			tr, nerr := NewTrainer(sys, cfg)
+			if nerr != nil {
+				t.Fatal(nerr)
+			}
+			err = tr.RestoreCheckpoint(ck)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "core: ") {
+			t.Fatalf("error without context: %v", err)
+		}
 	})
 }

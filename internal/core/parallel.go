@@ -195,7 +195,7 @@ func (t *Trainer) absorb(tr *rl.Trajectory) (EpisodeStats, error) {
 		if cp != nil {
 			batch = rl.MakeConstrainedBatchInto(t.batch, t.buffer, lastValue, lastCost, gamma, lambda)
 		} else {
-			batch = rl.MakeBatch(t.buffer, lastValue, gamma, lambda)
+			batch = rl.MakeBatchInto(t.batch, t.buffer, lastValue, gamma, lambda)
 		}
 		st, err := t.algo.Update(batch)
 		if err != nil {

@@ -101,6 +101,31 @@ func TestParallelRolloutProgressOrder(t *testing.T) {
 	}
 }
 
+// TestParallelUpdateReusesBatch checks that the parallel path converts each
+// full buffer into the trainer's reusable batch, as the sequential path
+// does, rather than into a fresh batch per update.
+func TestParallelUpdateReusesBatch(t *testing.T) {
+	sys := testbedSystem(2, 7)
+	cfg := fastConfig()
+	cfg.Episodes = 16
+	cfg.Workers = 2
+	tr, err := NewTrainer(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, err := tr.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eps[len(eps)-1].Updates == 0 {
+		t.Fatal("no update fired")
+	}
+	if got := tr.batch.Len(); got != cfg.BufferSize {
+		t.Fatalf("trainer batch holds %d rows after %d updates, want %d",
+			got, eps[len(eps)-1].Updates, cfg.BufferSize)
+	}
+}
+
 // TestWorkersValidation covers the new Config.Workers rules.
 func TestWorkersValidation(t *testing.T) {
 	c := DefaultConfig()

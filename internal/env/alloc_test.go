@@ -21,7 +21,7 @@ func TestAllocsStepInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ResetAt(0); err != nil {
+	if _, err := e.ResetAtFaults(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	action := tensor.NewVector(e.ActionDim())

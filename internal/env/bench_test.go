@@ -37,7 +37,7 @@ func benchEnv(b *testing.B, n int) *Env {
 // construction) at the paper's simulation scale N=50, H=5.
 func BenchmarkEnvStepInto(b *testing.B) {
 	e := benchEnv(b, 50)
-	if _, err := e.ResetAt(0); err != nil {
+	if _, err := e.ResetAtFaults(0, 0); err != nil {
 		b.Fatal(err)
 	}
 	action := tensor.NewVector(e.ActionDim())
@@ -52,7 +52,7 @@ func BenchmarkEnvStepInto(b *testing.B) {
 		}
 		if i%e.Cfg.EpisodeLen == e.Cfg.EpisodeLen-1 {
 			b.StopTimer()
-			if _, err := e.ResetAt(0); err != nil {
+			if _, err := e.ResetAtFaults(0, 0); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

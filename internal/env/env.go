@@ -193,13 +193,6 @@ func (e *Env) Reset() (tensor.Vector, error) {
 	return e.resetSession(start, faultSeed)
 }
 
-// ResetAt starts an episode at a fixed wall-clock time, for deterministic
-// evaluation runs. When faults are configured the episode uses fault seed
-// 0; ResetAtFaults chooses it explicitly.
-func (e *Env) ResetAt(start float64) (tensor.Vector, error) {
-	return e.ResetAtFaults(start, 0)
-}
-
 // ResetAtFaults starts an episode at a fixed wall-clock time with a fixed
 // fault-schedule seed — fully deterministic faulty evaluation.
 func (e *Env) ResetAtFaults(start float64, faultSeed int64) (tensor.Vector, error) {
@@ -230,7 +223,7 @@ func (e *Env) State() tensor.Vector {
 	if e.ses == nil {
 		panic("env: State before Reset")
 	}
-	s := BuildState(e.Sys, e.ses.Clock, e.Cfg)
+	s, _ := BuildStateInto(nil, nil, e.Sys, e.ses.Clock, e.Cfg)
 	if sched := e.ses.Opts.Faults; sched != nil {
 		MaskState(s, sched.Down(e.ses.K()), e.Cfg.History)
 	}
@@ -247,7 +240,7 @@ func (e *Env) Down() []bool {
 }
 
 // MaskState zeroes the H+1 bandwidth slots of every down device in a state
-// vector built by BuildState, in place. The online DRL scheduler applies
+// vector built by BuildStateInto, in place. The online DRL scheduler applies
 // the same masking so reasoning states match training states under churn.
 func MaskState(s tensor.Vector, down []bool, history int) {
 	if down == nil {
@@ -264,18 +257,12 @@ func MaskState(s tensor.Vector, down []bool, history int) {
 	}
 }
 
-// BuildState constructs the paper's state s_k for an arbitrary system and
-// wall-clock time: the concatenated, normalized H+1 bandwidth-slot histories
-// of every device. Exposed so the online DRL scheduler can rebuild states
-// exactly as they looked during training.
-func BuildState(sys *fl.System, clock float64, cfg Config) tensor.Vector {
-	s, _ := BuildStateInto(nil, nil, sys, clock, cfg)
-	return s
-}
-
-// BuildStateInto is BuildState writing into caller-provided buffers: dst
-// receives the state (resliced to N·(H+1) entries, reallocated only when
-// its capacity is short). The slot averages come from the system's
+// BuildStateInto constructs the paper's state s_k for an arbitrary system
+// and wall-clock time: the concatenated, normalized H+1 bandwidth-slot
+// histories of every device. Exposed so the online DRL scheduler can
+// rebuild states exactly as they looked during training. dst receives the
+// state (resliced to N·(H+1) entries, allocated when nil or when its
+// capacity is short). The slot averages come from the system's
 // slot-major table (fl.System.SlotTable): H+1 sequential row reads. A system
 // without one falls back to each trace's HistoryInto, reusing scratch for
 // the per-device histories. Both buffers are returned for reuse on the next
@@ -314,16 +301,11 @@ func BuildStateInto(dst tensor.Vector, scratch []float64, sys *fl.System, clock 
 	return dst, scratch
 }
 
-// MapAction maps a raw Gaussian action vector (one value per device,
+// MapActionInto maps a raw Gaussian action vector (one value per device,
 // nominally in (−1, 1) but unbounded when sampled) to feasible frequencies:
 // each component is clipped to [−1, 1] and scaled affinely onto
-// [minFreqFrac·δmax, δmax].
-func MapAction(sys *fl.System, a tensor.Vector, minFreqFrac float64) ([]float64, error) {
-	return MapActionInto(nil, sys, a, minFreqFrac)
-}
-
-// MapActionInto is MapAction writing the frequencies into a caller-provided
-// buffer (reallocated only when its capacity is short).
+// [minFreqFrac·δmax, δmax]. The frequencies go into dst, allocated when nil
+// or when its capacity is short.
 func MapActionInto(dst []float64, sys *fl.System, a tensor.Vector, minFreqFrac float64) ([]float64, error) {
 	if len(a) != sys.N() {
 		return nil, fmt.Errorf("env: action dim %d, want %d", len(a), sys.N())

@@ -109,11 +109,11 @@ func TestResetBuildsState(t *testing.T) {
 
 func TestResetAtDeterministic(t *testing.T) {
 	e := newEnv(t)
-	s1, err := e.ResetAt(50)
+	s1, err := e.ResetAtFaults(50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := e.ResetAt(50)
+	s2, _ := e.ResetAtFaults(50, 0)
 	if !tensor.Equal(s1, s2) {
 		t.Fatal("ResetAt not deterministic")
 	}
@@ -125,12 +125,12 @@ func TestResetAtDeterministic(t *testing.T) {
 func TestFreqsFromActionMapping(t *testing.T) {
 	e := newEnv(t)
 	// a = +1 (and beyond) → δmax; a = −1 (and below) → MinFreqFrac·δmax.
-	hi, err := MapAction(e.Sys, tensor.Vector{1, 2, 100}, e.Cfg.MinFreqFrac)
+	hi, err := MapActionInto(nil, e.Sys, tensor.Vector{1, 2, 100}, e.Cfg.MinFreqFrac)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, _ := MapAction(e.Sys, tensor.Vector{-1, -2, -100}, e.Cfg.MinFreqFrac)
-	mid, _ := MapAction(e.Sys, tensor.Vector{0, 0, 0}, e.Cfg.MinFreqFrac)
+	lo, _ := MapActionInto(nil, e.Sys, tensor.Vector{-1, -2, -100}, e.Cfg.MinFreqFrac)
+	mid, _ := MapActionInto(nil, e.Sys, tensor.Vector{0, 0, 0}, e.Cfg.MinFreqFrac)
 	for i, d := range e.Sys.Devices {
 		if !testutil.Within(hi[i], d.MaxFreqHz, 1e-6) {
 			t.Fatalf("a=+1 freq %v != δmax %v", hi[i], d.MaxFreqHz)
@@ -143,14 +143,14 @@ func TestFreqsFromActionMapping(t *testing.T) {
 			t.Fatalf("a=0 freq %v want %v", mid[i], wantMid)
 		}
 	}
-	if _, err := MapAction(e.Sys, tensor.Vector{0}, e.Cfg.MinFreqFrac); err == nil {
+	if _, err := MapActionInto(nil, e.Sys, tensor.Vector{0}, e.Cfg.MinFreqFrac); err == nil {
 		t.Fatal("wrong action dim accepted")
 	}
 }
 
 func TestStepRewardNegatesCost(t *testing.T) {
 	e := newEnv(t)
-	if _, err := e.ResetAt(10); err != nil {
+	if _, err := e.ResetAtFaults(10, 0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.StepInto(tensor.Vector{0.5, -0.5, 0})
@@ -172,7 +172,7 @@ func TestStepRewardNegatesCost(t *testing.T) {
 func TestEpisodeTermination(t *testing.T) {
 	e := newEnv(t)
 	e.Cfg.EpisodeLen = 3
-	if _, err := e.ResetAt(0); err != nil {
+	if _, err := e.ResetAtFaults(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	a := tensor.Vector{1, 1, 1}
@@ -212,7 +212,7 @@ func TestStepBeforeResetFails(t *testing.T) {
 
 func TestClockAdvancesWithIterations(t *testing.T) {
 	e := newEnv(t)
-	if _, err := e.ResetAt(5); err != nil {
+	if _, err := e.ResetAtFaults(5, 0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.StepInto(tensor.Vector{1, 1, 1})
@@ -243,14 +243,14 @@ func TestLowerFrequencyLowersEnergy(t *testing.T) {
 	// Driving the env with a lower action must never increase the energy
 	// component of the iteration.
 	e := newEnv(t)
-	if _, err := e.ResetAt(0); err != nil {
+	if _, err := e.ResetAtFaults(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	fast, err := e.StepInto(tensor.Vector{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ResetAt(0); err != nil {
+	if _, err := e.ResetAtFaults(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	slow, err := e.StepInto(tensor.Vector{-0.5, -0.5, -0.5})

@@ -10,17 +10,17 @@ import (
 func TestBuildStateStandalone(t *testing.T) {
 	sys := testSystem()
 	cfg := DefaultConfig()
-	s := BuildState(sys, 100, cfg)
+	s, _ := BuildStateInto(nil, nil, sys, 100, cfg)
 	if len(s) != sys.N()*(cfg.History+1) {
 		t.Fatalf("state len %d", len(s))
 	}
 	// Identical inputs are deterministic.
-	s2 := BuildState(sys, 100, cfg)
+	s2, _ := BuildStateInto(nil, nil, sys, 100, cfg)
 	if !tensor.Equal(s, s2) {
-		t.Fatal("BuildState not deterministic")
+		t.Fatal("BuildStateInto not deterministic")
 	}
 	// Different clocks change the state (traces are ramps).
-	s3 := BuildState(sys, 200, cfg)
+	s3, _ := BuildStateInto(nil, nil, sys, 200, cfg)
 	if tensor.Equal(s, s3) {
 		t.Fatal("state ignores the clock")
 	}
@@ -28,7 +28,7 @@ func TestBuildStateStandalone(t *testing.T) {
 
 func TestMapActionStandalone(t *testing.T) {
 	sys := testSystem()
-	fs, err := MapAction(sys, tensor.Vector{0, 0, 0}, 0.1)
+	fs, err := MapActionInto(nil, sys, tensor.Vector{0, 0, 0}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +38,13 @@ func TestMapActionStandalone(t *testing.T) {
 			t.Fatalf("mid action freq %v want %v", fs[i], want)
 		}
 	}
-	if _, err := MapAction(sys, tensor.Vector{0}, 0.1); err == nil {
+	if _, err := MapActionInto(nil, sys, tensor.Vector{0}, 0.1); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	if _, err := MapAction(sys, tensor.Vector{0, 0, 0}, 0); err == nil {
+	if _, err := MapActionInto(nil, sys, tensor.Vector{0, 0, 0}, 0); err == nil {
 		t.Fatal("minFrac 0 accepted")
 	}
-	if _, err := MapAction(sys, tensor.Vector{0, 0, 0}, 1); err == nil {
+	if _, err := MapActionInto(nil, sys, tensor.Vector{0, 0, 0}, 1); err == nil {
 		t.Fatal("minFrac 1 accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestMapActionMonotone(t *testing.T) {
 	sys := testSystem()
 	prev := -1.0
 	for _, a := range []float64{-2, -1, -0.5, 0, 0.5, 1, 2} {
-		fs, err := MapAction(sys, tensor.Vector{a, a, a}, 0.05)
+		fs, err := MapActionInto(nil, sys, tensor.Vector{a, a, a}, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func checkState(t *testing.T, sys *fl.System, cfg env.Config, clocks []float64) 
 	var scratch []float64
 	w := cfg.History + 1
 	for _, clock := range clocks {
-		fresh := env.BuildState(sys, clock, cfg)
+		fresh, _ := env.BuildStateInto(nil, nil, sys, clock, cfg)
 		dst, scratch = env.BuildStateInto(dst, scratch, sys, clock, cfg)
 		for i, tr := range sys.Traces {
 			for k, b := range tr.History(clock, cfg.SlotSec, cfg.History) {
@@ -155,7 +155,7 @@ func TestBuildStateConcurrentFirstUse(t *testing.T) {
 	clocks := stateClocks(600)
 	want := make([][]float64, len(clocks))
 	for c, clock := range clocks {
-		want[c] = env.BuildState(ref, clock, cfg)
+		want[c], _ = env.BuildStateInto(nil, nil, ref, clock, cfg)
 	}
 	for round := 0; round < 4; round++ {
 		sys := wavySystem(300, 200, 120, 300)
@@ -175,7 +175,7 @@ func TestBuildStateConcurrentFirstUse(t *testing.T) {
 					dst, scratch = env.BuildStateInto(dst, scratch, sys, clocks[k], c)
 					exp := want[k]
 					if c.SlotSec != cfg.SlotSec {
-						exp = env.BuildState(ref, clocks[k], c)
+						exp, _ = env.BuildStateInto(nil, nil, ref, clocks[k], c)
 					}
 					for j := range exp {
 						if math.Float64bits(dst[j]) != math.Float64bits(exp[j]) {

@@ -23,11 +23,11 @@ func TestStepIntoMatchesStep(t *testing.T) {
 		return e
 	}
 	ea, eb := mk(), mk()
-	sa, err := ea.ResetAt(123.4)
+	sa, err := ea.ResetAtFaults(123.4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := eb.ResetAt(123.4)
+	sb, err := eb.ResetAtFaults(123.4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestStepIntoMatchesStep(t *testing.T) {
 		for i := range action {
 			action[i] = rng.Float64()*2 - 1
 		}
-		freqs, err := MapAction(ea.Sys, action, ea.Cfg.MinFreqFrac)
+		freqs, err := MapActionInto(nil, ea.Sys, action, ea.Cfg.MinFreqFrac)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,8 +277,8 @@ func (r *HierSweepResult) Render(w io.Writer) error {
 
 // WriteCSV dumps one row per protocol variant. The measured throughput is
 // deliberately excluded: the CSV is a plotting artifact and stays byte
-// identical across runs and worker counts (results/BENCH_hier.json tracks
-// the host timings).
+// identical across runs and worker counts (internal/hier's benchmarks time
+// the engine).
 func (r *HierSweepResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{

@@ -161,9 +161,6 @@ func (s *Schedule) N() int { return s.n }
 // Config returns the generating configuration.
 func (s *Schedule) Config() Config { return s.cfg }
 
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() int64 { return s.seed }
-
 // At returns device i's fault state in iteration k (k ≥ 0), materializing
 // rows up to k on first access.
 func (s *Schedule) At(k, i int) DeviceFault {

@@ -249,37 +249,3 @@ func (f *Federation) Round() float64 {
 	}
 	return f.GlobalLoss()
 }
-
-// TrainResult reports a TrainUntil run.
-type TrainResult struct {
-	// Rounds is K, the number of rounds executed.
-	Rounds int
-	// FinalLoss is F(ω) after the last round.
-	FinalLoss float64
-	// Converged reports whether constraint (10) F(ω) < ε was met.
-	Converged bool
-	// LossCurve holds the global loss after each round.
-	LossCurve []float64
-}
-
-// TrainUntil runs rounds until F(ω) < ε (constraint 10) or maxRounds is hit.
-func (f *Federation) TrainUntil(eps float64, maxRounds int) (TrainResult, error) {
-	if eps <= 0 {
-		return TrainResult{}, fmt.Errorf("fedavg: ε = %v must be positive", eps)
-	}
-	if maxRounds <= 0 {
-		return TrainResult{}, fmt.Errorf("fedavg: max rounds %d must be positive", maxRounds)
-	}
-	res := TrainResult{}
-	for k := 0; k < maxRounds; k++ {
-		loss := f.Round()
-		res.Rounds++
-		res.FinalLoss = loss
-		res.LossCurve = append(res.LossCurve, loss)
-		if loss < eps {
-			res.Converged = true
-			break
-		}
-	}
-	return res, nil
-}

@@ -239,15 +239,5 @@ func (ses *Session) LastBandwidths() []float64 {
 	return out
 }
 
-// TotalCost returns Σ_k (T^k + λΣE), the paper's objective (9) over the
-// session so far.
-func (ses *Session) TotalCost() float64 {
-	var c float64
-	for _, it := range ses.History {
-		c += it.Cost
-	}
-	return c
-}
-
 // Reward returns the DRL reward (eq. 13) for an iteration: the negated cost.
 func Reward(it IterationStats) float64 { return -it.Cost }

@@ -307,7 +307,7 @@ func (u *unguarded) Frequencies(ctx sched.Context) ([]float64, error) {
 		return nil, err
 	}
 	u.pairedSafe += safe
-	state := env.BuildState(ctx.Sys, ctx.Clock, u.drl.Cfg)
+	state, _ := env.BuildStateInto(nil, nil, ctx.Sys, ctx.Clock, u.drl.Cfg)
 	env.MaskState(state, ctx.Down, u.drl.Cfg.History)
 	if u.corrupt != nil {
 		u.corrupt(u.iter, state)

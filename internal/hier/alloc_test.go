@@ -65,26 +65,3 @@ func TestStepIntoAllocFree(t *testing.T) {
 		})
 	}
 }
-
-// TestHeuristicPlanAllocFree pins the precomputed planner's per-step plan
-// at zero allocations.
-func TestHeuristicPlanAllocFree(t *testing.T) {
-	eng := allocEngine(t, 1, 0)
-	hp, err := NewHeuristicPlanner(eng, 0.05)
-	if err != nil {
-		t.Fatalf("NewHeuristicPlanner: %v", err)
-	}
-	for k := 0; k < 3; k++ {
-		if _, err := eng.StepInto(hp); err != nil {
-			t.Fatalf("warmup step %d: %v", k, err)
-		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := eng.StepInto(hp); err != nil {
-			t.Fatalf("StepInto: %v", err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("heuristic StepInto allocates %v objects per step, want 0", avg)
-	}
-}

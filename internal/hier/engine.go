@@ -212,28 +212,8 @@ func NewEngine(fleet *Fleet, top Topology, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Reset rewinds the engine to a fresh run starting at startTime.
-func (e *Engine) Reset(startTime float64) error {
-	if startTime < 0 || math.IsNaN(startTime) || math.IsInf(startTime, 0) {
-		return fmt.Errorf("hier: invalid start time %v", startTime)
-	}
-	e.clock = startTime
-	e.step = 0
-	for r := range e.inFlight {
-		e.inFlight[r] = false
-	}
-	e.events.Reset()
-	return nil
-}
-
 // Clock returns the current global wall-clock time.
 func (e *Engine) Clock() float64 { return e.clock }
-
-// K returns the number of committed global steps.
-func (e *Engine) K() int { return e.step }
-
-// Regions returns the region count.
-func (e *Engine) Regions() int { return e.Top.Regions() }
 
 // effectiveM resolves Config.MinArrivals against the region count.
 func (e *Engine) effectiveM() int {

@@ -316,51 +316,6 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := eng.StepInto(FixedPlanner{Frac: 2}); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
-	if err := eng.Reset(-1); err == nil {
-		t.Error("negative reset time accepted")
-	}
-	if err := eng.Reset(5); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	if eng.Clock() != 5 || eng.K() != 0 {
-		t.Fatalf("Reset left clock=%v k=%d", eng.Clock(), eng.K())
-	}
-}
-
-// TestHeuristicPlanner checks the precomputed fractions stay in range and
-// the plan is stable across steps.
-func TestHeuristicPlanner(t *testing.T) {
-	fleet := testFleet(t, 30, 9)
-	top, err := EvenTopology(30, 3)
-	if err != nil {
-		t.Fatalf("EvenTopology: %v", err)
-	}
-	eng, err := NewEngine(fleet, top, Config{Tau: 1, ModelBytes: 3e5, Lambda: 1e-3, CohortFrac: 1})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	hp, err := NewHeuristicPlanner(eng, 0.05)
-	if err != nil {
-		t.Fatalf("NewHeuristicPlanner: %v", err)
-	}
-	fracs := make([]float64, top.Regions())
-	if err := hp.PlanInto(fracs, eng); err != nil {
-		t.Fatalf("PlanInto: %v", err)
-	}
-	for r, f := range fracs {
-		if !(f >= 0.05) || f > 1 {
-			t.Fatalf("region %d fraction %v outside [0.05, 1]", r, f)
-		}
-	}
-	if _, err := eng.StepInto(hp); err != nil {
-		t.Fatalf("StepInto(heuristic): %v", err)
-	}
-	if _, err := NewHeuristicPlanner(eng, 0); err == nil {
-		t.Error("minFrac 0 accepted")
-	}
-	if _, err := NewHeuristicPlanner(nil, 0.05); err == nil {
-		t.Error("nil engine accepted")
-	}
 }
 
 // TestFromSystemRoundTrip checks Fleet ↔ System conversion preserves the

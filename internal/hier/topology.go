@@ -36,24 +36,6 @@ func EvenTopology(n, regions int) (Topology, error) {
 	return Topology{offsets: offsets}, nil
 }
 
-// NewTopology builds a topology from explicit region boundaries: offsets
-// must start at 0, end at the device count, and be strictly increasing
-// (every region non-empty).
-func NewTopology(offsets []int32) (Topology, error) {
-	if len(offsets) < 2 {
-		return Topology{}, fmt.Errorf("hier: topology needs at least one region")
-	}
-	if offsets[0] != 0 {
-		return Topology{}, fmt.Errorf("hier: topology must start at device 0, got %d", offsets[0])
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] <= offsets[i-1] {
-			return Topology{}, fmt.Errorf("hier: region %d is empty or inverted (%d..%d)", i-1, offsets[i-1], offsets[i])
-		}
-	}
-	return Topology{offsets: append([]int32(nil), offsets...)}, nil
-}
-
 // Regions returns the number of regions.
 func (t Topology) Regions() int { return len(t.offsets) - 1 }
 
@@ -62,16 +44,13 @@ func (t Topology) Region(r int) (lo, hi int) {
 	return int(t.offsets[r]), int(t.offsets[r+1])
 }
 
-// Size returns the number of devices in region r.
-func (t Topology) Size(r int) int { return int(t.offsets[r+1] - t.offsets[r]) }
-
 // N returns the total device count the topology covers.
 func (t Topology) N() int { return int(t.offsets[len(t.offsets)-1]) }
 
 // validate checks the topology against a fleet size.
 func (t Topology) validate(n int) error {
 	if len(t.offsets) < 2 {
-		return fmt.Errorf("hier: topology not initialized (use EvenTopology or NewTopology)")
+		return fmt.Errorf("hier: topology not initialized (use EvenTopology)")
 	}
 	if t.N() != n {
 		return fmt.Errorf("hier: topology covers %d devices, fleet has %d", t.N(), n)

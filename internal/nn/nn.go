@@ -1,9 +1,8 @@
 // Package nn implements the small feed-forward neural networks used by the
 // DRL agent: fully-connected layers with a choice of activations, manual
-// reverse-mode backpropagation, standard initializers and first-order
-// optimizers (SGD with momentum, Adam). Everything is float64 and pure
-// stdlib; a finite-difference gradient checker is provided so tests can
-// verify the analytic gradients.
+// reverse-mode backpropagation, standard initializers and the Adam
+// optimizer. Everything is float64 and pure stdlib; the tests check the
+// analytic gradients against finite differences.
 package nn
 
 import (

@@ -271,25 +271,6 @@ func TestUnmarshalMalformed(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	// Minimize f(w) = Σ (w_i - i)² with raw Params.
-	w := make([]float64, 4)
-	g := make([]float64, 4)
-	p := []Param{{Name: "w", W: w, G: g}}
-	opt := NewSGD(0.1, 0.9)
-	for step := 0; step < 300; step++ {
-		for i := range w {
-			g[i] = 2 * (w[i] - float64(i))
-		}
-		opt.Step(p)
-	}
-	for i := range w {
-		if math.Abs(w[i]-float64(i)) > 1e-3 {
-			t.Fatalf("SGD failed to converge: w=%v", w)
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	w := make([]float64, 4)
 	g := make([]float64, 4)

@@ -2,50 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and leaves the gradient
-	// buffers untouched (callers decide when to ZeroGrad).
-	Step(params []Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*float64][]float64 // keyed by &W[0]
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*float64][]float64)}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []Param) {
-	for _, p := range params {
-		if len(p.W) == 0 {
-			continue
-		}
-		if o.Momentum == 0 {
-			for i := range p.W {
-				p.W[i] -= o.LR * p.G[i]
-			}
-			continue
-		}
-		key := &p.W[0]
-		v := o.vel[key]
-		if v == nil {
-			v = make([]float64, len(p.W))
-			o.vel[key] = v
-		}
-		for i := range p.W {
-			v[i] = o.Momentum*v[i] + p.G[i]
-			p.W[i] -= o.LR * v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba 2015) with bias
 // correction.
 type Adam struct {

@@ -72,9 +72,6 @@ func (b *Buffer) Add(t Transition) {
 // Len returns the number of retained transitions.
 func (b *Buffer) Len() int { return len(b.items) }
 
-// Cap returns the retention bound.
-func (b *Buffer) Cap() int { return b.cap }
-
 // Total returns the lifetime ingest count.
 func (b *Buffer) Total() int { return b.total }
 
@@ -84,6 +81,3 @@ func (b *Buffer) Dropped() int { return b.dropped }
 // Items exposes the retained window in arrival order. The slice is owned
 // by the buffer; callers must not mutate it.
 func (b *Buffer) Items() []Transition { return b.items }
-
-// Clear drops the retained window (counters keep the lifetime totals).
-func (b *Buffer) Clear() { b.items = b.items[:0] }

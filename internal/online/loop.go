@@ -191,9 +191,6 @@ func NewLoop(sys *fl.System, agent *core.Agent, cfg Config) (*Loop, error) {
 // promotion, then the latest promoted candidate).
 func (l *Loop) Agent() *core.Agent { return l.agent }
 
-// Buffer exposes the replay buffer (tests and diagnostics).
-func (l *Loop) Buffer() *Buffer { return l.buf }
-
 // Stats returns lifetime counters: replayed transitions, skipped
 // (non-replayable) decisions, retrains and promotions.
 func (l *Loop) Stats() (replayed, skipped, retrains, promotions int) {

@@ -110,7 +110,7 @@ func TestDriftGateHysteresis(t *testing.T) {
 func TestUnmapPlanInvertsMapAction(t *testing.T) {
 	sys, _ := testbed(t)
 	a := tensor.Vector{-1, 0.25, 1}
-	plan, err := env.MapAction(sys, a, 0.05)
+	plan, err := env.MapActionInto(nil, sys, a, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestReplayerRebuildsServedDecisions(t *testing.T) {
 			continue
 		}
 		replayed++
-		plan, merr := env.MapAction(mutated, tr.Action, agent.EnvCfg.MinFreqFrac)
+		plan, merr := env.MapActionInto(nil, mutated, tr.Action, agent.EnvCfg.MinFreqFrac)
 		if merr != nil {
 			t.Fatal(merr)
 		}
@@ -189,7 +189,7 @@ func TestReplayerRebuildsServedDecisions(t *testing.T) {
 				t.Fatalf("k=%d device %d: action maps to %v, served plan was %v", d.Iter, i, plan[i], d.Plan[i])
 			}
 		}
-		raw := env.BuildState(mutated, d.Clock, agent.EnvCfg)
+		raw, _ := env.BuildStateInto(nil, nil, mutated, d.Clock, agent.EnvCfg)
 		agent.Norm.NormalizeInto(raw, raw)
 		if !reflect.DeepEqual(raw, tr.State) {
 			t.Fatalf("k=%d: replayed state differs from rebuilt state", d.Iter)

@@ -80,7 +80,7 @@ func TestA2CImprovesBandit(t *testing.T) {
 			buf.Add(Transition{State: s.Clone(), Action: a.Clone(), Reward: r,
 				LogProb: logp, Value: agent.Value(s), Done: true})
 		}
-		if _, err := agent.Update(MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda)); err != nil {
+		if _, err := agent.Update(MakeBatchInto(&Batch{}, buf, 0, cfg.Gamma, cfg.Lambda)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestA2CUpdateStats(t *testing.T) {
 		buf.Add(Transition{State: s.Clone(), Action: a.Clone(), Reward: rng.NormFloat64(),
 			LogProb: logp, Value: agent.Value(s), Done: true})
 	}
-	st, err := agent.Update(MakeBatch(buf, 0, 0.95, 0.95))
+	st, err := agent.Update(MakeBatchInto(&Batch{}, buf, 0, 0.95, 0.95))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func randomBatchFor(actor Policy, critic *nn.MLP, n int, rng *rand.Rand) *Batch 
 		buf.Add(Transition{State: s, Action: a.Clone(), Reward: rng.NormFloat64(),
 			LogProb: logp, Value: critic.Forward(s)[0], Done: rng.Intn(17) == 0})
 	}
-	return MakeBatch(buf, 0, 0.95, 0.95)
+	return MakeBatchInto(&Batch{}, buf, 0, 0.95, 0.95)
 }
 
 func compareParams(t *testing.T, label string, a, b []nn.Param) {

@@ -141,16 +141,12 @@ func (b *Batch) growCosts(n int) {
 	}
 }
 
-// MakeBatch converts buffered transitions into a PPO batch. lastValue
+// MakeBatchInto converts buffered transitions into a PPO batch, writing
+// into a reusable Batch: once dst's slices reach the buffer capacity,
+// converting a drained buffer performs no heap allocations. lastValue
 // bootstraps the value of the state following the final transition (0 when
-// that transition ended an episode). Advantages are normalized.
-func MakeBatch(buf *Buffer, lastValue, gamma, lambda float64) *Batch {
-	return MakeBatchInto(&Batch{}, buf, lastValue, gamma, lambda)
-}
-
-// MakeBatchInto is MakeBatch writing into a reusable Batch: once dst's
-// slices reach the buffer capacity, converting a drained buffer performs no
-// heap allocations. It returns dst.
+// that transition ended an episode). Advantages are normalized. It returns
+// dst.
 func MakeBatchInto(dst *Batch, buf *Buffer, lastValue, gamma, lambda float64) *Batch {
 	items := buf.Items()
 	n := len(items)

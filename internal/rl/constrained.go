@@ -124,10 +124,6 @@ func (p *PPO) CostValues(s tensor.Vector) CostVec {
 	return k
 }
 
-// CostOptimizer exposes the cost critic's Adam instance for checkpointing
-// (nil when unconstrained).
-func (p *PPO) CostOptimizer() *nn.Adam { return p.costOpt }
-
 // ConstrainedState is the serializable snapshot of the Lagrangian extras:
 // multipliers, cost critic weights, and cost optimizer moments. It rides in
 // core.Checkpoint so constrained training resumes bit-identically.

@@ -211,7 +211,7 @@ func TestMultiplierProjectedAscent(t *testing.T) {
 
 // benchConstrainedPPOBatch builds the paper-scale constrained agent (18-dim
 // state, 3 actions, 64×64 actor, matching cost critic) plus a 256-sample
-// constrained batch — the shape behind results/BENCH_constrained.json.
+// constrained batch, the shape of the root BenchmarkPPOUpdate.
 func benchConstrainedPPOBatch(b *testing.B, workers int) (*PPO, *Batch) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))

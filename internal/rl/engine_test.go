@@ -350,7 +350,7 @@ func TestMakeBatchIntoMatchesMakeBatch(t *testing.T) {
 			})
 		}
 		got := MakeBatchInto(dst, buf, 0.5, 0.95, 0.9)
-		ref := MakeBatch(buf, 0.5, 0.95, 0.9)
+		ref := MakeBatchInto(&Batch{}, buf, 0.5, 0.95, 0.9)
 		if got != dst {
 			t.Fatal("MakeBatchInto must return dst")
 		}

@@ -5,8 +5,9 @@ import (
 	"math"
 )
 
-// GAE computes generalized advantage estimates and discounted returns for a
-// trajectory segment.
+// GAEInto computes generalized advantage estimates and discounted returns
+// for a trajectory segment, writing them into caller-provided slices that
+// must match the trajectory length.
 //
 //	δ_t = r_t + γ·V(s_{t+1})·(1−done_t) − V(s_t)
 //	A_t = δ_t + γλ·(1−done_t)·A_{t+1}
@@ -15,17 +16,6 @@ import (
 // cut before episode end. Returns are A_t + V(s_t), the critic's regression
 // targets. With λ=1 the advantages reduce to discounted Monte-Carlo returns
 // minus the baseline.
-func GAE(rewards, values []float64, lastValue float64, dones []bool, gamma, lambda float64) (adv, ret []float64) {
-	n := len(rewards)
-	adv = make([]float64, n)
-	ret = make([]float64, n)
-	GAEInto(adv, ret, rewards, values, lastValue, dones, gamma, lambda)
-	return adv, ret
-}
-
-// GAEInto is the allocation-free core of GAE: it writes the advantages and
-// returns into caller-provided slices, which must match the trajectory
-// length.
 func GAEInto(adv, ret, rewards, values []float64, lastValue float64, dones []bool, gamma, lambda float64) {
 	n := len(rewards)
 	if len(values) != n || len(dones) != n {

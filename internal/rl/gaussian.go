@@ -78,15 +78,6 @@ func (p *GaussianPolicy) MeanInto(dst, s tensor.Vector) {
 	copy(dst, p.Net.Forward(s))
 }
 
-// Std returns the current σ vector (freshly allocated).
-func (p *GaussianPolicy) Std() tensor.Vector {
-	out := tensor.NewVector(len(p.LogStd))
-	for i, l := range p.LogStd {
-		out[i] = math.Exp(l)
-	}
-	return out
-}
-
 // Sample draws a ~ N(μ(s), σ²) and returns the action with its log-density.
 func (p *GaussianPolicy) Sample(s tensor.Vector, rng *rand.Rand) (tensor.Vector, float64) {
 	mu := p.Mean(s)

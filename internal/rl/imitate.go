@@ -50,9 +50,6 @@ func NewImitator(actor ShardedPolicy, critic *nn.MLP, lr, maxGradNorm float64, w
 	}, nil
 }
 
-// Optimizer exposes the Adam state (tests pin its determinism).
-func (im *Imitator) Optimizer() *nn.Adam { return im.opt }
-
 // Step runs one full-batch NLL descent step over the row-aligned state and
 // action matrices and returns the batch NLL measured before the step. A
 // non-finite loss (poisoned log entries) skips the parameter update and

@@ -250,7 +250,7 @@ func TestPPOWithSharedPolicyImproves(t *testing.T) {
 			buf.Add(Transition{State: s, Action: a.Clone(), Reward: reward(s, a),
 				LogProb: logp, Value: agent.Value(s), Done: true})
 		}
-		if _, err := agent.Update(MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda)); err != nil {
+		if _, err := agent.Update(MakeBatchInto(&Batch{}, buf, 0, cfg.Gamma, cfg.Lambda)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -158,7 +158,8 @@ func TestGAEKnownValues(t *testing.T) {
 	values := []float64{0.5, 0.5, 0.5}
 	dones := []bool{false, false, true}
 	gamma, lambda := 0.9, 1.0
-	adv, ret := GAE(rewards, values, 123 /* ignored: final done */, dones, gamma, lambda)
+	adv, ret := make([]float64, 3), make([]float64, 3)
+	GAEInto(adv, ret, rewards, values, 123 /* ignored: final done */, dones, gamma, lambda)
 	// With λ=1 and terminal end: A_t = Σ γ^k r − V(s_t).
 	mc2 := 1.0
 	mc1 := 1 + gamma*mc2
@@ -177,7 +178,8 @@ func TestGAEBootstrapsLastValue(t *testing.T) {
 	rewards := []float64{0}
 	values := []float64{1}
 	dones := []bool{false}
-	adv, _ := GAE(rewards, values, 2, dones, 0.5, 0.9)
+	adv := make([]float64, 1)
+	GAEInto(adv, make([]float64, 1), rewards, values, 2, dones, 0.5, 0.9)
 	// δ = 0 + 0.5·2 − 1 = 0; A = 0.
 	if !approx(adv[0], 0, 1e-12) {
 		t.Fatalf("adv = %v", adv[0])
@@ -189,17 +191,20 @@ func TestGAEDoneResetsAccumulation(t *testing.T) {
 	rewards := []float64{1, 2, 1, 2}
 	values := []float64{0, 0, 0, 0}
 	dones := []bool{false, true, false, true}
-	adv, _ := GAE(rewards, values, 0, dones, 0.9, 0.9)
+	adv := make([]float64, 4)
+	GAEInto(adv, make([]float64, 4), rewards, values, 0, dones, 0.9, 0.9)
 	if !approx(adv[0], adv[2], 1e-12) || !approx(adv[1], adv[3], 1e-12) {
 		t.Fatalf("episode bleed-through: %v", adv)
 	}
 }
 
 func TestGAEPanics(t *testing.T) {
+	adv, ret := make([]float64, 1), make([]float64, 1)
 	for name, f := range map[string]func(){
-		"len":    func() { GAE([]float64{1}, []float64{1, 2}, 0, []bool{false}, 0.9, 0.9) },
-		"gamma":  func() { GAE([]float64{1}, []float64{1}, 0, []bool{false}, 1.5, 0.9) },
-		"lambda": func() { GAE([]float64{1}, []float64{1}, 0, []bool{false}, 0.9, -0.1) },
+		"len":    func() { GAEInto(adv, ret, []float64{1}, []float64{1, 2}, 0, []bool{false}, 0.9, 0.9) },
+		"out":    func() { GAEInto(adv, nil, []float64{1}, []float64{1}, 0, []bool{false}, 0.9, 0.9) },
+		"gamma":  func() { GAEInto(adv, ret, []float64{1}, []float64{1}, 0, []bool{false}, 1.5, 0.9) },
+		"lambda": func() { GAEInto(adv, ret, []float64{1}, []float64{1}, 0, []bool{false}, 0.9, -0.1) },
 	} {
 		func() {
 			defer func() {
@@ -285,7 +290,7 @@ func TestMakeBatch(t *testing.T) {
 			Done:    i == 2,
 		})
 	}
-	batch := MakeBatch(b, 0, 0.9, 0.95)
+	batch := MakeBatchInto(&Batch{}, b, 0, 0.9, 0.95)
 	if batch.Len() != 3 {
 		t.Fatalf("batch len %d", batch.Len())
 	}
@@ -383,7 +388,7 @@ func runBandit(t *testing.T, seed int64) (before, after float64) {
 				LogProb: logp, Value: agent.Value(s), Done: true,
 			})
 		}
-		batch := MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda)
+		batch := MakeBatchInto(&Batch{}, buf, 0, cfg.Gamma, cfg.Lambda)
 		if _, err := agent.Update(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +423,7 @@ func TestPPOUpdateStats(t *testing.T) {
 		buf.Add(Transition{State: s.Clone(), Action: a.Clone(), Reward: rng.NormFloat64(),
 			LogProb: logp, Value: agent.Value(s), Done: rng.Intn(4) == 0})
 	}
-	batch := MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda)
+	batch := MakeBatchInto(&Batch{}, buf, 0, cfg.Gamma, cfg.Lambda)
 	st, err := agent.Update(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +464,7 @@ func TestPPOFirstUpdateRatioIsOne(t *testing.T) {
 		buf.Add(Transition{State: s.Clone(), Action: a.Clone(), Reward: 1,
 			LogProb: logp, Value: agent.Value(s), Done: true})
 	}
-	st, err := agent.Update(MakeBatch(buf, 0, cfg.Gamma, cfg.Lambda))
+	st, err := agent.Update(MakeBatchInto(&Batch{}, buf, 0, cfg.Gamma, cfg.Lambda))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +490,8 @@ func TestGAELambdaZeroIsTD(t *testing.T) {
 			d[i] = rng.Intn(3) == 0
 		}
 		last := rng.NormFloat64()
-		adv, _ := GAE(r, v, last, d, 0.9, 0)
+		adv := make([]float64, n)
+		GAEInto(adv, make([]float64, n), r, v, last, d, 0.9, 0)
 		for t := 0; t < n; t++ {
 			nv := last
 			if t < n-1 {

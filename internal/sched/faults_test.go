@@ -48,7 +48,7 @@ func TestBaselinesDegradeGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := NewStaticFromWindow(sys, 0, 60, minFrac)
+	static, err := NewStaticSampled(sys, 2, minFrac, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,60 +293,6 @@ func NewStaticDecoupled(sys *fl.System, minFrac float64) (*Static, error) {
 	return &Static{fixed: fs}, nil
 }
 
-// NewStaticPooled builds the Static baseline exactly as §V-A describes it:
-// "we randomly select some bandwidth data from the dataset, and determine
-// the CPU-cycle frequency for each mobile device according to the average
-// value of these bandwidth data" — one pooled average across the whole
-// dataset, applied to every device. Ignoring per-device link heterogeneity
-// is what makes Static the weakest baseline in Fig. 7/8.
-func NewStaticPooled(sys *fl.System, samples int, minFrac float64, rng *rand.Rand) (*Static, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if samples <= 0 {
-		return nil, fmt.Errorf("sched: sample count %d must be positive", samples)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("sched: nil rng")
-	}
-	var sum float64
-	for s := 0; s < samples; s++ {
-		tr := sys.Traces[rng.Intn(len(sys.Traces))]
-		sum += tr.Samples[rng.Intn(len(tr.Samples))]
-	}
-	avg := sum / float64(samples)
-	if avg <= 0 {
-		avg = 1 // all-outage draw: assume a trickle
-	}
-	bw := make([]float64, sys.N())
-	for i := range bw {
-		bw[i] = avg
-	}
-	return NewStatic(sys, bw, minFrac)
-}
-
-// NewStaticFromWindow builds the Static baseline from the network as it
-// looks when federated learning starts: each device's assumed bandwidth is
-// its true trace average over [start, start+windowSec]. Because the plan
-// never adapts afterwards, regime drift over a long run makes this estimate
-// stale — the failure mode behind Static's poor showing in Fig. 7/8.
-func NewStaticFromWindow(sys *fl.System, start, windowSec, minFrac float64) (*Static, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if windowSec <= 0 {
-		return nil, fmt.Errorf("sched: window %v must be positive", windowSec)
-	}
-	bw := make([]float64, sys.N())
-	for i, tr := range sys.Traces {
-		bw[i] = tr.Average(start, start+windowSec)
-		if bw[i] <= 0 {
-			bw[i] = 1 // an all-outage window: assume a trickle
-		}
-	}
-	return NewStatic(sys, bw, minFrac)
-}
-
 // Name implements Scheduler.
 func (*Static) Name() string { return "static" }
 
@@ -494,7 +440,7 @@ func (*DRL) Name() string { return "drl" }
 
 // Frequencies implements Scheduler.
 func (d *DRL) Frequencies(ctx Context) ([]float64, error) {
-	state := env.BuildState(ctx.Sys, ctx.Clock, d.Cfg)
+	state, _ := env.BuildStateInto(nil, nil, ctx.Sys, ctx.Clock, d.Cfg)
 	// Mask crashed devices exactly as the training environment does, so
 	// reasoning states under churn match what the policy was trained on.
 	env.MaskState(state, ctx.Down, d.Cfg.History)

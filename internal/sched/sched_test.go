@@ -316,7 +316,7 @@ func TestDRLFrequenciesFromStateIntoReusesDst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := env.BuildState(sys, 50, cfg)
+	state, _ := env.BuildStateInto(nil, nil, sys, 50, cfg)
 	dst := make([]float64, 3)
 	out, err := d.FrequenciesFromStateInto(dst, Context{Sys: sys, Clock: 50}, state)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -268,6 +270,82 @@ func FuzzParseTenantSpecs(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, specs) {
 			t.Fatalf("round trip changed the specs:\n%+v\n%+v", specs, back)
+		}
+	})
+}
+
+// FuzzRestoreSnapshot holds the registry snapshot loader to its contract on
+// arbitrary file bytes: it never panics, an error names the server, every
+// tenant it registers resumes from iter ≥ 0 and a finite clock ≥ 0, and
+// saving the restored registry and restoring that file gives the same rows.
+func FuzzRestoreSnapshot(f *testing.F) {
+	for _, seed := range []string{
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3, "primary": "fresh"}, "iter": 4, "clock": 40}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 2, "primary": "heuristic", "tick_sec": 5}, "iter": 0, "clock": 0},
+		  {"spec": {"name": "b", "n": 2, "primary": "drl"}, "iter": 1, "clock": 1}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3}, "iter": -3, "clock": 1}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3}, "iter": 9223372036854775807, "clock": 1}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3}, "iter": 1, "clock": -5}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3}}, {"spec": {"name": "a", "n": 2}}]}`,
+		`{"version": 1, "tenants": [{"spec": {"name": "a", "n": 3}, "clock": 1e400}]}`,
+		`{"version": 1, "tenants": null}`,
+		`{"version": 2, "tenants": []}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A tenant builds 32 KB of trace per device, an actor sized by its
+		// fleet and a queue of up to 2^20 slots, so bound what one input
+		// may build; fleet and queue bounds are FuzzParseTenantSpecs's.
+		var probe Snapshot
+		if json.Unmarshal(data, &probe) == nil {
+			devices := 0
+			for _, ts := range probe.Tenants {
+				devices += max(ts.Spec.N, 0)
+			}
+			if len(probe.Tenants) > 8 || devices > 64 {
+				t.Skip("fleet too large for a fuzz input")
+			}
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "reg.snap.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(DefaultServerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.BeginDrainForTest(t)
+		restored, err := s.RestoreSnapshot(path)
+		if err != nil && !strings.HasPrefix(err.Error(), "server: ") {
+			t.Fatalf("error without context: %v", err)
+		}
+		snap := s.snapshot()
+		if len(snap.Tenants) != restored {
+			t.Fatalf("restored %d tenants, registry holds %d", restored, len(snap.Tenants))
+		}
+		for _, ts := range snap.Tenants {
+			if ts.Iter < 0 || math.IsNaN(ts.Clock) || math.IsInf(ts.Clock, 0) || ts.Clock < 0 {
+				t.Fatalf("tenant %q restored at iter %d, clock %v", ts.Spec.Name, ts.Iter, ts.Clock)
+			}
+		}
+		again := filepath.Join(dir, "again.snap.json")
+		if err := s.SaveSnapshot(again); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := New(DefaultServerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.BeginDrainForTest(t)
+		if n, err := s2.RestoreSnapshot(again); err != nil || n != restored {
+			t.Fatalf("saved snapshot restored %d of %d tenants: %v", n, restored, err)
+		}
+		if back := s2.snapshot(); !reflect.DeepEqual(back, snap) {
+			t.Fatalf("round trip changed the rows:\n%+v\n%+v", snap.Tenants, back.Tenants)
 		}
 	})
 }

@@ -88,15 +88,3 @@ func (r *registry) all() []*Tenant {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].spec.Name < ts[j].spec.Name })
 	return ts
 }
-
-// size counts registered tenants.
-func (r *registry) size() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}

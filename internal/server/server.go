@@ -412,9 +412,6 @@ type DrainReport struct {
 // registrations are refused from this point on. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // FinishDrain completes a graceful shutdown. It must be called after
 // BeginDrain and after the HTTP listener has stopped dispatching new
 // requests (http.Server.Shutdown): it waits for every in-flight handler to

@@ -745,6 +745,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s2.BeginDrainForTest(t)
 }
 
+// TestRestoreSnapshotRejectsInvalidRows feeds RestoreSnapshot rows whose
+// progress markers the decide path cannot produce. Each file is rejected
+// with an error naming the file, the tenant and the field, and none of its
+// tenants is registered, not even the valid row listed first.
+func TestRestoreSnapshotRejectsInvalidRows(t *testing.T) {
+	dir := t.TempDir()
+	for i, tc := range []struct{ row, field string }{
+		{`"iter": 2, "clock": -5`, "clock"},
+		{`"iter": -3, "clock": 20`, "iter"},
+		{`"iter": 9223372036854775807, "clock": 20`, "iter"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("reg%d.snap.json", i))
+		body := `{"version": 1, "tenants": [
+			{"spec": {"name": "good", "n": 3, "primary": "fresh"}, "iter": 4, "clock": 40},
+			{"spec": {"name": "bad", "n": 3, "primary": "fresh"}, ` + tc.row + `}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(DefaultServerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := s.RestoreSnapshot(path)
+		if err == nil {
+			t.Errorf("row {%s}: restored %d tenants without error", tc.row, restored)
+		} else {
+			for _, want := range []string{path, `"bad"`, tc.field} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("row {%s}: error %q does not name %s", tc.row, err, want)
+				}
+			}
+		}
+		if restored != 0 || s.Tenant("good") != nil || s.Tenant("bad") != nil {
+			t.Errorf("row {%s}: %d tenants registered from a rejected file", tc.row, restored)
+		}
+		s.BeginDrainForTest(t)
+	}
+}
+
 // BeginDrainForTest shuts the second server's workers down cleanly so the
 // test leaves no goroutines behind.
 func (s *Server) BeginDrainForTest(t *testing.T) *DrainReport {

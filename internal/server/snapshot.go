@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/report"
@@ -10,6 +11,12 @@ import (
 
 // snapshotVersion guards the snapshot wire format.
 const snapshotVersion = 1
+
+// maxSnapshotIter bounds a restored decision index. 2^53 decisions is
+// centuries of serving at a million a second, so no real run reaches it;
+// below it the index stays exact for clients that read JSON numbers as
+// float64, and far from int64 overflow on the next decision.
+const maxSnapshotIter int64 = 1 << 53
 
 // Snapshot is the registry's crash-safe persistent form: enough to rebuild
 // every tenant (specs are deterministic builders) plus the progress markers
@@ -55,9 +62,12 @@ func (s *Server) SaveSnapshot(path string) error {
 }
 
 // RestoreSnapshot re-registers every tenant from a snapshot file. A missing
-// file is a clean cold start, not an error. Tenants that fail to rebuild
-// (e.g. the daemon restarted without the agent a drl tenant requires) are
-// reported but do not block the rest.
+// file is a clean cold start, not an error. A row whose progress markers
+// the decide path could not have produced (a negative or non-finite clock,
+// an iter outside [0, 2^53]) rejects the whole file before any tenant is
+// registered. Tenants that fail to rebuild (e.g. the daemon restarted
+// without the agent a drl tenant requires) are reported but do not block
+// the rest.
 func (s *Server) RestoreSnapshot(path string) (restored int, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -72,6 +82,14 @@ func (s *Server) RestoreSnapshot(path string) (restored int, err error) {
 	}
 	if snap.Version != snapshotVersion {
 		return 0, fmt.Errorf("server: snapshot %s version %d, want %d", path, snap.Version, snapshotVersion)
+	}
+	for _, ts := range snap.Tenants {
+		if c := ts.Clock; math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+			return 0, fmt.Errorf("server: snapshot %s: tenant %q: clock %v must be finite and non-negative", path, ts.Spec.Name, c)
+		}
+		if ts.Iter < 0 || int64(ts.Iter) > maxSnapshotIter {
+			return 0, fmt.Errorf("server: snapshot %s: tenant %q: iter %d outside [0, %d]", path, ts.Spec.Name, ts.Iter, maxSnapshotIter)
+		}
 	}
 	var firstErr error
 	for _, ts := range snap.Tenants {

@@ -24,13 +24,6 @@ func (c CI) String() string {
 // Contains reports whether x lies inside the interval.
 func (c CI) Contains(x float64) bool { return x >= c.Lo && x <= c.Hi }
 
-// BootstrapMean computes a percentile-bootstrap confidence interval for the
-// mean of xs with the given resample count and level, seeded for
-// reproducibility. It panics on an empty sample, bad level or resamples < 1.
-func BootstrapMean(xs []float64, resamples int, level float64, seed int64) CI {
-	return Bootstrap(xs, Mean, resamples, level, seed)
-}
-
 // Bootstrap computes a percentile-bootstrap confidence interval for an
 // arbitrary statistic.
 func Bootstrap(xs []float64, stat func([]float64) float64, resamples int, level float64, seed int64) CI {

@@ -12,7 +12,7 @@ func TestBootstrapMeanBasics(t *testing.T) {
 	for i := range xs {
 		xs[i] = 5 + rng.NormFloat64()
 	}
-	ci := BootstrapMean(xs, 500, 0.95, 7)
+	ci := Bootstrap(xs, Mean, 500, 0.95, 7)
 	if !ci.Contains(ci.Point) {
 		t.Fatalf("interval excludes its own point: %v", ci)
 	}
@@ -35,12 +35,12 @@ func TestBootstrapMeanBasics(t *testing.T) {
 
 func TestBootstrapDeterministicUnderSeed(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	a := BootstrapMean(xs, 200, 0.9, 42)
-	b := BootstrapMean(xs, 200, 0.9, 42)
+	a := Bootstrap(xs, Mean, 200, 0.9, 42)
+	b := Bootstrap(xs, Mean, 200, 0.9, 42)
 	if a != b {
 		t.Fatalf("same seed gave %v vs %v", a, b)
 	}
-	c := BootstrapMean(xs, 200, 0.9, 43)
+	c := Bootstrap(xs, Mean, 200, 0.9, 43)
 	if a.Lo == c.Lo && a.Hi == c.Hi {
 		t.Fatal("different seed should perturb the interval")
 	}
@@ -52,8 +52,8 @@ func TestBootstrapHigherLevelWider(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * 3
 	}
-	narrow := BootstrapMean(xs, 800, 0.8, 1)
-	wide := BootstrapMean(xs, 800, 0.99, 1)
+	narrow := Bootstrap(xs, Mean, 800, 0.8, 1)
+	wide := Bootstrap(xs, Mean, 800, 0.99, 1)
 	if wide.Hi-wide.Lo <= narrow.Hi-narrow.Lo {
 		t.Fatalf("99%% interval %v not wider than 80%% %v", wide, narrow)
 	}
@@ -61,10 +61,10 @@ func TestBootstrapHigherLevelWider(t *testing.T) {
 
 func TestBootstrapPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty":     func() { BootstrapMean(nil, 100, 0.95, 1) },
-		"resamples": func() { BootstrapMean([]float64{1}, 0, 0.95, 1) },
-		"level lo":  func() { BootstrapMean([]float64{1}, 100, 0, 1) },
-		"level hi":  func() { BootstrapMean([]float64{1}, 100, 1, 1) },
+		"empty":     func() { Bootstrap(nil, Mean, 100, 0.95, 1) },
+		"resamples": func() { Bootstrap([]float64{1}, Mean, 0, 0.95, 1) },
+		"level lo":  func() { Bootstrap([]float64{1}, Mean, 100, 0, 1) },
+		"level hi":  func() { Bootstrap([]float64{1}, Mean, 100, 1, 1) },
 		"nil stat":  func() { Bootstrap([]float64{1}, nil, 100, 0.9, 1) },
 		"diff a":    func() { MeanDiffCI(nil, []float64{1}, 100, 0.9, 1) },
 		"diff b":    func() { MeanDiffCI([]float64{1}, nil, 100, 0.9, 1) },

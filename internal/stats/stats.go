@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used by the evaluation
 // harness: summary moments, percentiles, empirical CDFs (the paper's
-// Fig. 7(d)–(f)), histograms and running accumulators.
+// Fig. 7(d)–(f)), moving averages and bootstrap confidence intervals.
 package stats
 
 import (
@@ -58,9 +58,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return Summarize(xs).Std }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between order statistics. It panics on an empty sample or
@@ -154,93 +151,6 @@ func (c *CDF) Points(n int) (xs, fs []float64) {
 	}
 	return xs, fs
 }
-
-// Histogram counts samples into equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram bins xs into `bins` equal-width buckets spanning the sample
-// range. It panics if bins ≤ 0.
-func NewHistogram(xs []float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: non-positive bin count")
-	}
-	h := &Histogram{Counts: make([]int, bins)}
-	if len(xs) == 0 {
-		return h
-	}
-	s := Summarize(xs)
-	h.Min, h.Max = s.Min, s.Max
-	width := (h.Max - h.Min) / float64(bins)
-	for _, x := range xs {
-		var idx int
-		if width > 0 {
-			idx = int((x - h.Min) / width)
-		}
-		if idx >= bins {
-			idx = bins - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h
-}
-
-// Running accumulates streaming mean/variance via Welford's algorithm.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the running population variance (0 when n < 2).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the running population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 { return r.max }
 
 // MovingAverage smooths a series with a trailing window of the given width,
 // used for the Fig. 6 convergence curves. Width ≤ 1 returns a copy.

@@ -51,7 +51,7 @@ func TestMeanStdAgreeWithNaive(t *testing.T) {
 			sq += (x - naiveMean) * (x - naiveMean)
 		}
 		naiveStd := math.Sqrt(sq / float64(n))
-		return approx(Mean(xs), naiveMean, 1e-9) && approx(Std(xs), naiveStd, 1e-9)
+		return approx(Mean(xs), naiveMean, 1e-9) && approx(Summarize(xs).Std, naiveStd, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -179,64 +179,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 	if x, _ := c.Points(0); x != nil {
 		t.Fatal("n=0 should yield nil")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if h.Total != 10 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bin %d = %d want 2", i, c)
-		}
-	}
-	// Constant sample lands everything in bin 0.
-	hc := NewHistogram([]float64{3, 3, 3}, 4)
-	if hc.Counts[0] != 3 {
-		t.Fatalf("constant histogram = %v", hc.Counts)
-	}
-	he := NewHistogram(nil, 3)
-	if he.Total != 0 {
-		t.Fatal("empty histogram total")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bins <= 0 should panic")
-		}
-	}()
-	NewHistogram([]float64{1}, 0)
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	xs := make([]float64, 200)
-	var r Running
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 1
-		r.Add(xs[i])
-	}
-	s := Summarize(xs)
-	if r.N() != s.N || !approx(r.Mean(), s.Mean, 1e-9) || !approx(r.Std(), s.Std, 1e-9) {
-		t.Fatalf("running %v/%v vs batch %v/%v", r.Mean(), r.Std(), s.Mean, s.Std)
-	}
-	if !approx(r.Min(), s.Min, 0) || !approx(r.Max(), s.Max, 0) {
-		t.Fatalf("running min/max %v/%v", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEdge(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Std() != 0 || r.N() != 0 {
-		t.Fatal("fresh Running not zero")
-	}
-	r.Add(5)
-	if r.Var() != 0 {
-		t.Fatal("single-sample variance should be 0")
 	}
 }
 

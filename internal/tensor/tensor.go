@@ -78,47 +78,6 @@ func (v Vector) Add(a, b Vector) {
 	}
 }
 
-// Sub stores a-b into v.
-func (v Vector) Sub(a, b Vector) {
-	checkLen3(len(v), len(a), len(b))
-	for i := range v {
-		v[i] = a[i] - b[i]
-	}
-}
-
-// Mul stores the elementwise product a*b into v.
-func (v Vector) Mul(a, b Vector) {
-	checkLen3(len(v), len(a), len(b))
-	for i := range v {
-		v[i] = a[i] * b[i]
-	}
-}
-
-// Scale multiplies every element of v by s in place.
-func (v Vector) Scale(s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
-// AddScaled performs v += s*a (axpy).
-func (v Vector) AddScaled(s float64, a Vector) {
-	checkLen2(len(v), len(a))
-	for i := range v {
-		v[i] += s * a[i]
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) float64 {
-	checkLen2(len(a), len(b))
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -126,91 +85,6 @@ func (v Vector) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Max returns the maximum element of v. It panics on an empty vector.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("tensor: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element of v. It panics on an empty vector.
-func (v Vector) Min() float64 {
-	if len(v) == 0 {
-		panic("tensor: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element of v.
-func (v Vector) ArgMax() int {
-	if len(v) == 0 {
-		panic("tensor: ArgMax of empty vector")
-	}
-	best, bi := v[0], 0
-	for i, x := range v {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
-}
-
-// Apply sets v[i] = f(v[i]) for every element.
-func (v Vector) Apply(f func(float64) float64) {
-	for i, x := range v {
-		v[i] = f(x)
-	}
-}
-
-// Map stores f(a[i]) into v[i].
-func (v Vector) Map(f func(float64) float64, a Vector) {
-	checkLen2(len(v), len(a))
-	for i, x := range a {
-		v[i] = f(x)
-	}
-}
-
-// Clamp limits every element of v to [lo, hi] in place.
-func (v Vector) Clamp(lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }
 
 // Equal reports whether a and b have identical length and elements.
@@ -293,34 +167,6 @@ func (m *Matrix) Fill(x float64) {
 	for i := range m.Data {
 		m.Data[i] = x
 	}
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// AddScaled performs m += s*a elementwise; shapes must match.
-func (m *Matrix) AddScaled(s float64, a *Matrix) {
-	if m.Rows != a.Rows || m.Cols != a.Cols {
-		panic("tensor: AddScaled shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += s * a.Data[i]
-	}
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
 }
 
 // MatVec stores m·x into dst. dst must have length m.Rows and x length

@@ -26,83 +26,16 @@ func TestVectorAddSubMul(t *testing.T) {
 	if !Equal(v, Vector{5, 7, 9}) {
 		t.Fatalf("Add = %v", v)
 	}
-	v.Sub(b, a)
-	if !Equal(v, Vector{3, 3, 3}) {
-		t.Fatalf("Sub = %v", v)
-	}
-	v.Mul(a, b)
-	if !Equal(v, Vector{4, 10, 18}) {
-		t.Fatalf("Mul = %v", v)
-	}
-}
-
-func TestVectorScaleAddScaled(t *testing.T) {
-	v := Vector{1, 2, 3}
-	v.Scale(2)
-	if !Equal(v, Vector{2, 4, 6}) {
-		t.Fatalf("Scale = %v", v)
-	}
-	v.AddScaled(0.5, Vector{2, 2, 2})
-	if !Equal(v, Vector{3, 5, 7}) {
-		t.Fatalf("AddScaled = %v", v)
-	}
 }
 
 func TestDotSumMeanNorm(t *testing.T) {
 	a := Vector{3, 4}
-	if Dot(a, a) != 25 {
-		t.Fatalf("Dot = %v", Dot(a, a))
-	}
-	if a.Sum() != 7 || a.Mean() != 3.5 {
-		t.Fatalf("Sum/Mean = %v/%v", a.Sum(), a.Mean())
-	}
-	if a.Norm2() != 5 {
-		t.Fatalf("Norm2 = %v", a.Norm2())
+	if a.Sum() != 7 {
+		t.Fatalf("Sum = %v", a.Sum())
 	}
 	var empty Vector
-	if empty.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-}
-
-func TestMinMaxArgMax(t *testing.T) {
-	v := Vector{2, -1, 7, 3}
-	if v.Max() != 7 || v.Min() != -1 || v.ArgMax() != 2 {
-		t.Fatalf("min/max/argmax = %v %v %v", v.Min(), v.Max(), v.ArgMax())
-	}
-}
-
-func TestEmptyVectorPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"Max":    func() { Vector{}.Max() },
-		"Min":    func() { Vector{}.Min() },
-		"ArgMax": func() { Vector{}.ArgMax() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on empty vector did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestApplyMapClamp(t *testing.T) {
-	v := Vector{-2, 0.5, 3}
-	v.Clamp(0, 1)
-	if !Equal(v, Vector{0, 0.5, 1}) {
-		t.Fatalf("Clamp = %v", v)
-	}
-	v.Apply(func(x float64) float64 { return x * 10 })
-	if !Equal(v, Vector{0, 5, 10}) {
-		t.Fatalf("Apply = %v", v)
-	}
-	w := NewVector(3)
-	w.Map(func(x float64) float64 { return -x }, v)
-	if !Equal(w, Vector{0, -5, -10}) {
-		t.Fatalf("Map = %v", w)
+	if empty.Sum() != 0 {
+		t.Fatal("empty sum should be 0")
 	}
 }
 
@@ -144,10 +77,11 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(1, 0) != 7 {
 		t.Fatal("Row should share storage")
 	}
-	m.Fill(1)
-	m.Scale(3)
-	if m.At(0, 0) != 3 {
-		t.Fatal("Fill/Scale failed")
+	m.Fill(3)
+	for _, x := range m.Data {
+		if x != 3 {
+			t.Fatal("Fill failed")
+		}
 	}
 	m.Zero()
 	for _, x := range m.Data {
@@ -164,20 +98,6 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 		}
 	}()
 	FromRows([][]float64{{1, 2}, {3}})
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMatrix(3, 5)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	tt := m.Transpose().Transpose()
-	for i := range m.Data {
-		if m.Data[i] != tt.Data[i] {
-			t.Fatal("(Aᵀ)ᵀ != A")
-		}
-	}
 }
 
 func TestMatVecKnown(t *testing.T) {
@@ -297,20 +217,13 @@ func TestAddOuterMatchesMatMul(t *testing.T) {
 	yr := FromRows([][]float64{{4, 5}})
 	want := NewMatrix(3, 2)
 	MatMul(want, xc, yr)
-	want.Scale(2)
+	for i := range want.Data {
+		want.Data[i] *= 2
+	}
 	for i := range m.Data {
 		if !almostEq(m.Data[i], want.Data[i], eps) {
 			t.Fatalf("AddOuter = %v want %v", m.Data, want.Data)
 		}
-	}
-}
-
-func TestMatrixAddScaled(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{10, 20}})
-	a.AddScaled(0.1, b)
-	if !almostEq(a.At(0, 0), 2, eps) || !almostEq(a.At(0, 1), 4, eps) {
-		t.Fatalf("AddScaled = %v", a.Data)
 	}
 }
 
@@ -321,10 +234,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 		"MatTVec":       func() { MatTVec(NewVector(2), m, NewVector(2)) },
 		"MatMul":        func() { MatMul(NewMatrix(2, 2), m, NewMatrix(2, 2)) },
 		"AddOuter":      func() { m.AddOuter(1, NewVector(3), NewVector(3)) },
-		"AddScaled":     func() { m.AddScaled(1, NewMatrix(3, 2)) },
 		"VecAdd":        func() { NewVector(2).Add(NewVector(3), NewVector(3)) },
-		"VecAddScaled":  func() { NewVector(2).AddScaled(1, NewVector(3)) },
-		"Dot":           func() { Dot(NewVector(2), NewVector(3)) },
 		"negativeShape": func() { NewMatrix(-1, 2) },
 	}
 	for name, f := range cases {

@@ -1,18 +1,12 @@
 #!/bin/sh
 # serve_smoke.sh — boot flserver, drive it with flload, verify the SLO and
-# the drain invariants, then tear down. Two modes:
-#
-#   ./scripts/serve_smoke.sh          quick CI smoke: short burst with chaos
-#                                     requests mixed in, p99 bound, clean
-#                                     drain with zero dropped requests
-#   ./scripts/serve_smoke.sh -bench   measurement run: longer, more workers,
-#                                     results into results/BENCH_serving.json
+# the drain invariants, then tear down: a short burst with chaos requests
+# mixed in, a p99 bound, a clean drain with zero dropped requests, then a
+# reboot from the snapshot that survives kill -9. perfbench measures
+# serving (bash perfbench/run.sh --workload serve-testbed).
 #
 # Exits non-zero on any failed invariant. Requires only the go toolchain.
 set -eu
-
-MODE=smoke
-[ "${1:-}" = "-bench" ] && MODE=bench
 
 GO=${GO:-go}
 ADDR=127.0.0.1:8701
@@ -23,7 +17,7 @@ SNAP=$TMP/flserver.snap.json
 AUDITS=$TMP/audits
 SERVER_LOG=$TMP/flserver.log
 
-mkdir -p "$BIN" results
+mkdir -p "$BIN"
 $GO build -o "$BIN/flserver" ./cmd/flserver
 $GO build -o "$BIN/flload" ./cmd/flload
 
@@ -49,14 +43,9 @@ until curl -sf "$BASE/v1/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-if [ "$MODE" = bench ]; then
-    "$BIN/flload" -addr "$BASE" -tenants 8 -workers 32 -duration 30s \
-        -deadline-ms 500 -batch 16 -out results/BENCH_serving.json
-else
-    "$BIN/flload" -addr "$BASE" -tenants 4 -workers 16 -duration 5s \
-        -deadline-ms 500 -chaos 0.05 -max-p99-ms 250 \
-        -out "$TMP/BENCH_smoke.json"
-fi
+"$BIN/flload" -addr "$BASE" -tenants 4 -workers 16 -duration 5s \
+    -deadline-ms 500 -chaos 0.05 -max-p99-ms 250 \
+    -out "$TMP/BENCH_smoke.json"
 
 # Graceful drain: SIGTERM, then verify the daemon reports zero dropped
 # in-flight requests and leaves the audit files and snapshot behind.
