@@ -20,7 +20,7 @@ import (
 )
 
 // fleetBenchPolicy builds the paper-default shared actor over n devices.
-func fleetBenchPolicy(n int) (*rl.SharedGaussianPolicy, tensor.Vector) {
+func fleetBenchPolicy(n int) (*rl.GaussianPolicy, tensor.Vector) {
 	rng := rand.New(rand.NewSource(1))
 	p := rl.NewSharedGaussianPolicy(n, 6, []int{64, 64}, 0.4, rng)
 	s := tensor.NewVector(p.StateDim())

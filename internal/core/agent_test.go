@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,8 +25,8 @@ func TestSharedArchTrainerAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := tr.Agent()
-	if _, ok := agent.Policy.(*rl.SharedGaussianPolicy); !ok {
-		t.Fatalf("expected shared policy, got %T", agent.Policy)
+	if p, ok := agent.Policy.(*rl.GaussianPolicy); !ok || p.Groups != 4 {
+		t.Fatalf("expected a 4-group shared policy, got %T", agent.Policy)
 	}
 	path := t.TempDir() + "/shared.gob"
 	if err := agent.Save(path); err != nil {
@@ -34,12 +36,12 @@ func TestSharedArchTrainerAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := back.Policy.(*rl.SharedGaussianPolicy)
+	sp, ok := back.Policy.(*rl.GaussianPolicy)
 	if !ok {
-		t.Fatalf("round trip lost the shared architecture: %T", back.Policy)
+		t.Fatalf("round trip lost the policy type: %T", back.Policy)
 	}
-	if sp.N != 4 {
-		t.Fatalf("restored N = %d", sp.N)
+	if sp.Groups != 4 {
+		t.Fatalf("restored Groups = %d", sp.Groups)
 	}
 	// Decisions identical after the round trip.
 	s1, err := agent.Scheduler()
@@ -226,7 +228,7 @@ func TestUnmarshalAgentBoundsState(t *testing.T) {
 	critic := nn.NewMLP([]int{2, 1}, nn.Tanh, nn.Identity, rng)
 	for _, n := range []int{maxStateDim / 2, maxStateDim/2 + 1, math.MaxInt} {
 		p := rl.NewSharedGaussianPolicy(1, 2, nil, 0.5, rng)
-		p.N = n
+		p.Groups = n
 		data, err := (&Agent{Policy: p, Critic: critic}).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -235,5 +237,75 @@ func TestUnmarshalAgentBoundsState(t *testing.T) {
 		if accept := n <= maxStateDim/2; (err == nil) != accept {
 			t.Errorf("N = %d with 2 inputs per device: error %v, want accepted %v", n, err, accept)
 		}
+	}
+}
+
+// TestUnmarshalAgentRejectsBadPolicyState: an agent file whose normalizer
+// cannot standardize the actor's state, or whose log-σ does not match the
+// actor's outputs, is refused at decode rather than at its first decision.
+func TestUnmarshalAgentRejectsBadPolicyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	critic := nn.NewMLP([]int{2, 1}, nn.Tanh, nn.Identity, rng)
+	for name, mut := range map[string]func(*Agent){
+		"mean":  func(a *Agent) { a.Norm.Mean[0] = math.NaN() },
+		"m2":    func(a *Agent) { a.Norm.M2[1] = -1 },
+		"count": func(a *Agent) { a.Norm.Count = -5 },
+		"clip":  func(a *Agent) { a.Norm.Clip = math.NaN() },
+		"dim": func(a *Agent) {
+			a.Norm.Mean, a.Norm.M2 = make([]float64, 3), make([]float64, 3)
+		},
+		"logstd": func(a *Agent) {
+			a.Policy = &rl.GaussianPolicy{Net: nn.NewMLP([]int{1, 3}, nn.Tanh, nn.Tanh, rng), Groups: 2, LogStd: []float64{0}}
+		},
+	} {
+		a := &Agent{
+			Policy: rl.NewSharedGaussianPolicy(2, 1, []int{2}, 0.5, rng),
+			Critic: critic,
+			Norm:   &rl.ObsNormalizer{Mean: make([]float64, 2), M2: make([]float64, 2), Count: 3, Clip: 5},
+		}
+		mut(a)
+		data, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Agent).UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: malformed agent decoded", name)
+		}
+	}
+}
+
+// TestOneDeviceSharedAgentWire: a 1-device shared actor is the joint
+// actor's network, so it is written under the joint tag, and a file that
+// carries it under the shared tag with N = 1, as earlier versions wrote it,
+// still decodes to the same policy.
+func TestOneDeviceSharedAgentWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := &Agent{Policy: rl.NewSharedGaussianPolicy(1, 3, []int{4}, 0.5, rng), Critic: nn.NewMLP([]int{3, 1}, nn.Tanh, nn.Identity, rng)}
+	data, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w agentWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.Arch != string(ArchJoint) || w.N != 0 {
+		t.Fatalf("1-device shared actor written as %q with N = %d", w.Arch, w.N)
+	}
+	w.Arch, w.N = string(ArchShared), 1
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	var back Agent
+	if err := back.UnmarshalBinary(old.Bytes()); err != nil {
+		t.Fatalf("shared tag with N = 1 rejected: %v", err)
+	}
+	again, err := back.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("the decoded policy re-encodes differently")
 	}
 }

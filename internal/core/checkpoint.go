@@ -73,14 +73,6 @@ func (t *Trainer) optimizers() (actor, critic *nn.Adam, err error) {
 
 // CaptureCheckpoint snapshots the trainer's full training state.
 func (t *Trainer) CaptureCheckpoint() (*Checkpoint, error) {
-	actorSt, err := rl.CapturePolicy(t.actor)
-	if err != nil {
-		return nil, err
-	}
-	oldSt, err := rl.CapturePolicy(t.actorOld)
-	if err != nil {
-		return nil, err
-	}
 	actorOpt, criticOpt, err := t.optimizers()
 	if err != nil {
 		return nil, err
@@ -112,8 +104,8 @@ func (t *Trainer) CaptureCheckpoint() (*Checkpoint, error) {
 		Updates:     t.updates,
 		LastLoss:    t.lastLoss,
 		Stats:       t.statsCopy(),
-		Actor:       actorSt,
-		ActorOld:    oldSt,
+		Actor:       rl.CapturePolicy(t.actor),
+		ActorOld:    rl.CapturePolicy(t.actorOld),
 		Critic:      t.critic.State(),
 		ActorOpt:    actorOpt.State(t.actor.Params()),
 		CriticOpt:   criticOpt.State(t.critic.Params()),
@@ -162,27 +154,19 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 				i, len(tr.State), len(tr.Action), stateDim, actionDim)
 		}
 	}
-	if err := rl.RestorePolicy(t.actor, ck.Actor); err != nil {
-		return fmt.Errorf("core: restore actor: %w", err)
-	}
-	if err := rl.RestorePolicy(t.actorOld, ck.ActorOld); err != nil {
-		return fmt.Errorf("core: restore θ_old: %w", err)
-	}
-	if err := t.critic.LoadState(ck.Critic); err != nil {
-		return fmt.Errorf("core: restore critic: %w", err)
-	}
 	actorOpt, criticOpt, err := t.optimizers()
 	if err != nil {
 		return err
 	}
-	if err := actorOpt.LoadState(t.actor.Params(), ck.ActorOpt); err != nil {
-		return fmt.Errorf("core: restore actor optimizer: %w", err)
+	// Restore into scratch copies first, so that a rejected checkpoint
+	// leaves the trainer as it was. The constrained restore checks before
+	// it writes; once it passes too, nothing below can fail.
+	var norm *rl.ObsNormalizer
+	if t.norm != nil {
+		norm = t.norm.Clone()
 	}
-	if err := criticOpt.LoadState(t.critic.Params(), ck.CriticOpt); err != nil {
-		return fmt.Errorf("core: restore critic optimizer: %w", err)
-	}
-	if err := rl.RestoreNormalizer(t.norm, ck.Norm); err != nil {
-		return fmt.Errorf("core: restore normalizer: %w", err)
+	if err := restoreNets(ck, t.actor.Clone(), t.actorOld.Clone(), t.critic.Clone(), nn.NewAdam(1), nn.NewAdam(1), norm); err != nil {
+		return err
 	}
 	if cp := t.constrainedPPO(); cp != nil {
 		if err := cp.RestoreConstrained(ck.Constrained); err != nil {
@@ -190,6 +174,9 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 		}
 	} else if ck.Constrained != nil {
 		return fmt.Errorf("core: checkpoint is from a constrained run, trainer is unconstrained")
+	}
+	if err := restoreNets(ck, t.actor, t.actorOld, t.critic, actorOpt, criticOpt, t.norm); err != nil {
+		return err
 	}
 	t.buffer.Clear()
 	for _, tr := range ck.Buffer {
@@ -201,6 +188,30 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	t.stats = append([]EpisodeStats(nil), ck.Stats...)
 	t.nextEpisode = ck.Episode
 	t.lastSaved = ck.Episode
+	return nil
+}
+
+// restoreNets loads a checkpoint's networks, optimizer moments and
+// normalizer into targets shaped like the trainer's, in place.
+func restoreNets(ck *Checkpoint, actor, actorOld *rl.GaussianPolicy, critic *nn.MLP, actorOpt, criticOpt *nn.Adam, norm *rl.ObsNormalizer) error {
+	if err := rl.RestorePolicy(actor, ck.Actor); err != nil {
+		return fmt.Errorf("core: restore actor: %w", err)
+	}
+	if err := rl.RestorePolicy(actorOld, ck.ActorOld); err != nil {
+		return fmt.Errorf("core: restore θ_old: %w", err)
+	}
+	if err := critic.LoadState(ck.Critic); err != nil {
+		return fmt.Errorf("core: restore critic: %w", err)
+	}
+	if err := actorOpt.LoadState(actor.Params(), ck.ActorOpt); err != nil {
+		return fmt.Errorf("core: restore actor optimizer: %w", err)
+	}
+	if err := criticOpt.LoadState(critic.Params(), ck.CriticOpt); err != nil {
+		return fmt.Errorf("core: restore critic optimizer: %w", err)
+	}
+	if err := rl.RestoreNormalizer(norm, ck.Norm); err != nil {
+		return fmt.Errorf("core: restore normalizer: %w", err)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -232,6 +233,103 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 	// The pristine checkpoint must restore fine.
 	if err := newTrainer(nil).RestoreCheckpoint(good); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// TestRestoreCheckpointRejectsBadNormalizer: a normalizer state that cannot
+// standardize a state is refused at restore. A count of −5 used to restore
+// and fail an episode later on a NaN action.
+func TestRestoreCheckpointRejectsBadNormalizer(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Episodes = 8
+	cfg.NormalizeObs = true
+	good, err := LoadCheckpoint(trainInterrupted(t, cfg, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*rl.NormalizerState){
+		"count": func(st *rl.NormalizerState) { st.Count = -5 },
+		"mean":  func(st *rl.NormalizerState) { st.Mean[0] = math.NaN() },
+		"m2":    func(st *rl.NormalizerState) { st.M2[1] = -1 },
+		"clip":  func(st *rl.NormalizerState) { st.Clip = math.Inf(1) },
+	} {
+		ck := *good
+		ck.Norm.Mean = append([]float64(nil), good.Norm.Mean...)
+		ck.Norm.M2 = append([]float64(nil), good.Norm.M2...)
+		mut(&ck.Norm)
+		tr, err := NewTrainer(testbedSystem(2, 7), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.RestoreCheckpoint(&ck); err == nil {
+			t.Errorf("%s: corrupted normalizer accepted", name)
+		}
+	}
+	tr, err := NewTrainer(testbedSystem(2, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RestoreCheckpoint(good); err != nil {
+		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// TestRejectedRestoreLeavesTrainer: a checkpoint that fails a late check
+// leaves the trainer exactly as it was. Each checkpoint comes from a run
+// whose first update fired, so its networks differ from a fresh trainer's.
+func TestRejectedRestoreLeavesTrainer(t *testing.T) {
+	norm := fastConfig()
+	norm.Episodes = 8
+	norm.NormalizeObs = true
+	constrained := constrainedConfig()
+	cases := []struct {
+		name      string
+		run, into Config
+		mut       func(*Checkpoint)
+	}{
+		// A normalizer state restored into a trainer without one.
+		{"normalizer", norm, fastConfig(), func(*Checkpoint) {}},
+		// A cost optimizer row one moment short.
+		{"constrained", constrained, constrained, func(ck *Checkpoint) {
+			m := ck.Constrained.CostOpt.M
+			m[0] = m[0][1:]
+		}},
+	}
+	for _, c := range cases {
+		ck, err := LoadCheckpoint(trainInterrupted(t, c.run, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Updates < 1 {
+			t.Fatalf("%s: no update fired in 5 episodes", c.name)
+		}
+		c.mut(ck)
+		c.into.Episodes = c.run.Episodes
+		tr, err := NewTrainer(testbedSystem(2, 7), c.into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := tr.CaptureCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := tr.actor.Net.Layers[0].W.Data[0]
+		if w == ck.Actor.Net.W[0][0] {
+			t.Fatalf("%s: the checkpoint's first actor weight is the fresh trainer's", c.name)
+		}
+		if err := tr.RestoreCheckpoint(ck); err == nil {
+			t.Fatalf("%s: checkpoint accepted", c.name)
+		}
+		if got := tr.actor.Net.Layers[0].W.Data[0]; got != w {
+			t.Fatalf("%s: rejected restore wrote the actor: first weight %v, was %v", c.name, got, w)
+		}
+		after, err := tr.CaptureCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: rejected restore changed the trainer", c.name)
+		}
 	}
 }
 

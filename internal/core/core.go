@@ -233,26 +233,17 @@ func (a *Agent) MarshalBinary() ([]byte, error) {
 		w.NormCount = a.Norm.Count
 		w.NormClip = a.Norm.Clip
 	}
-	switch p := a.Policy.(type) {
-	case *rl.GaussianPolicy:
-		w.Arch = string(ArchJoint)
-		pn, err := p.Net.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.PolicyNet = pn
-		w.LogStd = append([]float64(nil), p.LogStd...)
-	case *rl.SharedGaussianPolicy:
-		w.Arch = string(ArchShared)
-		w.N = p.N
-		pn, err := p.Net.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.PolicyNet = pn
-		w.LogStd = append([]float64(nil), p.LogStd...)
-	default:
+	p, ok := a.Policy.(*rl.GaussianPolicy)
+	if !ok {
 		return nil, fmt.Errorf("core: cannot serialize policy type %T", a.Policy)
+	}
+	pn, err := p.Net.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	w.Arch, w.PolicyNet, w.LogStd = string(ArchJoint), pn, append([]float64(nil), p.LogStd...)
+	if p.Groups > 1 {
+		w.Arch, w.N = string(ArchShared), p.Groups
 	}
 	cr, err := a.Critic.MarshalBinary()
 	if err != nil {
@@ -280,47 +271,33 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	if err := critic.UnmarshalBinary(w.Critic); err != nil {
 		return err
 	}
+	groups := 1
 	switch Arch(w.Arch) {
 	case ArchJoint:
-		if len(w.LogStd) != net.OutDim() {
-			return fmt.Errorf("core: decode agent: logstd length %d vs action dim %d", len(w.LogStd), net.OutDim())
-		}
-		a.Policy = &rl.GaussianPolicy{
-			Net:     &net,
-			LogStd:  append([]float64(nil), w.LogStd...),
-			GLogStd: make([]float64, len(w.LogStd)),
-		}
 	case ArchShared:
-		if len(w.LogStd) != 1 || w.N <= 0 || w.N > maxStateDim/net.InDim() {
-			return fmt.Errorf("core: decode agent: malformed shared policy (logstd %d, N %d, %d inputs per device)", len(w.LogStd), w.N, net.InDim())
+		if w.N <= 0 || w.N > maxStateDim/net.InDim() {
+			return fmt.Errorf("core: decode agent: shared policy of %d devices with %d inputs each", w.N, net.InDim())
 		}
-		a.Policy = &rl.SharedGaussianPolicy{
-			Net:     &net,
-			N:       w.N,
-			LogStd:  append([]float64(nil), w.LogStd...),
-			GLogStd: make([]float64, 1),
-		}
+		groups = w.N
 	default:
 		return fmt.Errorf("core: decode agent: unknown architecture %q", w.Arch)
 	}
-	a.Critic = &critic
-	a.EnvCfg = w.EnvCfg
-	if w.HasNorm {
-		if len(w.NormMean) != net.InDim() && Arch(w.Arch) == ArchJoint {
-			return fmt.Errorf("core: decode agent: normalizer dim %d vs state dim %d", len(w.NormMean), net.InDim())
-		}
-		if len(w.NormMean) == 0 || len(w.NormMean) != len(w.NormM2) {
-			return fmt.Errorf("core: decode agent: malformed normalizer")
-		}
-		a.Norm = &rl.ObsNormalizer{
-			Mean:  append([]float64(nil), w.NormMean...),
-			M2:    append([]float64(nil), w.NormM2...),
-			Count: w.NormCount,
-			Clip:  w.NormClip,
-		}
-	} else {
-		a.Norm = nil
+	if len(w.LogStd) != net.OutDim() {
+		return fmt.Errorf("core: decode agent: logstd length %d vs %d network outputs", len(w.LogStd), net.OutDim())
 	}
+	policy := &rl.GaussianPolicy{Net: &net, Groups: groups, LogStd: w.LogStd, GLogStd: make([]float64, len(w.LogStd))}
+	var norm *rl.ObsNormalizer
+	if w.HasNorm {
+		st := rl.NormalizerState{Mean: w.NormMean, M2: w.NormM2, Count: w.NormCount, Clip: w.NormClip}
+		if st.Dim() != policy.StateDim() {
+			return fmt.Errorf("core: decode agent: normalizer dim %d vs state dim %d", st.Dim(), policy.StateDim())
+		}
+		if err := st.Validate(); err != nil {
+			return fmt.Errorf("core: decode agent: %w", err)
+		}
+		norm = &rl.ObsNormalizer{Mean: st.Mean, M2: st.M2, Count: st.Count, Clip: st.Clip}
+	}
+	a.Policy, a.Critic, a.EnvCfg, a.Norm = policy, &critic, w.EnvCfg, norm
 	return nil
 }
 
@@ -372,10 +349,10 @@ type Trainer struct {
 	Sys *fl.System
 
 	environment *env.Env
-	actor       rl.Policy
+	actor       *rl.GaussianPolicy
 	critic      *nn.MLP
 	algo        rl.Trainable
-	actorOld    rl.Policy
+	actorOld    *rl.GaussianPolicy
 	norm        *rl.ObsNormalizer
 	buffer      *rl.Buffer
 	batch       *rl.Batch // reused across buffer drains (see MakeBatchInto)
@@ -409,11 +386,10 @@ func NewTrainer(sys *fl.System, cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var actor rl.Policy
-	switch cfg.Arch {
-	case ArchShared:
+	var actor *rl.GaussianPolicy
+	if cfg.Arch == ArchShared {
 		actor = rl.NewSharedGaussianPolicy(environment.ActionDim(), cfg.Env.History+1, cfg.Hidden, cfg.InitStd, rng)
-	default:
+	} else {
 		actor = rl.NewGaussianPolicy(environment.StateDim(), environment.ActionDim(), cfg.Hidden, cfg.InitStd, rng)
 	}
 	criticSizes := append(append([]int{environment.StateDim()}, cfg.Hidden...), 1)
@@ -469,7 +445,7 @@ func NewTrainer(sys *fl.System, cfg Config) (*Trainer, error) {
 		actor:       actor,
 		critic:      critic,
 		algo:        algo,
-		actorOld:    actor.ClonePolicy(), // θ_old ← θ (line 4)
+		actorOld:    actor.Clone(), // θ_old ← θ (line 4)
 		norm:        norm,
 		buffer:      rl.NewBuffer(cfg.BufferSize),
 		batch:       &rl.Batch{},

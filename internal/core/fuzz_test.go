@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,8 +20,11 @@ import (
 
 // FuzzUnmarshalAgent drives the agent decoder (the path of flserver -agent
 // and flsim -agent through LoadAgent) with arbitrary bytes, seeded with
-// freshly built joint and shared agents. Invariants: decoding never panics,
-// and a decoded agent's policy evaluates a zero state without panicking.
+// freshly built joint and shared agents, with and without normalizers, and
+// with a 1-device shared agent under the shared tag that earlier versions
+// wrote. Invariants: decoding never panics, an accepted agent's normalizer
+// passes rl.NormalizerState.Validate at the actor's state length, and its
+// policy evaluates a zero state without panicking.
 func FuzzUnmarshalAgent(f *testing.F) {
 	// Small networks keep the seeds short, which the mutator and the
 	// minimizer both work through byte by byte.
@@ -28,6 +34,8 @@ func FuzzUnmarshalAgent(f *testing.F) {
 		{Policy: rl.NewGaussianPolicy(2, 1, []int{2}, 0.5, rng), Critic: critic},
 		{Policy: rl.NewSharedGaussianPolicy(2, 1, nil, 0.5, rng), Critic: critic,
 			Norm: &rl.ObsNormalizer{Mean: make([]float64, 2), M2: make([]float64, 2), Count: 1, Clip: 5}},
+		{Policy: rl.NewSharedGaussianPolicy(3, 1, []int{2}, 0.5, rng), Critic: critic,
+			Norm: &rl.ObsNormalizer{Mean: []float64{0.5, -1, 2}, M2: []float64{4, 0.25, 9}, Count: 7, Clip: 10}},
 	} {
 		data, err := a.MarshalBinary()
 		if err != nil {
@@ -35,10 +43,28 @@ func FuzzUnmarshalAgent(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	net, err := rl.NewSharedGaussianPolicy(1, 2, nil, 0.5, rng).Net.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cr, err := critic.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(agentWire{Arch: string(ArchShared), N: 1, PolicyNet: net, LogStd: []float64{-0.7}, Critic: cr}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a Agent
 		if err := a.UnmarshalBinary(data); err != nil {
 			return
+		}
+		if a.Norm != nil {
+			if err := a.Norm.Snapshot().Validate(); err != nil || a.Norm.Dim() != a.Policy.StateDim() {
+				t.Fatalf("accepted a %d-dim normalizer for a %d-dim state: %v", a.Norm.Dim(), a.Policy.StateDim(), err)
+			}
 		}
 		a.Policy.Mean(make(tensor.Vector, a.Policy.StateDim()))
 	})
@@ -46,45 +72,61 @@ func FuzzUnmarshalAgent(f *testing.F) {
 
 // FuzzLoadCheckpoint drives the checkpoint loader (the path of fltrain
 // -resume through ResumeTrainer) with arbitrary bytes: LoadCheckpoint, then
-// RestoreCheckpoint into a fresh small trainer. It is seeded with a real
-// checkpoint of that trainer and with copies whose RNG position is on
+// RestoreCheckpoint into a fresh small trainer of each kind: plain, with
+// NormalizeObs, and constrained. It is seeded with a real checkpoint of
+// each trainer and with copies of the plain one whose RNG position is on
 // another seed or out of reach. Invariants: no panic, no hang (the RNG
-// replay is bounded), and every error names the package.
+// replay is bounded), every error names the package, a rejected checkpoint
+// leaves the trainer unchanged, and an accepted one leaves a valid
+// normalizer.
 func FuzzLoadCheckpoint(f *testing.F) {
-	cfg := fastConfig()
-	cfg.Hidden = []int{2}
-	cfg.BufferSize = 4
-	cfg.Env.EpisodeLen = 3
-	cfg.Env.History = 1
-	cfg.PPO.Epochs = 1
+	plain := fastConfig()
+	plain.Hidden = []int{2}
+	plain.BufferSize = 4
+	plain.Env.EpisodeLen = 3
+	plain.Env.History = 1
+	plain.PPO.Epochs = 1
+	norm := plain
+	norm.NormalizeObs = true
+	constrained := plain
+	constrained.PPO.Constraint = rl.DefaultConstraintConfig()
+	cfgs := []Config{plain, norm, constrained}
 	sys := testbedSystem(1, 7)
-	tr, err := NewTrainer(sys, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seen := 0
-	if _, err := tr.Run(func(EpisodeStats) {
-		if seen++; seen == 2 {
-			tr.Stop()
+	checkpoint := func(cfg Config) *Checkpoint {
+		tr, err := NewTrainer(sys, cfg)
+		if err != nil {
+			f.Fatal(err)
 		}
-	}); !errors.Is(err, ErrInterrupted) {
-		f.Fatalf("expected ErrInterrupted, got %v", err)
+		seen := 0
+		if _, err := tr.Run(func(EpisodeStats) {
+			if seen++; seen == 2 {
+				tr.Stop()
+			}
+		}); !errors.Is(err, ErrInterrupted) {
+			f.Fatalf("expected ErrInterrupted, got %v", err)
+		}
+		ck, err := tr.CaptureCheckpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if fresh, err := NewTrainer(sys, cfg); err != nil || fresh.RestoreCheckpoint(ck) != nil {
+			f.Fatal("a seed checkpoint does not restore into a fresh trainer")
+		}
+		return ck
 	}
-	ck, err := tr.CaptureCheckpoint()
-	if err != nil {
-		f.Fatal(err)
-	}
-	if fresh, err := NewTrainer(sys, cfg); err != nil || fresh.RestoreCheckpoint(ck) != nil {
-		f.Fatal("the seed checkpoint does not restore into a fresh trainer")
-	}
+	ck := checkpoint(plain)
+	seeds := []*Checkpoint{ck}
 	for _, mut := range []func(*Checkpoint){
-		func(*Checkpoint) {},
 		func(ck *Checkpoint) { ck.RNG.Seed = 999 },
 		func(ck *Checkpoint) { ck.RNG.Draws = math.MaxUint64 },
 	} {
 		c := *ck
 		mut(&c)
-		data, err := json.Marshal(&c)
+		seeds = append(seeds, &c)
+	}
+	seeds = append(seeds, checkpoint(norm), checkpoint(constrained))
+	for _, ck := range seeds {
+		data, err := json.Marshal(ck)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -96,15 +138,31 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		ck, err := LoadCheckpoint(path)
-		if err == nil {
-			tr, nerr := NewTrainer(sys, cfg)
-			if nerr != nil {
-				t.Fatal(nerr)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "core: ") {
+				t.Fatalf("error without context: %v", err)
 			}
-			err = tr.RestoreCheckpoint(ck)
+			return
 		}
-		if err != nil && !strings.HasPrefix(err.Error(), "core: ") {
-			t.Fatalf("error without context: %v", err)
+		for _, cfg := range cfgs {
+			tr, err := NewTrainer(sys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := tr.CaptureCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.RestoreCheckpoint(ck); err != nil {
+				if !strings.HasPrefix(err.Error(), "core: ") {
+					t.Fatalf("error without context: %v", err)
+				}
+				if after, cerr := tr.CaptureCheckpoint(); cerr != nil || !reflect.DeepEqual(before, after) {
+					t.Fatalf("rejected checkpoint (%v) changed the trainer", err)
+				}
+			} else if err := rl.CaptureNormalizer(tr.norm).Validate(); err != nil {
+				t.Fatalf("restored an invalid normalizer: %v", err)
+			}
 		}
 	})
 }

@@ -117,11 +117,6 @@ type DeviceFault struct {
 	ComputeMult float64
 }
 
-// Healthy reports whether the device is entirely fault-free this iteration.
-func (d DeviceFault) Healthy() bool {
-	return !d.Down && d.FailedUploads == 0 && d.ComputeMult == 1
-}
-
 // Schedule materializes the fault processes for a fleet: At(k, i) is device
 // i's fault state in iteration k. Rows are computed lazily and memoized —
 // the Markov crash chain needs its predecessor — but every entry is a pure

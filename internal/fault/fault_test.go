@@ -49,7 +49,7 @@ func TestZeroConfigAllHealthy(t *testing.T) {
 	}
 	for k := 0; k < 50; k++ {
 		for i := 0; i < 5; i++ {
-			if df := s.At(k, i); !df.Healthy() {
+			if df := s.At(k, i); df.Down || df.FailedUploads != 0 || df.ComputeMult != 1 {
 				t.Fatalf("device %d iter %d not healthy under zero config: %+v", i, k, df)
 			}
 		}

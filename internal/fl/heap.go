@@ -28,9 +28,6 @@ func NewHeap[E any](less func(a, b E) bool, capacity int) *Heap[E] {
 // Len returns the number of queued elements.
 func (h *Heap[E]) Len() int { return len(h.s) }
 
-// Reset empties the heap, keeping its capacity for reuse.
-func (h *Heap[E]) Reset() { h.s = h.s[:0] }
-
 // Push inserts an element.
 func (h *Heap[E]) Push(e E) {
 	h.s = append(h.s, e)

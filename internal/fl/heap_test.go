@@ -62,23 +62,3 @@ func TestHeapInterleaved(t *testing.T) {
 		ref = ref[1:]
 	}
 }
-
-// TestHeapReset reuses a drained heap without reallocating.
-func TestHeapReset(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b }, 8)
-	for i := 5; i > 0; i-- {
-		h.Push(i)
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", h.Len())
-	}
-	h.Push(3)
-	h.Push(1)
-	if got := h.Peek(); got != 1 {
-		t.Fatalf("Peek = %d, want 1", got)
-	}
-	if got := h.Pop(); got != 1 {
-		t.Fatalf("Pop = %d, want 1", got)
-	}
-}

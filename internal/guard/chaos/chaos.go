@@ -27,7 +27,6 @@ import (
 	"repro/internal/env"
 	"repro/internal/fl"
 	"repro/internal/guard"
-	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -191,17 +190,12 @@ func mutateTraces(sys *fl.System, f func(tr *trace.Trace, rng *rand.Rand) error,
 // to −1 and every frequency to the floor — a maximal-stall plan that
 // looks perfectly finite and in-range.
 func PoisonAgent(a *core.Agent) (*core.Agent, error) {
-	p := a.Policy.ClonePolicy()
-	var net *nn.MLP
-	switch q := p.(type) {
-	case *rl.GaussianPolicy:
-		net = q.Net
-	case *rl.SharedGaussianPolicy:
-		net = q.Net
-	default:
-		return nil, fmt.Errorf("chaos: cannot poison policy type %T", p)
+	q, ok := a.Policy.(*rl.GaussianPolicy)
+	if !ok {
+		return nil, fmt.Errorf("chaos: cannot poison policy type %T", a.Policy)
 	}
-	last := net.Layers[len(net.Layers)-1]
+	p := q.Clone()
+	last := p.Net.Layers[len(p.Net.Layers)-1]
 	for i := range last.W.Data {
 		last.W.Data[i] = 0
 	}

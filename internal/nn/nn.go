@@ -437,15 +437,6 @@ func (m *MLP) Params() []Param {
 	return m.params
 }
 
-// NumParams returns the total number of scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.W)
-	}
-	return n
-}
-
 // CopyParamsFrom copies all parameter values from src (same architecture).
 func (m *MLP) CopyParamsFrom(src *MLP) {
 	dst, s := m.Params(), src.Params()

@@ -178,9 +178,12 @@ func TestMLPDims(t *testing.T) {
 	if m.InDim() != 7 || m.OutDim() != 4 {
 		t.Fatalf("dims = %d,%d", m.InDim(), m.OutDim())
 	}
-	want := 7*16 + 16 + 16*16 + 16 + 16*4 + 4
-	if m.NumParams() != want {
-		t.Fatalf("NumParams = %d want %d", m.NumParams(), want)
+	want, n := 7*16+16+16*16+16+16*4+4, 0
+	for _, p := range m.Params() {
+		n += len(p.W)
+	}
+	if n != want {
+		t.Fatalf("%d parameters, want %d", n, want)
 	}
 	if len(m.Params()) != 6 {
 		t.Fatalf("Params count = %d", len(m.Params()))

@@ -165,8 +165,8 @@ func NewLoop(sys *fl.System, agent *core.Agent, cfg Config) (*Loop, error) {
 	if agent == nil || agent.Policy == nil || agent.Critic == nil {
 		return nil, fmt.Errorf("online: nil agent")
 	}
-	if _, ok := agent.Policy.(rl.ShardedPolicy); !ok {
-		return nil, fmt.Errorf("online: policy %T does not support sharded imitation", agent.Policy)
+	if _, ok := agent.Policy.(*rl.GaussianPolicy); !ok {
+		return nil, fmt.Errorf("online: policy %T is not a *rl.GaussianPolicy", agent.Policy)
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

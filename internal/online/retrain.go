@@ -44,24 +44,24 @@ func (l *Loop) retrain() (*Report, error) {
 	items := l.buf.Items()
 	rep := &Report{Retrain: l.retrains, Samples: len(items), Epochs: l.cfg.Epochs}
 
+	actor := l.agent.Policy.(*rl.GaussianPolicy).Clone()
 	candidate := &core.Agent{
-		Policy: l.agent.Policy.ClonePolicy(),
+		Policy: actor,
 		Critic: l.agent.Critic,
 		EnvCfg: l.agent.EnvCfg,
 		Norm:   l.agent.Norm,
 	}
-	sp := candidate.Policy.(rl.ShardedPolicy)
-	S := tensor.NewMatrix(len(items), sp.StateDim())
-	A := tensor.NewMatrix(len(items), sp.ActionDim())
+	S := tensor.NewMatrix(len(items), actor.StateDim())
+	A := tensor.NewMatrix(len(items), actor.ActionDim())
 	for i, t := range items {
-		if len(t.State) != sp.StateDim() || len(t.Action) != sp.ActionDim() {
+		if len(t.State) != actor.StateDim() || len(t.Action) != actor.ActionDim() {
 			return rep, fmt.Errorf("online: transition %d dims (%d,%d) do not match policy (%d,%d)",
-				i, len(t.State), len(t.Action), sp.StateDim(), sp.ActionDim())
+				i, len(t.State), len(t.Action), actor.StateDim(), actor.ActionDim())
 		}
 		copy(S.Data[i*S.Cols:], t.State)
 		copy(A.Data[i*A.Cols:], t.Action)
 	}
-	im, err := rl.NewImitator(sp, candidate.Critic, l.cfg.LR, l.cfg.MaxGradNorm, l.cfg.Workers)
+	im, err := rl.NewImitator(actor, candidate.Critic, l.cfg.LR, l.cfg.MaxGradNorm, l.cfg.Workers)
 	if err != nil {
 		return rep, err
 	}

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -83,7 +82,7 @@ type A2C struct {
 }
 
 // NewA2C wires the actor and critic to fresh Adam optimizers. Like NewPPO it
-// requires a ShardedPolicy actor.
+// requires a *GaussianPolicy actor.
 func NewA2C(cfg A2CConfig, actor Policy, critic *nn.MLP) (*A2C, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -119,7 +118,7 @@ func (a *A2C) Update(batch *Batch) (UpdateStats, error) {
 		return UpdateStats{}, fmt.Errorf("rl: empty batch")
 	}
 	if a.engine == nil {
-		a.engine = newShardEngine(a.Actor.(ShardedPolicy), a.Critic, a.Cfg.Workers)
+		a.engine = newShardEngine(a.Actor.(*GaussianPolicy), a.Critic, a.Cfg.Workers)
 		a.arena = tensor.NewArena()
 	}
 	actorParams, criticParams := a.engine.actorParams, a.engine.criticParams
@@ -179,9 +178,3 @@ var (
 	_ Trainable = (*PPO)(nil)
 	_ Trainable = (*A2C)(nil)
 )
-
-// NewTrainableA2C adapts A2C construction to the same shape as NewPPO for
-// callers that select the algorithm at run time.
-func NewTrainableA2C(cfg A2CConfig, actor Policy, critic *nn.MLP, _ *rand.Rand) (Trainable, error) {
-	return NewA2C(cfg, actor, critic)
-}

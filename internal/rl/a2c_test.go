@@ -160,10 +160,11 @@ func TestTrainableInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	actor := NewGaussianPolicy(2, 1, []int{4}, 0.5, rng)
 	critic := nn.NewMLP([]int{2, 4, 1}, nn.Tanh, nn.Identity, rng)
-	tr, err := NewTrainableA2C(DefaultA2CConfig(), actor, critic, rng)
+	a2c, err := NewA2C(DefaultA2CConfig(), actor, critic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tr Trainable = a2c
 	if v := tr.Value(tensor.Vector{0.1, 0.2}); math.IsNaN(v) {
 		t.Fatal("NaN value")
 	}

@@ -40,7 +40,7 @@ func compareParams(t *testing.T, label string, a, b []nn.Param) {
 // batched log-density evaluation for both policy architectures.
 func TestLogProbBatchMatchesLogProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pols := []ShardedPolicy{
+	pols := []*GaussianPolicy{
 		NewGaussianPolicy(10, 3, []int{8}, 0.5, rng),
 		NewSharedGaussianPolicy(5, 2, []int{8}, 0.5, rng),
 	}
@@ -67,9 +67,9 @@ func TestLogProbBatchMatchesLogProb(t *testing.T) {
 // TestBackwardLogProbBatchMatchesSequential checks gradient accumulation
 // equivalence, including skipped zero-upstream rows.
 func TestBackwardLogProbBatchMatchesSequential(t *testing.T) {
-	mk := func(seed int64) []ShardedPolicy {
+	mk := func(seed int64) []*GaussianPolicy {
 		rng := rand.New(rand.NewSource(seed))
-		return []ShardedPolicy{
+		return []*GaussianPolicy{
 			NewGaussianPolicy(6, 2, []int{8}, 0.5, rng),
 			NewSharedGaussianPolicy(3, 2, []int{8}, 0.5, rng),
 		}

@@ -83,7 +83,7 @@ func (c ConstraintConfig) Validate() error {
 }
 
 // NewConstrainedPPO wires a Lagrangian PPO: like NewPPO (including its
-// ShardedPolicy requirement) plus a cost critic with one output per
+// *GaussianPolicy requirement) plus a cost critic with one output per
 // constraint and the multiplier state.
 func NewConstrainedPPO(cfg PPOConfig, actor Policy, critic, costCritic *nn.MLP, rng *rand.Rand) (*PPO, error) {
 	if !cfg.Constraint.Enabled {
@@ -146,10 +146,10 @@ func (p *PPO) CaptureConstrained() *ConstrainedState {
 	}
 }
 
-// RestoreConstrained copies a snapshot back in place. A nil snapshot is
-// valid only for an unconstrained PPO, and vice versa — resuming a
-// constrained run from an unconstrained checkpoint (or the reverse) is a
-// configuration error, not a silent reset.
+// RestoreConstrained copies a snapshot back in place, or returns an error
+// and writes nothing. A nil snapshot is valid only for an unconstrained
+// PPO, and vice versa — resuming a constrained run from an unconstrained
+// checkpoint (or the reverse) is a configuration error, not a silent reset.
 func (p *PPO) RestoreConstrained(st *ConstrainedState) error {
 	if st == nil {
 		if p.CostCritic != nil {
@@ -167,6 +167,11 @@ func (p *PPO) RestoreConstrained(st *ConstrainedState) error {
 		if l < 0 || !finite(l) {
 			return fmt.Errorf("rl: checkpoint multiplier λ_%d = %v invalid", j, l)
 		}
+	}
+	// Check the moments on a scratch optimizer first, so that nothing is
+	// written unless the whole snapshot fits.
+	if err := nn.NewAdam(1).LoadState(p.CostCritic.Params(), st.CostOpt); err != nil {
+		return err
 	}
 	if err := p.CostCritic.LoadState(st.CostCritic); err != nil {
 		return err

@@ -18,42 +18,10 @@ import (
 // entire training trajectory, is bit-identical whether the engine runs on
 // one goroutine or eight. This is the same invariance contract the rollout
 // collector (core.Config.Workers) and the hierarchical federation engine
-// already keep: parallelism changes wall-clock time, never results.
-
-// ShardedPolicy is implemented by policies the data-parallel update engine
-// can train: they evaluate and backpropagate a whole block of samples in
-// one matrix pass and produce gradient replicas. Both built-in policies
-// implement it, and PPO and A2C accept no other actor. Per-row batched
-// results are bit-identical to the per-sample Policy methods, and batched
-// gradient accumulation is bit-identical to BackwardLogProb applied in
-// ascending row order (pinned by TestLogProbBatchMatchesLogProb and
-// TestBackwardLogProbBatchMatchesSequential).
-type ShardedPolicy interface {
-	Policy
-	// LogProbBatch stores log π(a_i|s_i) for every row pair into out. It
-	// additionally caches the forward pass it runs.
-	LogProbBatch(S, A *tensor.Matrix, out tensor.Vector)
-	// BackwardLogProbBatch accumulates Σ_i upstream[i]·∇log π(a_i|s_i)
-	// into the parameter gradients. Rows with upstream[i] == 0 must
-	// contribute no gradient. When called with the same S matrix as an
-	// immediately preceding LogProbBatch — with parameters and S contents
-	// unchanged in between, as in the engine's block waves — it reuses the
-	// cached forward pass instead of recomputing it; callers that mutate
-	// S.Data or the parameters between the two calls must not interleave
-	// them this way.
-	BackwardLogProbBatch(S, A *tensor.Matrix, upstream tensor.Vector)
-	// CloneGradShard returns a replica sharing this policy's parameters
-	// (network weights, biases, log-σ) but owning private gradient
-	// accumulators and forward caches. Replicas run serial kernels and
-	// overwrite rather than accumulate their gradients on each
-	// BackwardLogProbBatch call.
-	CloneGradShard() ShardedPolicy
-}
-
-var (
-	_ ShardedPolicy = (*GaussianPolicy)(nil)
-	_ ShardedPolicy = (*SharedGaussianPolicy)(nil)
-)
+// already keep: parallelism changes wall-clock time, never results. The
+// actor's batched methods are bit-identical per row to its per-sample ones,
+// and accumulate gradients in the per-sample order (pinned by
+// TestLogProbBatchMatchesLogProb and TestBackwardLogProbBatchMatchesSequential).
 
 // gradShardRows is the fixed row-block size of the engine. The block
 // decomposition — and with it every floating-point grouping in the merged
@@ -69,7 +37,7 @@ const gradShardRows = 16
 type shardEngine struct {
 	workers int
 
-	actor  ShardedPolicy
+	actor  *GaussianPolicy
 	critic *nn.MLP
 
 	// Merge destinations, captured once: Policy.Params() appends the log-σ
@@ -86,7 +54,7 @@ type shardEngine struct {
 
 	// Per-block replicas and their cached parameter views, grown on demand
 	// (the full-batch KL pass needs more blocks than a minibatch).
-	ashards []ShardedPolicy
+	ashards []*GaussianPolicy
 	cshards []*nn.MLP
 	kshards []*nn.MLP
 	aparams [][]nn.Param
@@ -102,7 +70,7 @@ type shardEngine struct {
 	kbuf tensor.Vector // cost critic values, row-major m×NumConstraints
 }
 
-func newShardEngine(actor ShardedPolicy, critic *nn.MLP, workers int) *shardEngine {
+func newShardEngine(actor *GaussianPolicy, critic *nn.MLP, workers int) *shardEngine {
 	if workers < 1 {
 		workers = 1
 	}
@@ -125,7 +93,7 @@ func (e *shardEngine) attachCostCritic(k *nn.MLP) {
 // ensure grows the replica pool to blocks and the value buffer to m rows.
 func (e *shardEngine) ensure(blocks, m int) {
 	for len(e.ashards) < blocks {
-		as := e.actor.CloneGradShard()
+		as := e.actor.cloneGradShard()
 		cs := e.critic.CloneGradOnly()
 		e.ashards = append(e.ashards, as)
 		e.cshards = append(e.cshards, cs)

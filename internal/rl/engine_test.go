@@ -156,7 +156,7 @@ func TestPPOUpdateBatchedMatchesSequential(t *testing.T) {
 				dV.Data[i] = rng.NormFloat64()
 			}
 
-			e := newShardEngine(actor.(ShardedPolicy), critic, 2)
+			e := newShardEngine(actor.(*GaussianPolicy), critic, 2)
 			logp := tensor.NewVector(rows)
 			V := e.forward(S, A, logp, true)
 			e.backward(upstream, dV, nil, true)

@@ -18,7 +18,7 @@ import (
 // the PPO update, so imitation inherits its contract unchanged: the
 // resulting parameters are bit-identical at any worker count.
 type Imitator struct {
-	actor       ShardedPolicy
+	actor       *GaussianPolicy
 	params      []nn.Param
 	opt         *nn.Adam
 	engine      *shardEngine
@@ -31,7 +31,7 @@ type Imitator struct {
 // NewImitator builds an imitation fine-tuner around the actor. The critic
 // rides along only to satisfy the engine's replica pool (imitation never
 // touches it); lr and maxGradNorm mirror PPOConfig.LR/MaxGradNorm.
-func NewImitator(actor ShardedPolicy, critic *nn.MLP, lr, maxGradNorm float64, workers int) (*Imitator, error) {
+func NewImitator(actor *GaussianPolicy, critic *nn.MLP, lr, maxGradNorm float64, workers int) (*Imitator, error) {
 	if actor == nil || critic == nil {
 		return nil, fmt.Errorf("rl: imitator needs an actor and a critic")
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/testutil"
 )
 
-func newShared(t *testing.T, n, perDev int, seed int64) *SharedGaussianPolicy {
+func newShared(t *testing.T, n, perDev int, seed int64) *GaussianPolicy {
 	t.Helper()
 	return NewSharedGaussianPolicy(n, perDev, []int{6}, 0.5, rand.New(rand.NewSource(seed)))
 }
@@ -271,7 +271,7 @@ func TestMeanIntoBitIdenticalToMean(t *testing.T) {
 		s[i] = rng.NormFloat64() * 3
 	}
 	want := p.Mean(s)
-	got := tensor.NewVector(p.N)
+	got := tensor.NewVector(p.Groups)
 	p.MeanInto(got, s)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -151,8 +151,8 @@ type PPO struct {
 }
 
 // NewPPO wires the actor and critic to fresh Adam optimizers. The actor must
-// implement ShardedPolicy (both built-in policies do): the update runs only
-// on the data-parallel engine.
+// be a *GaussianPolicy: the update runs only on the data-parallel engine,
+// which trains no other.
 func NewPPO(cfg PPOConfig, actor Policy, critic *nn.MLP, rng *rand.Rand) (*PPO, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -172,8 +172,8 @@ func NewPPO(cfg PPOConfig, actor Policy, critic *nn.MLP, rng *rand.Rand) (*PPO, 
 
 // checkActorCritic is the shape check NewPPO and NewA2C share.
 func checkActorCritic(actor Policy, critic *nn.MLP) error {
-	if _, ok := actor.(ShardedPolicy); !ok {
-		return fmt.Errorf("rl: actor %T does not implement ShardedPolicy", actor)
+	if _, ok := actor.(*GaussianPolicy); !ok {
+		return fmt.Errorf("rl: actor %T is not a *GaussianPolicy", actor)
 	}
 	if critic.OutDim() != 1 {
 		return fmt.Errorf("rl: critic must output one value, has %d", critic.OutDim())
@@ -211,7 +211,7 @@ func (p *PPO) Update(batch *Batch) (UpdateStats, error) {
 		return UpdateStats{}, fmt.Errorf("rl: constrained update needs a constrained batch: %d cost rows for %d samples (use MakeConstrainedBatchInto)", len(batch.CostAdv[0]), n)
 	}
 	if p.engine == nil {
-		p.engine = newShardEngine(p.Actor.(ShardedPolicy), p.Critic, p.Cfg.Workers)
+		p.engine = newShardEngine(p.Actor.(*GaussianPolicy), p.Critic, p.Cfg.Workers)
 		if constrained {
 			p.engine.attachCostCritic(p.CostCritic)
 		}

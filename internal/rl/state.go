@@ -75,76 +75,54 @@ func (c *CountingSource) Restore(st RNGState) {
 	c.draws = st.Draws
 }
 
-// Policy architecture tags used in PolicyState.
+// Policy architecture tags used in PolicyState: a one-group policy is the
+// joint actor, a policy of several groups the weight-shared one.
 const (
 	policyArchJoint  = "gaussian"
 	policyArchShared = "shared-gaussian"
 )
 
-// PolicyState is a serializable snapshot of either built-in policy.
+// PolicyState is a serializable snapshot of a GaussianPolicy.
 type PolicyState struct {
 	Arch   string      `json:"arch"`
-	N      int         `json:"n,omitempty"` // device count (shared arch only)
+	N      int         `json:"n,omitempty"` // group (device) count, shared arch only
 	Net    nn.MLPState `json:"net"`
 	LogStd []float64   `json:"log_std"`
 }
 
 // CapturePolicy snapshots a policy's parameters.
-func CapturePolicy(p Policy) (PolicyState, error) {
-	switch q := p.(type) {
-	case *GaussianPolicy:
-		return PolicyState{
-			Arch:   policyArchJoint,
-			Net:    q.Net.State(),
-			LogStd: append([]float64(nil), q.LogStd...),
-		}, nil
-	case *SharedGaussianPolicy:
-		return PolicyState{
-			Arch:   policyArchShared,
-			N:      q.N,
-			Net:    q.Net.State(),
-			LogStd: append([]float64(nil), q.LogStd...),
-		}, nil
-	default:
-		return PolicyState{}, fmt.Errorf("rl: cannot checkpoint policy type %T", p)
+func CapturePolicy(p *GaussianPolicy) PolicyState {
+	st := PolicyState{Arch: policyArchJoint, Net: p.Net.State(), LogStd: append([]float64(nil), p.LogStd...)}
+	if p.Groups > 1 {
+		st.Arch, st.N = policyArchShared, p.Groups
 	}
+	return st
 }
 
 // RestorePolicy copies a snapshot's parameters into an existing policy of
 // the same architecture, in place: the policy's weight slices keep their
-// identity so optimizer moment maps keyed on them stay valid.
-func RestorePolicy(p Policy, st PolicyState) error {
-	switch q := p.(type) {
-	case *GaussianPolicy:
-		if st.Arch != policyArchJoint {
-			return fmt.Errorf("rl: checkpoint policy arch %q, want %q", st.Arch, policyArchJoint)
-		}
-		if len(st.LogStd) != len(q.LogStd) {
-			return fmt.Errorf("rl: checkpoint has %d action dims, policy has %d", len(st.LogStd), len(q.LogStd))
-		}
-		if err := q.Net.LoadState(st.Net); err != nil {
-			return err
-		}
-		copy(q.LogStd, st.LogStd)
-		q.lastS, q.lastMu = nil, nil
-	case *SharedGaussianPolicy:
-		if st.Arch != policyArchShared {
-			return fmt.Errorf("rl: checkpoint policy arch %q, want %q", st.Arch, policyArchShared)
-		}
-		if st.N != q.N {
-			return fmt.Errorf("rl: checkpoint has %d devices, policy has %d", st.N, q.N)
-		}
-		if len(st.LogStd) != len(q.LogStd) {
-			return fmt.Errorf("rl: checkpoint log-σ length %d, policy has %d", len(st.LogStd), len(q.LogStd))
-		}
-		if err := q.Net.LoadState(st.Net); err != nil {
-			return err
-		}
-		copy(q.LogStd, st.LogStd)
-		q.lastS, q.lastMu = nil, nil
+// identity so optimizer moment maps keyed on them stay valid. Nothing is
+// written unless the whole snapshot fits.
+func RestorePolicy(p *GaussianPolicy, st PolicyState) error {
+	groups := 1
+	switch st.Arch {
+	case policyArchJoint:
+	case policyArchShared:
+		groups = st.N
 	default:
-		return fmt.Errorf("rl: cannot restore policy type %T", p)
+		return fmt.Errorf("rl: checkpoint policy arch %q unknown", st.Arch)
 	}
+	if groups != p.Groups {
+		return fmt.Errorf("rl: checkpoint policy has %d groups, policy has %d", groups, p.Groups)
+	}
+	if len(st.LogStd) != len(p.LogStd) {
+		return fmt.Errorf("rl: checkpoint log-σ length %d, policy has %d", len(st.LogStd), len(p.LogStd))
+	}
+	if err := p.Net.LoadState(st.Net); err != nil {
+		return err
+	}
+	copy(p.LogStd, st.LogStd)
+	p.lastS, p.lastMu = nil, nil
 	return nil
 }
 
@@ -200,7 +178,28 @@ func CaptureNormalizer(n *ObsNormalizer) NormalizerState {
 	}
 }
 
-// RestoreNormalizer copies a snapshot into an existing normalizer.
+// Validate checks that a snapshot can standardize states: equal lengths,
+// finite means, and finite non-negative M2, Count and Clip. The zero state
+// (no normalizer) is valid.
+func (st NormalizerState) Validate() error {
+	switch {
+	case len(st.M2) != len(st.Mean):
+		return fmt.Errorf("rl: normalizer has %d means and %d squared deviations", len(st.Mean), len(st.M2))
+	case !finite(st.Count) || st.Count < 0:
+		return fmt.Errorf("rl: normalizer count %v invalid", st.Count)
+	case !finite(st.Clip) || st.Clip < 0:
+		return fmt.Errorf("rl: normalizer clip %v invalid", st.Clip)
+	}
+	for i, m := range st.Mean {
+		if !finite(m) || !finite(st.M2[i]) || st.M2[i] < 0 {
+			return fmt.Errorf("rl: normalizer dimension %d has mean %v and squared deviation %v", i, m, st.M2[i])
+		}
+	}
+	return nil
+}
+
+// RestoreNormalizer copies a validated snapshot into an existing
+// normalizer; nothing is written if the snapshot is rejected.
 func RestoreNormalizer(n *ObsNormalizer, st NormalizerState) error {
 	if n == nil {
 		if st.Mean == nil {
@@ -211,8 +210,11 @@ func RestoreNormalizer(n *ObsNormalizer, st NormalizerState) error {
 	if st.Mean == nil {
 		return fmt.Errorf("rl: checkpoint has no normalizer state, trainer expects one")
 	}
-	if len(st.Mean) != n.Dim() || len(st.M2) != n.Dim() {
+	if len(st.Mean) != n.Dim() {
 		return fmt.Errorf("rl: checkpoint normalizer dim %d, trainer has %d", len(st.Mean), n.Dim())
+	}
+	if err := st.Validate(); err != nil {
+		return err
 	}
 	copy(n.Mean, st.Mean)
 	copy(n.M2, st.M2)

@@ -83,10 +83,7 @@ func TestCountingSourceRestoreContinuesStream(t *testing.T) {
 func TestPolicyStateRoundTripJoint(t *testing.T) {
 	src := NewGaussianPolicy(6, 3, []int{8}, 0.3, rand.New(rand.NewSource(1)))
 	src.LogStd[1] = -0.7 // make LogStd non-uniform so the copy is observable
-	st, err := CapturePolicy(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := CapturePolicy(src)
 	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +109,7 @@ func TestPolicyStateRoundTripJoint(t *testing.T) {
 
 func TestPolicyStateRoundTripShared(t *testing.T) {
 	src := NewSharedGaussianPolicy(3, 2, []int{4}, 0.3, rand.New(rand.NewSource(5)))
-	st, err := CapturePolicy(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := CapturePolicy(src)
 	dst := NewSharedGaussianPolicy(3, 2, []int{4}, 0.5, rand.New(rand.NewSource(6)))
 	if err := RestorePolicy(dst, st); err != nil {
 		t.Fatal(err)
@@ -130,14 +124,8 @@ func TestPolicyStateRoundTripShared(t *testing.T) {
 func TestRestorePolicyRejectsMismatch(t *testing.T) {
 	joint := NewGaussianPolicy(6, 3, []int{8}, 0.3, rand.New(rand.NewSource(1)))
 	shared := NewSharedGaussianPolicy(3, 2, []int{4}, 0.3, rand.New(rand.NewSource(1)))
-	jointSt, err := CapturePolicy(joint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedSt, err := CapturePolicy(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jointSt := CapturePolicy(joint)
+	sharedSt := CapturePolicy(shared)
 	if err := RestorePolicy(joint, sharedSt); err == nil {
 		t.Fatal("shared checkpoint accepted by joint policy")
 	}
@@ -204,5 +192,25 @@ func TestNormalizerStateRoundTrip(t *testing.T) {
 	}
 	if err := RestoreNormalizer(NewObsNormalizer(5, 10), st); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+}
+
+// TestRestorePolicyOneDeviceSharedTag: a 1-device shared actor is captured
+// under the joint tag, and a checkpoint that carries it under the shared tag
+// with n = 1, as earlier versions wrote it, still restores.
+func TestRestorePolicyOneDeviceSharedTag(t *testing.T) {
+	src := NewSharedGaussianPolicy(1, 2, []int{4}, 0.3, rand.New(rand.NewSource(3)))
+	st := CapturePolicy(src)
+	if st.Arch != policyArchJoint || st.N != 0 {
+		t.Fatalf("1-device shared actor captured as %q with n = %d", st.Arch, st.N)
+	}
+	st.Arch, st.N = policyArchShared, 1
+	dst := NewGaussianPolicy(2, 1, []int{4}, 0.5, rand.New(rand.NewSource(4)))
+	if err := RestorePolicy(dst, st); err != nil {
+		t.Fatal(err)
+	}
+	s, a := tensor.Vector{0.3, -0.1}, tensor.Vector{0.2}
+	if got, want := dst.LogProb(s, a), src.LogProb(s, a); got != want {
+		t.Fatalf("restored log-prob %v, want %v", got, want)
 	}
 }

@@ -37,10 +37,6 @@ func NewBucket(rate, burst float64, now func() time.Time) *Bucket {
 	return &Bucket{rate: rate, burst: burst, tokens: burst, last: now(), now: now}
 }
 
-// Take attempts to admit one request. On refusal it returns the wait until
-// a token will be available.
-func (b *Bucket) Take() (ok bool, retryAfter time.Duration) { return b.TakeN(1) }
-
 // TakeN attempts to admit n decisions at once (a batched request is
 // charged per decision, not per round trip). On refusal it returns the
 // wait until n tokens will have accumulated — which may exceed what the

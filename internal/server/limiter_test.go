@@ -16,11 +16,11 @@ func TestBucketBurstThenRefill(t *testing.T) {
 	b := NewBucket(10, 3, clk.now) // 10/s, burst 3
 
 	for k := 0; k < 3; k++ {
-		if ok, _ := b.Take(); !ok {
+		if ok, _ := b.TakeN(1); !ok {
 			t.Fatalf("take %d refused within burst", k)
 		}
 	}
-	ok, retry := b.Take()
+	ok, retry := b.TakeN(1)
 	if ok {
 		t.Fatal("take admitted past the burst with no time passing")
 	}
@@ -30,10 +30,10 @@ func TestBucketBurstThenRefill(t *testing.T) {
 
 	// One token refills in 100ms at 10/s.
 	clk.advance(100 * time.Millisecond)
-	if ok, _ := b.Take(); !ok {
+	if ok, _ := b.TakeN(1); !ok {
 		t.Fatal("take refused after a full token refilled")
 	}
-	if ok, _ := b.Take(); ok {
+	if ok, _ := b.TakeN(1); ok {
 		t.Fatal("second take admitted off a single refilled token")
 	}
 
@@ -41,7 +41,7 @@ func TestBucketBurstThenRefill(t *testing.T) {
 	clk.advance(time.Hour)
 	admitted := 0
 	for k := 0; k < 10; k++ {
-		if ok, _ := b.Take(); ok {
+		if ok, _ := b.TakeN(1); ok {
 			admitted++
 		}
 	}
@@ -52,7 +52,7 @@ func TestBucketBurstThenRefill(t *testing.T) {
 
 func TestBucketNilAndUnlimited(t *testing.T) {
 	var b *Bucket
-	if ok, _ := b.Take(); !ok {
+	if ok, _ := b.TakeN(1); !ok {
 		t.Fatal("nil bucket must admit")
 	}
 	if NewBucket(0, 5, nil) != nil {
@@ -66,10 +66,10 @@ func TestBucketNilAndUnlimited(t *testing.T) {
 func TestBucketMinimumBurst(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBucket(1, 0, clk.now) // burst raised to 1
-	if ok, _ := b.Take(); !ok {
+	if ok, _ := b.TakeN(1); !ok {
 		t.Fatal("fresh bucket with raised burst must admit one request")
 	}
-	if ok, _ := b.Take(); ok {
+	if ok, _ := b.TakeN(1); ok {
 		t.Fatal("burst-1 bucket admitted twice with no refill")
 	}
 }

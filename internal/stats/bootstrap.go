@@ -24,37 +24,6 @@ func (c CI) String() string {
 // Contains reports whether x lies inside the interval.
 func (c CI) Contains(x float64) bool { return x >= c.Lo && x <= c.Hi }
 
-// Bootstrap computes a percentile-bootstrap confidence interval for an
-// arbitrary statistic.
-func Bootstrap(xs []float64, stat func([]float64) float64, resamples int, level float64, seed int64) CI {
-	if len(xs) == 0 {
-		panic("stats: Bootstrap of empty sample")
-	}
-	if resamples < 1 {
-		panic(fmt.Sprintf("stats: resamples %d < 1", resamples))
-	}
-	if level <= 0 || level >= 1 {
-		panic(fmt.Sprintf("stats: confidence level %v outside (0,1)", level))
-	}
-	if stat == nil {
-		panic("stats: nil statistic")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	points := make([]float64, resamples)
-	resample := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range resample {
-			resample[i] = xs[rng.Intn(len(xs))]
-		}
-		points[r] = stat(resample)
-	}
-	sort.Float64s(points)
-	alpha := (1 - level) / 2
-	lo := points[clampIndex(int(alpha*float64(resamples)), resamples)]
-	hi := points[clampIndex(int((1-alpha)*float64(resamples)), resamples)]
-	return CI{Point: stat(xs), Lo: lo, Hi: hi, Level: level}
-}
-
 func clampIndex(i, n int) int {
 	if i < 0 {
 		return 0

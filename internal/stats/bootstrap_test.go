@@ -12,7 +12,9 @@ func TestBootstrapMeanBasics(t *testing.T) {
 	for i := range xs {
 		xs[i] = 5 + rng.NormFloat64()
 	}
-	ci := Bootstrap(xs, Mean, 500, 0.95, 7)
+	// Against a constant zero sample, the interval on the difference is one
+	// on the mean of xs.
+	ci := MeanDiffCI(xs, []float64{0}, 500, 0.95, 7)
 	if !ci.Contains(ci.Point) {
 		t.Fatalf("interval excludes its own point: %v", ci)
 	}
@@ -35,12 +37,13 @@ func TestBootstrapMeanBasics(t *testing.T) {
 
 func TestBootstrapDeterministicUnderSeed(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	a := Bootstrap(xs, Mean, 200, 0.9, 42)
-	b := Bootstrap(xs, Mean, 200, 0.9, 42)
+	ys := []float64{2, 4, 6}
+	a := MeanDiffCI(xs, ys, 200, 0.9, 42)
+	b := MeanDiffCI(xs, ys, 200, 0.9, 42)
 	if a != b {
 		t.Fatalf("same seed gave %v vs %v", a, b)
 	}
-	c := Bootstrap(xs, Mean, 200, 0.9, 43)
+	c := MeanDiffCI(xs, ys, 200, 0.9, 43)
 	if a.Lo == c.Lo && a.Hi == c.Hi {
 		t.Fatal("different seed should perturb the interval")
 	}
@@ -52,8 +55,8 @@ func TestBootstrapHigherLevelWider(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * 3
 	}
-	narrow := Bootstrap(xs, Mean, 800, 0.8, 1)
-	wide := Bootstrap(xs, Mean, 800, 0.99, 1)
+	narrow := MeanDiffCI(xs, xs[:30], 800, 0.8, 1)
+	wide := MeanDiffCI(xs, xs[:30], 800, 0.99, 1)
 	if wide.Hi-wide.Lo <= narrow.Hi-narrow.Lo {
 		t.Fatalf("99%% interval %v not wider than 80%% %v", wide, narrow)
 	}
@@ -61,15 +64,11 @@ func TestBootstrapHigherLevelWider(t *testing.T) {
 
 func TestBootstrapPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty":     func() { Bootstrap(nil, Mean, 100, 0.95, 1) },
-		"resamples": func() { Bootstrap([]float64{1}, Mean, 0, 0.95, 1) },
-		"level lo":  func() { Bootstrap([]float64{1}, Mean, 100, 0, 1) },
-		"level hi":  func() { Bootstrap([]float64{1}, Mean, 100, 1, 1) },
-		"nil stat":  func() { Bootstrap([]float64{1}, nil, 100, 0.9, 1) },
-		"diff a":    func() { MeanDiffCI(nil, []float64{1}, 100, 0.9, 1) },
-		"diff b":    func() { MeanDiffCI([]float64{1}, nil, 100, 0.9, 1) },
-		"diff r":    func() { MeanDiffCI([]float64{1}, []float64{1}, 0, 0.9, 1) },
-		"diff lvl":  func() { MeanDiffCI([]float64{1}, []float64{1}, 10, 2, 1) },
+		"diff a":      func() { MeanDiffCI(nil, []float64{1}, 100, 0.9, 1) },
+		"diff b":      func() { MeanDiffCI([]float64{1}, nil, 100, 0.9, 1) },
+		"diff r":      func() { MeanDiffCI([]float64{1}, []float64{1}, 0, 0.9, 1) },
+		"diff lvl lo": func() { MeanDiffCI([]float64{1}, []float64{1}, 10, 0, 1) },
+		"diff lvl":    func() { MeanDiffCI([]float64{1}, []float64{1}, 10, 2, 1) },
 	} {
 		func() {
 			defer func() {
@@ -101,17 +100,5 @@ func TestMeanDiffCIDetectsSeparation(t *testing.T) {
 	same := MeanDiffCI(a, a, 600, 0.95, 6)
 	if !same.Contains(0) {
 		t.Fatalf("self-difference CI excludes 0: %v", same)
-	}
-}
-
-func TestBootstrapCustomStatistic(t *testing.T) {
-	xs := []float64{1, 2, 3, 100} // median robust to the outlier
-	med := func(v []float64) float64 { return Percentile(v, 50) }
-	ci := Bootstrap(xs, med, 400, 0.9, 9)
-	if ci.Point != 2.5 {
-		t.Fatalf("median point = %v", ci.Point)
-	}
-	if ci.Hi > 100 && ci.Lo > 3 {
-		t.Fatalf("median CI blew up: %v", ci)
 	}
 }

@@ -78,15 +78,6 @@ func (v Vector) Add(a, b Vector) {
 	}
 }
 
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
 // Equal reports whether a and b have identical length and elements.
 func Equal(a, b Vector) bool {
 	if len(a) != len(b) {

@@ -28,17 +28,6 @@ func TestVectorAddSubMul(t *testing.T) {
 	}
 }
 
-func TestDotSumMeanNorm(t *testing.T) {
-	a := Vector{3, 4}
-	if a.Sum() != 7 {
-		t.Fatalf("Sum = %v", a.Sum())
-	}
-	var empty Vector
-	if empty.Sum() != 0 {
-		t.Fatal("empty sum should be 0")
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !(Vector{1, 2}).AllFinite() {
 		t.Fatal("finite vector reported non-finite")

@@ -275,7 +275,7 @@ func TestDifferentialLeadingOutage(t *testing.T) {
 }
 
 // TestCloneDropsIndex verifies the copy-on-write contract: mutating a
-// clone's samples (the pattern transform tests rely on) must never read the
+// clone's samples (the pattern the tests rely on) must never read the
 // original's cached index, and vice versa.
 func TestCloneDropsIndex(t *testing.T) {
 	tr := MustNew("cow", 1, []float64{1e6, 2e6, 3e6})

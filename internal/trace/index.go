@@ -16,9 +16,8 @@ import "math"
 // values and the cache is an atomic pointer swap.
 //
 // Invariant required of callers: a Trace's Samples must not be mutated after
-// the trace is first used. All package transforms (Resample, Slice, Scale,
-// Smooth, Concat) already return fresh traces; mutate-after-Clone, the
-// pattern the tests use, is safe because Clone never shares the cache.
+// the trace is first used. Mutate-after-Clone, the pattern the tests use,
+// is safe because Clone never shares the cache.
 
 // traceIndex is the immutable acceleration structure of one Trace.
 type traceIndex struct {

@@ -23,8 +23,8 @@ import (
 //
 // Samples must not be mutated once the trace is in use: query methods
 // lazily build and cache a prefix-sum index over the samples (see index.go)
-// that would go stale. Derive modified traces with Clone (which never
-// shares the cache) or the transforms in transform.go instead.
+// that would go stale. Derive modified traces with Clone, which never
+// shares the cache, or build a new one with New.
 type Trace struct {
 	// Name identifies the trace (e.g. "walking-4g-03").
 	Name string

@@ -6,9 +6,11 @@
 # checkout this script lives in. Both sides build fltrain and flexperiments
 # from their own source, then:
 #
-#   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2: the
-#     four saved .gob agents must be byte-identical (cmp), and so must the
-#     printed convergence tables;
+#   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2, at
+#     -arch joint|shared with -constrained and with -workers 2, and at
+#     -arch shared -n 12 -workers 2 -train-workers 2: the nine saved .gob
+#     agents must be byte-identical (cmp), and so must the printed
+#     convergence tables;
 #   - flexperiments -quick -out DIR: every CSV must be byte-identical, and
 #     stdout must match after dropping the "wrote ..." lines and the
 #     hier-sweep table's rounds/s and speedup columns, which are wall-clock
@@ -39,17 +41,27 @@ build() { # side dir
 		fail "build failed in $2"
 }
 
+# train runs one 60-episode fltrain of a side, saving NAME.gob and the
+# printed table as fltrain-NAME.txt.
+train() { # side name flags...
+	local side=$1 name=$2
+	shift 2
+	bin/fltrain -episodes 60 "$@" -o "$name.gob" >"fltrain-$name.txt" ||
+		fail "$side fltrain $* failed"
+}
+
 # run_side runs every workload of one side from inside its work directory,
 # so the paths the tools print are the same relative paths on both sides.
 run_side() { # side
 	cd "$work/$1"
 	for arch in joint shared; do
 		for tw in 0 2; do
-			bin/fltrain -episodes 60 -arch "$arch" -train-workers "$tw" \
-				-o "$arch-tw$tw.gob" >"fltrain-$arch-tw$tw.txt" ||
-				fail "$1 fltrain -arch $arch -train-workers $tw failed"
+			train "$1" "$arch-tw$tw" -arch "$arch" -train-workers "$tw"
 		done
+		train "$1" "$arch-constrained" -arch "$arch" -constrained
+		train "$1" "$arch-w2" -arch "$arch" -workers 2
 	done
+	train "$1" shared-n12-w2-tw2 -arch shared -n 12 -workers 2 -train-workers 2
 	bin/flexperiments -quick -out csv >flexperiments.txt ||
 		fail "$1 flexperiments -quick failed"
 	cd - >/dev/null
