@@ -256,10 +256,10 @@ func BenchmarkMatMul(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = rng.NormFloat64()
 	}
-	dst := tensor.NewMatrix(256, 64)
+	dst, bias := tensor.NewMatrix(256, 64), tensor.NewVector(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMulTransB(dst, a, w)
+		tensor.MatMulTransB(dst, a, w, bias)
 	}
 }
 

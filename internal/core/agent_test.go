@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -271,6 +272,49 @@ func TestUnmarshalAgentRejectsBadPolicyState(t *testing.T) {
 		if err := new(Agent).UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: malformed agent decoded", name)
 		}
+	}
+}
+
+// decodeMutatedAgent builds a small joint agent, applies mut to its policy
+// and critic, encodes it and returns the decode error.
+func decodeMutatedAgent(t *testing.T, mut func(policy *rl.GaussianPolicy, critic *nn.MLP)) error {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	policy := rl.NewGaussianPolicy(3, 2, []int{4}, 0.5, rng)
+	critic := nn.NewMLP([]int{3, 4, 1}, nn.Tanh, nn.Identity, rng)
+	mut(policy, critic)
+	data, err := (&Agent{Policy: policy, Critic: critic}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return new(Agent).UnmarshalBinary(data)
+}
+
+// TestUnmarshalAgentRejectsNaNPolicyWeight: an agent file whose first
+// policy weight is NaN would fail its first decision; it must not decode.
+func TestUnmarshalAgentRejectsNaNPolicyWeight(t *testing.T) {
+	if err := decodeMutatedAgent(t, func(p *rl.GaussianPolicy, _ *nn.MLP) { p.Net.Layers[0].W.Data[0] = math.NaN() }); err == nil {
+		t.Fatal("an agent with a NaN policy weight decoded")
+	}
+}
+
+// TestUnmarshalAgentRejectsInfLogStd: a +Inf log-σ makes every sampled
+// action infinite; it must not decode, and the error names the element.
+func TestUnmarshalAgentRejectsInfLogStd(t *testing.T) {
+	err := decodeMutatedAgent(t, func(p *rl.GaussianPolicy, _ *nn.MLP) { p.LogStd[1] = math.Inf(1) })
+	if err == nil {
+		t.Fatal("an agent with a +Inf log-σ decoded")
+	}
+	if want := "logstd 1 is +Inf"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestUnmarshalAgentRejectsNonFiniteCritic: the critic's weights and
+// biases are held to the same rule as the policy's.
+func TestUnmarshalAgentRejectsNonFiniteCritic(t *testing.T) {
+	if err := decodeMutatedAgent(t, func(_ *rl.GaussianPolicy, c *nn.MLP) { c.Layers[1].B[0] = math.Inf(-1) }); err == nil {
+		t.Fatal("an agent with a -Inf critic bias decoded")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -329,6 +330,61 @@ func TestRejectedRestoreLeavesTrainer(t *testing.T) {
 		}
 		if !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: rejected restore changed the trainer", c.name)
+		}
+	}
+}
+
+// TestRestoreCheckpointRejectsNonFinite: a checkpoint holding a non-finite
+// weight, bias or log-σ, a non-finite first moment, or a negative second
+// moment is rejected, and the rejection leaves the trainer unchanged. A
+// negative second moment would make the next Adam step's square root NaN,
+// and the divergence guard would then roll back every later update.
+func TestRestoreCheckpointRejectsNonFinite(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Episodes = 8
+	path := trainInterrupted(t, cfg, 5)
+	for name, mut := range map[string]func(*Checkpoint){
+		"critic weight NaN": func(ck *Checkpoint) { ck.Critic.W[1][3] = math.NaN() },
+		"actor second moments -1": func(ck *Checkpoint) {
+			for _, row := range ck.ActorOpt.V {
+				for j := range row {
+					row[j] = -1
+				}
+			}
+		},
+		"critic second moment +Inf": func(ck *Checkpoint) { ck.CriticOpt.V[0][0] = math.Inf(1) },
+		"critic first moment NaN":   func(ck *Checkpoint) { ck.CriticOpt.M[2][0] = math.NaN() },
+		"actor log-σ +Inf":          func(ck *Checkpoint) { ck.Actor.LogStd[0] = math.Inf(1) },
+		"θ_old bias NaN":            func(ck *Checkpoint) { ck.ActorOld.Net.B[0][0] = math.NaN() },
+	} {
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Updates < 1 {
+			t.Fatalf("%s: no update fired in 5 episodes", name)
+		}
+		mut(ck)
+		tr, err := NewTrainer(testbedSystem(2, 7), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := tr.CaptureCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.RestoreCheckpoint(ck); err == nil {
+			t.Errorf("%s: checkpoint accepted", name)
+			continue
+		} else if !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("%s: error without context: %v", name, err)
+		}
+		after, err := tr.CaptureCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: rejected restore changed the trainer", name)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/sched"
+	"repro/internal/tensor"
 )
 
 // Config bundles every knob of an offline training run.
@@ -284,6 +285,9 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	}
 	if len(w.LogStd) != net.OutDim() {
 		return fmt.Errorf("core: decode agent: logstd length %d vs %d network outputs", len(w.LogStd), net.OutDim())
+	}
+	if j := tensor.Vector(w.LogStd).FirstNonFinite(); j >= 0 {
+		return fmt.Errorf("core: decode agent: logstd %d is %v, want finite", j, w.LogStd[j])
 	}
 	policy := &rl.GaussianPolicy{Net: &net, Groups: groups, LogStd: w.LogStd, GLogStd: make([]float64, len(w.LogStd))}
 	var norm *rl.ObsNormalizer

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -22,9 +23,10 @@ import (
 // and flsim -agent through LoadAgent) with arbitrary bytes, seeded with
 // freshly built joint and shared agents, with and without normalizers, and
 // with a 1-device shared agent under the shared tag that earlier versions
-// wrote. Invariants: decoding never panics, an accepted agent's normalizer
-// passes rl.NormalizerState.Validate at the actor's state length, and its
-// policy evaluates a zero state without panicking.
+// wrote. Invariants: decoding never panics, an accepted agent has finite
+// policy and critic weights and a finite log-σ, its normalizer passes
+// rl.NormalizerState.Validate at the actor's state length, and its policy
+// evaluates a zero state without panicking.
 func FuzzUnmarshalAgent(f *testing.F) {
 	// Small networks keep the seeds short, which the mutator and the
 	// minimizer both work through byte by byte.
@@ -61,6 +63,10 @@ func FuzzUnmarshalAgent(f *testing.F) {
 		if err := a.UnmarshalBinary(data); err != nil {
 			return
 		}
+		policy := a.Policy.(*rl.GaussianPolicy)
+		if !finiteParams(policy.Params()) || !finiteParams(a.Critic.Params()) {
+			t.Fatal("accepted an agent with a non-finite weight or log-σ")
+		}
 		if a.Norm != nil {
 			if err := a.Norm.Snapshot().Validate(); err != nil || a.Norm.Dim() != a.Policy.StateDim() {
 				t.Fatalf("accepted a %d-dim normalizer for a %d-dim state: %v", a.Norm.Dim(), a.Policy.StateDim(), err)
@@ -78,7 +84,7 @@ func FuzzUnmarshalAgent(f *testing.F) {
 // another seed or out of reach. Invariants: no panic, no hang (the RNG
 // replay is bounded), every error names the package, a rejected checkpoint
 // leaves the trainer unchanged, and an accepted one leaves a valid
-// normalizer.
+// normalizer, finite parameters and non-negative second moments.
 func FuzzLoadCheckpoint(f *testing.F) {
 	plain := fastConfig()
 	plain.Hidden = []int{2}
@@ -162,7 +168,57 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				}
 			} else if err := rl.CaptureNormalizer(tr.norm).Validate(); err != nil {
 				t.Fatalf("restored an invalid normalizer: %v", err)
+			} else if err := checkRestoredNets(tr); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// finiteParams reports whether every weight of params is finite.
+func finiteParams(params []nn.Param) bool {
+	for _, p := range params {
+		if !tensor.Vector(p.W).AllFinite() {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRestoredNets reports a non-finite parameter or first moment, or a
+// negative second moment, in a trainer's networks and optimizers.
+func checkRestoredNets(tr *Trainer) error {
+	ck, err := tr.CaptureCheckpoint()
+	if err != nil {
+		return err
+	}
+	nets := []nn.MLPState{ck.Actor.Net, ck.ActorOld.Net, ck.Critic}
+	opts := []nn.AdamState{ck.ActorOpt, ck.CriticOpt}
+	if ck.Constrained != nil {
+		nets = append(nets, ck.Constrained.CostCritic)
+		opts = append(opts, ck.Constrained.CostOpt)
+	}
+	if !tensor.Vector(ck.Actor.LogStd).AllFinite() || !tensor.Vector(ck.ActorOld.LogStd).AllFinite() {
+		return errors.New("restored a non-finite log-σ")
+	}
+	for _, st := range nets {
+		for i := range st.W {
+			if !tensor.Vector(st.W[i]).AllFinite() || !tensor.Vector(st.B[i]).AllFinite() {
+				return errors.New("restored a non-finite weight")
+			}
+		}
+	}
+	for _, st := range opts {
+		for i := range st.M {
+			if !tensor.Vector(st.M[i]).AllFinite() || !tensor.Vector(st.V[i]).AllFinite() {
+				return errors.New("restored a non-finite optimizer moment")
+			}
+			for _, v := range st.V[i] {
+				if v < 0 {
+					return fmt.Errorf("restored a negative second moment %v", v)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -106,15 +106,12 @@ func (a Activation) applyBatch(dst, src []float64) {
 
 // derivBatch computes dz[i] = dout[i] * deriv(z[i], y[i]) with the switch
 // hoisted out of the loop. Element i is bit-identical to the scalar form,
-// including NaN propagation through inactive ReLU units.
+// including NaN propagation through inactive ReLU units. Tanh layers take
+// tensor.TanhBackward instead, which fuses the bias-gradient sum.
 func (a Activation) derivBatch(dz, dout, z, y []float64) {
 	switch a {
 	case Identity:
 		copy(dz, dout)
-	case Tanh:
-		for i, yv := range y {
-			dz[i] = dout[i] * (1 - yv*yv)
-		}
 	case ReLU:
 		for i, zv := range z {
 			var d float64
@@ -243,13 +240,11 @@ func (l *Linear) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 	l.zb = tensor.EnsureShape(l.zb, n, l.Out)
 	l.yb = tensor.EnsureShape(l.yb, n, l.Out)
 	if l.serial {
-		tensor.MatMulTransBRange(l.zb, X, l.W, 0, n)
-		l.zb.AddRowVector(l.B)
+		tensor.MatMulTransBRange(l.zb, X, l.W, l.B, 0, n)
 		l.Act.applyBatch(l.yb.Data, l.zb.Data)
 		return l.yb
 	}
-	tensor.MatMulTransB(l.zb, X, l.W)
-	l.zb.AddRowVector(l.B)
+	tensor.MatMulTransB(l.zb, X, l.W, l.B)
 	tensor.ParallelRows(n, n*l.Out*actWorkFactor, func(lo, hi int) {
 		l.Act.applyBatch(l.yb.Data[lo*l.Out:hi*l.Out], l.zb.Data[lo*l.Out:hi*l.Out])
 	})
@@ -277,15 +272,22 @@ func (l *Linear) backwardBatch(dout *tensor.Matrix, needDX bool) *tensor.Matrix 
 	}
 	n := dout.Rows
 	l.dzb = tensor.EnsureShape(l.dzb, n, l.Out)
-	if l.serial {
+	if l.setGrads {
+		l.GB.Zero()
+	}
+	// dZ and the bias gradient GB += Σ_rows dZ, in ascending row order.
+	if l.Act == Tanh {
+		tensor.TanhBackward(l.dzb, dout, l.yb, l.GB)
+	} else {
 		l.Act.derivBatch(l.dzb.Data, dout.Data[:n*l.Out], l.zb.Data, l.yb.Data)
+		tensor.AddRowSums(l.GB, l.dzb)
+	}
+	if l.serial {
 		if l.setGrads {
 			tensor.MatMulTransARange(l.GW, l.dzb, l.xref, 0, l.Out)
-			l.GB.Zero()
 		} else {
 			tensor.AddMatMulTransARange(l.GW, l.dzb, l.xref, 0, l.Out)
 		}
-		tensor.AddRowSums(l.GB, l.dzb)
 		if !needDX {
 			return nil
 		}
@@ -293,17 +295,11 @@ func (l *Linear) backwardBatch(dout *tensor.Matrix, needDX bool) *tensor.Matrix 
 		tensor.MatMulRange(l.dxb, l.dzb, l.W, 0, n)
 		return l.dxb
 	}
-	tensor.ParallelRows(n, n*l.Out*actWorkFactor, func(lo, hi int) {
-		l.Act.derivBatch(l.dzb.Data[lo*l.Out:hi*l.Out], dout.Data[lo*l.Out:hi*l.Out],
-			l.zb.Data[lo*l.Out:hi*l.Out], l.yb.Data[lo*l.Out:hi*l.Out])
-	})
 	if l.setGrads {
 		tensor.MatMulTransA(l.GW, l.dzb, l.xref)
-		l.GB.Zero()
 	} else {
 		tensor.AddMatMulTransA(l.GW, l.dzb, l.xref) // GW += dZᵀ·X, sample-major
 	}
-	tensor.AddRowSums(l.GB, l.dzb)
 	if !needDX {
 		return nil
 	}
@@ -505,8 +501,8 @@ const maxWireWidth = 1 << 24
 
 // UnmarshalBinary decodes a network previously encoded with MarshalBinary.
 // Malformed input is an error naming the offending layer, never a panic:
-// every width must lie in [1, 2^24], every layer must carry in·out weights
-// and out biases, and every activation must be a known one.
+// every width must lie in [1, 2^24], every layer must carry in·out finite
+// weights and out finite biases, and every activation must be a known one.
 func (m *MLP) UnmarshalBinary(data []byte) error {
 	var w mlpWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -528,6 +524,9 @@ func (m *MLP) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("nn: decode MLP: layer %d shape mismatch", i)
 		case w.Acts[i] < Identity || w.Acts[i] > Softplus:
 			return fmt.Errorf("nn: decode MLP: layer %d has unknown activation %v", i, w.Acts[i])
+		}
+		if err := checkFiniteLayer(i, w.W[i], w.B[i]); err != nil {
+			return fmt.Errorf("nn: decode MLP: %w", err)
 		}
 		l := &Linear{
 			In: in, Out: out, Act: w.Acts[i],

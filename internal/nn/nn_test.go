@@ -274,6 +274,31 @@ func TestUnmarshalMalformed(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNonFinite: a network file holding a NaN or ±Inf
+// weight or bias decodes to an error naming the layer and the element. A
+// NaN weight would otherwise reach the first decision as a NaN action.
+func TestUnmarshalRejectsNonFinite(t *testing.T) {
+	for name, c := range map[string]struct {
+		want string
+		mut  func(*MLP)
+	}{
+		"first weight NaN":   {"layer 0 weight 0 is NaN", func(m *MLP) { m.Layers[0].W.Data[0] = math.NaN() }},
+		"hidden bias +Inf":   {"layer 1 bias 2 is +Inf", func(m *MLP) { m.Layers[1].B[2] = math.Inf(1) }},
+		"output weight -Inf": {"layer 2 weight 5 is -Inf", func(m *MLP) { m.Layers[2].W.Data[5] = math.Inf(-1) }},
+	} {
+		m := NewMLP([]int{3, 4, 4, 2}, Tanh, Identity, rand.New(rand.NewSource(1)))
+		c.mut(m)
+		data, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back MLP
+		if err := back.UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", name, err, c.want)
+		}
+	}
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	w := make([]float64, 4)
 	g := make([]float64, 4)

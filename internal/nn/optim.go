@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // Adam implements the Adam optimizer (Kingma & Ba 2015) with bias
 // correction.
@@ -35,8 +39,12 @@ func (o *Adam) Step(params []Param) { o.StepScaled(params, 1) }
 // bit-identical to ClipGradNorm(p, max) followed by Step(p).
 func (o *Adam) StepScaled(params []Param, scale float64) {
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := tensor.AdamCoeffs{
+		LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Epsilon: o.Epsilon,
+		BC1:   1 - math.Pow(o.Beta1, float64(o.t)),
+		BC2:   1 - math.Pow(o.Beta2, float64(o.t)),
+		Scale: scale,
+	}
 	for _, p := range params {
 		if len(p.W) == 0 {
 			continue
@@ -50,14 +58,7 @@ func (o *Adam) StepScaled(params []Param, scale float64) {
 			o.m[key] = m
 			o.v[key] = v
 		}
-		for i := range p.W {
-			g := p.G[i] * scale
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.W[i] -= o.LR * mh / (math.Sqrt(vh) + o.Epsilon)
-		}
+		tensor.AdamStep(p.W, p.G, m, v, c)
 	}
 }
 

@@ -71,19 +71,12 @@ func MergeGradTree(dst []Param, shards [][]Param) {
 	for ; stride*2 < b; stride *= 2 {
 		for i := 0; i+stride < b; i += stride * 2 {
 			for pi := range dst {
-				gd := shards[i][pi].G
-				gs := shards[i+stride][pi].G
-				for k := range gd {
-					gd[k] += gs[k]
-				}
+				gd := tensor.Vector(shards[i][pi].G)
+				gd.Add(gd, shards[i+stride][pi].G)
 			}
 		}
 	}
 	for pi, p := range dst {
-		g0 := shards[0][pi].G
-		g1 := shards[stride][pi].G
-		for k := range p.G {
-			p.G[k] = g0[k] + g1[k]
-		}
+		tensor.Vector(p.G).Add(shards[0][pi].G, shards[stride][pi].G)
 	}
 }

@@ -1,6 +1,11 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // This file provides JSON-friendly snapshots of networks and optimizer
 // state for crash-safe checkpointing. Snapshots restore IN PLACE: weights
@@ -32,7 +37,8 @@ func (m *MLP) State() MLPState {
 }
 
 // LoadState copies a snapshot's weights into the network in place. The
-// snapshot's architecture must match exactly.
+// snapshot's architecture must match exactly, and every weight and bias
+// must be finite; nothing is written otherwise.
 func (m *MLP) LoadState(st MLPState) error {
 	if len(st.Sizes) != len(m.Layers)+1 || len(st.Acts) != len(m.Layers) ||
 		len(st.W) != len(m.Layers) || len(st.B) != len(m.Layers) {
@@ -45,6 +51,9 @@ func (m *MLP) LoadState(st MLPState) error {
 		}
 		if len(st.W[i]) != len(l.W.Data) || len(st.B[i]) != len(l.B) {
 			return fmt.Errorf("nn: checkpoint layer %d weight shape mismatch", i)
+		}
+		if err := checkFiniteLayer(i, st.W[i], st.B[i]); err != nil {
+			return fmt.Errorf("nn: checkpoint %w", err)
 		}
 	}
 	for i, l := range m.Layers {
@@ -86,6 +95,9 @@ func (o *Adam) State(params []Param) AdamState {
 }
 
 // LoadState restores moments captured by State for the same parameter list.
+// Every first moment must be finite and every second moment finite and
+// non-negative (a negative one would make the next step's square root NaN);
+// nothing is written otherwise.
 func (o *Adam) LoadState(params []Param, st AdamState) error {
 	if len(st.M) != len(params) || len(st.V) != len(params) {
 		return fmt.Errorf("nn: Adam checkpoint has %d/%d moment rows for %d params",
@@ -95,6 +107,14 @@ func (o *Adam) LoadState(params []Param, st AdamState) error {
 		if len(st.M[i]) != len(p.W) || len(st.V[i]) != len(p.W) {
 			return fmt.Errorf("nn: Adam checkpoint row %d has %d moments for %d weights",
 				i, len(st.M[i]), len(p.W))
+		}
+		if j := tensor.Vector(st.M[i]).FirstNonFinite(); j >= 0 {
+			return fmt.Errorf("nn: Adam checkpoint row %d first moment %d is %v, want finite", i, j, st.M[i][j])
+		}
+		for j, v := range st.V[i] {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("nn: Adam checkpoint row %d second moment %d is %v, want finite and ≥ 0", i, j, v)
+			}
 		}
 	}
 	if st.T < 0 {
@@ -108,6 +128,17 @@ func (o *Adam) LoadState(params []Param, st AdamState) error {
 		key := &p.W[0]
 		o.m[key] = append([]float64(nil), st.M[i]...)
 		o.v[key] = append([]float64(nil), st.V[i]...)
+	}
+	return nil
+}
+
+// checkFiniteLayer reports the first non-finite weight or bias of layer i.
+func checkFiniteLayer(i int, w, b []float64) error {
+	if j := tensor.Vector(w).FirstNonFinite(); j >= 0 {
+		return fmt.Errorf("layer %d weight %d is %v, want finite", i, j, w[j])
+	}
+	if j := tensor.Vector(b).FirstNonFinite(); j >= 0 {
+		return fmt.Errorf("layer %d bias %d is %v, want finite", i, j, b[j])
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -160,5 +161,52 @@ func TestAdamLoadStateRejectsMismatch(t *testing.T) {
 	bad.T = -1
 	if err := o.LoadState(m.Params(), bad); err == nil {
 		t.Fatal("negative step count accepted")
+	}
+}
+
+// TestMLPLoadStateRejectsNonFinite: a snapshot holding a NaN or ±Inf weight
+// or bias is refused before anything is written.
+func TestMLPLoadStateRejectsNonFinite(t *testing.T) {
+	for name, mut := range map[string]func(*MLPState){
+		"weight NaN":  func(st *MLPState) { st.W[1][2] = math.NaN() },
+		"weight +Inf": func(st *MLPState) { st.W[0][0] = math.Inf(1) },
+		"bias -Inf":   func(st *MLPState) { st.B[0][3] = math.Inf(-1) },
+	} {
+		st := stateTestNet(1).State()
+		mut(&st)
+		dst := stateTestNet(2)
+		want := dst.State()
+		if err := dst.LoadState(st); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !reflect.DeepEqual(dst.State(), want) {
+			t.Errorf("%s: rejected snapshot changed the network", name)
+		}
+	}
+}
+
+// TestAdamLoadStateRejectsBadMoments: a non-finite first moment, or a
+// second moment that is negative, NaN or +Inf, is refused before anything
+// is written. A negative second moment would make the next step's square
+// root NaN.
+func TestAdamLoadStateRejectsBadMoments(t *testing.T) {
+	m := stateTestNet(1)
+	for name, mut := range map[string]func(*AdamState){
+		"m NaN":  func(st *AdamState) { st.M[0][1] = math.NaN() },
+		"m -Inf": func(st *AdamState) { st.M[3][0] = math.Inf(-1) },
+		"v -1":   func(st *AdamState) { st.V[2][0] = -1 },
+		"v NaN":  func(st *AdamState) { st.V[1][1] = math.NaN() },
+		"v +Inf": func(st *AdamState) { st.V[0][0] = math.Inf(1) },
+	} {
+		o := NewAdam(1e-3)
+		st := o.State(m.Params())
+		st.T = 4
+		mut(&st)
+		if err := o.LoadState(m.Params(), st); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if o.t != 0 || len(o.m) != 0 || len(o.v) != 0 {
+			t.Errorf("%s: rejected snapshot changed the optimizer", name)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // This file provides the serializable state snapshots crash-safe training
@@ -117,6 +118,9 @@ func RestorePolicy(p *GaussianPolicy, st PolicyState) error {
 	}
 	if len(st.LogStd) != len(p.LogStd) {
 		return fmt.Errorf("rl: checkpoint log-σ length %d, policy has %d", len(st.LogStd), len(p.LogStd))
+	}
+	if j := tensor.Vector(st.LogStd).FirstNonFinite(); j >= 0 {
+		return fmt.Errorf("rl: checkpoint log-σ %d is %v, want finite", j, st.LogStd[j])
 	}
 	if err := p.Net.LoadState(st.Net); err != nil {
 		return err

@@ -2,8 +2,11 @@ package rl
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -135,6 +138,26 @@ func TestRestorePolicyRejectsMismatch(t *testing.T) {
 	other := NewSharedGaussianPolicy(4, 2, []int{4}, 0.3, rand.New(rand.NewSource(1)))
 	if err := RestorePolicy(other, sharedSt); err == nil {
 		t.Fatal("device-count mismatch accepted")
+	}
+}
+
+// TestRestorePolicyRejectsNonFiniteLogStd: a non-finite log-σ is refused
+// before the network or log-σ is written.
+func TestRestorePolicyRejectsNonFiniteLogStd(t *testing.T) {
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		st := CapturePolicy(NewGaussianPolicy(6, 3, []int{8}, 0.3, rand.New(rand.NewSource(1))))
+		st.LogStd[2] = bad
+		p := NewGaussianPolicy(6, 3, []int{8}, 0.3, rand.New(rand.NewSource(2)))
+		want := CapturePolicy(p)
+		err := RestorePolicy(p, st)
+		if err == nil {
+			t.Errorf("log-σ %v accepted", bad)
+		} else if msg := fmt.Sprintf("log-σ 2 is %v", bad); !strings.Contains(err.Error(), msg) {
+			t.Errorf("error %q does not mention %q", err, msg)
+		}
+		if !reflect.DeepEqual(CapturePolicy(p), want) {
+			t.Errorf("log-σ %v: rejected restore changed the policy", bad)
+		}
 	}
 }
 

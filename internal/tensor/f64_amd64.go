@@ -23,7 +23,22 @@ func dotRows8(dst, w *float64, ldw int, x *float64, k int)
 func dotRows4(dst, w *float64, ldw int, x *float64, k int)
 
 //go:noescape
+func dotPair(d0, d1, w *float64, ldw int, x0, x1 *float64, k, rows int, bias *float64)
+
+//go:noescape
 func tanhVec4(dst, src *float64, n int)
+
+//go:noescape
+func addVec(dst, a, b *float64, n int)
+
+//go:noescape
+func tanhGrad16(dz, dout, y, gb *float64, ld, n int)
+
+//go:noescape
+func tanhGrad4(dz, dout, y, gb *float64, ld, n int, mask *[4]int64)
+
+//go:noescape
+func adamStep4(w, grad, m, v *float64, n int, c *[9]float64)
 
 // useF64Asm selects the float64 kernels: AVX2 + FMA + OS support for YMM
 // state (XGETBV), resolved once at startup. The kernels need only AVX and
@@ -78,15 +93,23 @@ func matVec(dst Vector, m *Matrix, x Vector) {
 	dotRows(dst, m.Data, m.Cols, x)
 }
 
-func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+func matMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
 	if !useF64Asm {
-		matMulTransBRangeGeneric(dst, a, b, lo, hi)
+		matMulTransBRangeGeneric(dst, a, b, bias, lo, hi)
 		return
 	}
 	k, c := a.Cols, b.Rows
 	c4 := c &^ 3
-	for i := lo; i < hi; i++ {
-		dotRows(dst.Data[i*c:i*c+c4], b.Data, k, a.Data[i*k:(i+1)*k])
+	if c4 > 0 {
+		w, bv := b.Data[:c4*k], bias[:c4]
+		// A lone last row goes in as both rows of the pair: the kernel
+		// stores the same sums to it twice.
+		for i := lo; i < hi; i += 2 {
+			j := min(i+1, hi-1)
+			d0, d1 := dst.Data[i*c:i*c+c4], dst.Data[j*c:j*c+c4]
+			x0, x1 := a.Data[i*k:(i+1)*k], a.Data[j*k:(j+1)*k]
+			dotPair(&d0[0], &d1[0], first(w), k, first(x0), first(x1), k, c4, &bv[0])
+		}
 	}
 	// The last c%4 weight rows are too few to fill the lanes, so the samples
 	// fill them instead: element (i, o) is the same dot product either way,
@@ -97,7 +120,7 @@ func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
 			m := min(hi-i, len(t))
 			dotRows(t[:m], a.Data[i*k:], k, b.Data[o*k:(o+1)*k])
 			for l, v := range t[:m] {
-				dst.Data[(i+l)*c+o] = v
+				dst.Data[(i+l)*c+o] = v + bias[o]
 			}
 		}
 	}
@@ -185,4 +208,55 @@ func fastTanhInto(dst, src []float64) {
 	for i := n4; i < len(src); i++ {
 		dst[i] = FastTanh(src[i])
 	}
+}
+
+// first returns the address of s's first element, or nil when s is empty:
+// a kernel given k = 0 reads nothing through it.
+func first(s []float64) *float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+func addVectors(dst, a, b Vector) {
+	if !useF64Asm {
+		addVectorsGeneric(dst, a, b)
+		return
+	}
+	n4 := len(dst) &^ 3
+	if n4 > 0 {
+		addVec(&dst[0], &a[0], &b[0], n4)
+	}
+	addVectorsGeneric(dst[n4:], a[n4:len(dst)], b[n4:len(dst)])
+}
+
+func tanhBackward(dz, dout, y *Matrix, gb Vector) {
+	if !useF64Asm {
+		tanhBackwardGeneric(dz, dout, y, gb)
+		return
+	}
+	n, c := y.Rows, y.Cols
+	if n == 0 || c == 0 {
+		return
+	}
+	dd, od, yd := dz.Data[:n*c], dout.Data[:n*c], y.Data[:n*c]
+	j := 0
+	for ; j+16 <= c; j += 16 {
+		tanhGrad16(&dd[j], &od[j], &yd[j], &gb[j], c, n)
+	}
+	for ; j < c; j += 4 {
+		tanhGrad4(&dd[j], &od[j], &yd[j], &gb[j], c, n, &laneMasks[min(c-j, 4)])
+	}
+}
+
+func adamStep(w, g, m, v []float64, c AdamCoeffs) {
+	n4 := len(w) &^ 3
+	if !useF64Asm || n4 == 0 {
+		adamStepGeneric(w, g, m, v, c)
+		return
+	}
+	lanes := [9]float64{c.Beta1, 1 - c.Beta1, c.Beta2, 1 - c.Beta2, c.BC1, c.BC2, c.LR, c.Epsilon, c.Scale}
+	adamStep4(&w[0], &g[0], &m[0], &v[0], n4, &lanes)
+	adamStepGeneric(w[n4:], g[n4:len(w)], m[n4:len(w)], v[n4:len(w)], c)
 }

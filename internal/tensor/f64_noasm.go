@@ -9,8 +9,8 @@ const useF64Asm = false
 
 func matVec(dst Vector, m *Matrix, x Vector) { matVecGeneric(dst, m, x) }
 
-func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
-	matMulTransBRangeGeneric(dst, a, b, lo, hi)
+func matMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
+	matMulTransBRangeGeneric(dst, a, b, bias, lo, hi)
 }
 
 func matMulRange(dst, a, b *Matrix, lo, hi int) { matMulRangeGeneric(dst, a, b, lo, hi) }
@@ -20,3 +20,9 @@ func addMatMulTransARange(dst, a, b *Matrix, set bool, lo, hi int) {
 }
 
 func fastTanhInto(dst, src []float64) { fastTanhIntoGeneric(dst, src) }
+
+func addVectors(dst, a, b Vector) { addVectorsGeneric(dst, a, b) }
+
+func tanhBackward(dz, dout, y *Matrix, gb Vector) { tanhBackwardGeneric(dz, dout, y, gb) }
+
+func adamStep(w, g, m, v []float64, c AdamCoeffs) { adamStepGeneric(w, g, m, v, c) }

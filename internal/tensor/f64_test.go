@@ -142,21 +142,27 @@ func TestF64KernelsMatchGo(t *testing.T) {
 			}
 		}
 	})
+	// With a zero and a drawn bias; odd row counts and odd range splits
+	// leave a lone last row, which goes through dotPair as both rows of
+	// the pair, and the 3-row and 1-row heads take the swapped-lane path.
 	t.Run("MatMulTransBRange", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(62))
-		shapes := append(f64Shapes(rng), [3]int{16, 18, 64}, [3]int{16, 64, 64}, [3]int{16, 64, 3}, [3]int{16, 64, 1})
+		shapes := append(f64Shapes(rng), [3]int{16, 18, 64}, [3]int{16, 64, 64}, [3]int{16, 64, 3}, [3]int{16, 64, 1},
+			[3]int{15, 18, 64}, [3]int{15, 64, 64}, [3]int{15, 64, 3}, [3]int{15, 64, 1}, [3]int{3, 20, 12}, [3]int{5, 7, 68})
 		for _, sh := range shapes {
 			n, k, c := sh[0], sh[1], sh[2]
 			for _, sp := range f64Densities {
 				a, w := f64Matrix(rng, n, k, sp), f64Matrix(rng, c, k, sp)
-				got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
-				want := NewMatrix(n, c)
-				lo := rng.Intn(n + 1)
-				MatMulTransBRange(got, a, w, 0, lo)
-				MatMulTransBRange(got, a, w, lo, n)
-				guard()
-				matMulTransBRangeGeneric(want, a, w, 0, n)
-				checkSameF64(t, fmt.Sprintf("%dx%d·(%dx%d)ᵀ density %v", n, k, c, k, sp), got.Data, want.Data)
+				for bi, bias := range []Vector{NewVector(c), f64Values(rng, c, sp)} {
+					got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
+					want := NewMatrix(n, c)
+					lo := rng.Intn(n + 1)
+					MatMulTransBRange(got, a, w, bias, 0, lo)
+					MatMulTransBRange(got, a, w, bias, lo, n)
+					guard()
+					matMulTransBRangeGeneric(want, a, w, bias, 0, n)
+					checkSameF64(t, fmt.Sprintf("%dx%d·(%dx%d)ᵀ bias %d density %v", n, k, c, k, bi, sp), got.Data, want.Data)
+				}
 			}
 		}
 	})
@@ -230,6 +236,95 @@ func TestF64KernelsMatchGo(t *testing.T) {
 			}
 		}
 	})
+	// The merge tree calls Add with dst == a; the per-sample Forward adds
+	// the bias with dst == a too.
+	t.Run("Add", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(67))
+		for n := 0; n < 70; n++ {
+			for _, sp := range f64Densities {
+				a, b := Vector(f64Values(rng, n, sp)), Vector(f64Values(rng, n, sp))
+				want := NewVector(n)
+				addVectorsGeneric(want, a, b)
+				buf := f64Values(rng, n+4, 0.5) // stale, with sentinels past n
+				tail := append([]float64(nil), buf[n:]...)
+				got := Vector(buf[:n:n])
+				got.Add(a, b)
+				checkSameF64(t, fmt.Sprintf("len %d density %v", n, sp), got, want)
+				checkSameF64(t, fmt.Sprintf("len %d past the end", n), buf[n:], tail)
+				aliased := a.Clone()
+				aliased.Add(aliased, b)
+				checkSameF64(t, fmt.Sprintf("len %d dst == a density %v", n, sp), aliased, want)
+			}
+		}
+	})
+	// Hidden widths 64 and others, the 1- and 3-wide heads, 1-16 rows, and
+	// bias sums that start at zero (set) or at earlier sums (accumulate).
+	t.Run("TanhBackward", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(68))
+		widths := []int{1, 3, 64, 4, 5, 16, 17, 21, 35, 67}
+		for _, c := range widths {
+			for n := 1; n <= 16; n++ {
+				for _, sp := range f64Densities {
+					dout, y := f64Matrix(rng, n, c, sp), f64Matrix(rng, n, c, sp)
+					for _, set := range []bool{true, false} {
+						gb0 := NewVector(c)
+						if !set {
+							gb0 = f64Values(rng, c, sp)
+						}
+						wantDz, wantGb := NewMatrix(n, c), gb0.Clone()
+						tanhBackwardGeneric(wantDz, dout, y, wantGb)
+						gotDz, guardDz := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale dz
+						gbm, guardGb := guarded(t, &Matrix{Rows: 1, Cols: c, Data: gb0})
+						TanhBackward(gotDz, dout, y, gbm.Data)
+						guardDz()
+						guardGb()
+						label := fmt.Sprintf("%dx%d set=%v density %v", n, c, set, sp)
+						checkSameF64(t, label+" dz", gotDz.Data, wantDz.Data)
+						checkSameF64(t, label+" bias sum", gbm.Data, wantGb)
+					}
+				}
+			}
+		}
+	})
+	// Lengths 0-3 past a multiple of 4 (the 3-element head bias and log-σ
+	// are all tail), unit and clip scales, special gradients and moments,
+	// and all-zero second moments as a first step leaves them.
+	t.Run("AdamStep", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(69))
+		coeffs := []AdamCoeffs{
+			{LR: 3e-4, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, BC1: 1 - 0.9, BC2: 1 - 0.999, Scale: 1},
+			{LR: 3e-4, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, BC1: 1 - math.Pow(0.9, 37), BC2: 1 - math.Pow(0.999, 37), Scale: 0.5 / (7.3 + 1e-12)},
+			{LR: 1e-3, Beta1: 0.8, Beta2: 0.99, Epsilon: 1e-6, BC1: 0.5, BC2: 0.25, Scale: 1e-3},
+		}
+		for _, q := range []int{0, 1, 2, 16, 1393} {
+			for r := 0; r < 4; r++ {
+				n := 4*q + r
+				for _, c := range coeffs {
+					for _, sp := range f64Densities {
+						for _, zeroV := range []bool{false, true} {
+							w, g := f64Values(rng, n, sp), f64Values(rng, n, sp)
+							m, v := f64Values(rng, n, sp), f64Values(rng, n, sp)
+							if zeroV {
+								clear(m)
+								clear(v)
+							} else {
+								for i := range v {
+									v[i] = math.Abs(v[i])
+								}
+							}
+							ww, wm, wv := append([]float64(nil), w...), append([]float64(nil), m...), append([]float64(nil), v...)
+							adamStepGeneric(ww, g, wm, wv, c)
+							AdamStep(w, g, m, v, c)
+							label := fmt.Sprintf("len %d scale %v density %v v=0 %v", n, c.Scale, sp, zeroV)
+							checkSameF64(t, label+" w", w, ww)
+							checkSameF64(t, label+" m", m, wm)
+							checkSameF64(t, label+" v", v, wv)
+						}
+					}
+				}
+			}
+		}
+	})
 	t.Run("FastTanhInto", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(65))
 		edges := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
@@ -275,9 +370,10 @@ func BenchmarkF64Kernels(b *testing.B) {
 	for _, sh := range [][3]int{{16, 18, 64}, {16, 64, 64}, {16, 64, 3}} {
 		n, k, c := sh[0], sh[1], sh[2]
 		a, w, dst := randMatrix(n, k, rng), randMatrix(c, k, rng), NewMatrix(n, c)
+		bias := Vector(f64Values(rng, c, 0))
 		ks = append(ks, kernel{fmt.Sprintf("MatMulTransB/%dx%d·%dx%d", n, k, c, k),
-			func() { MatMulTransBRange(dst, a, w, 0, n) },
-			func() { matMulTransBRangeGeneric(dst, a, w, 0, n) }})
+			func() { MatMulTransBRange(dst, a, w, bias, 0, n) },
+			func() { matMulTransBRangeGeneric(dst, a, w, bias, 0, n) }})
 	}
 	for _, sh := range [][2]int{{64, 18}, {64, 64}, {3, 64}, {64, 6000}} {
 		m, x, y := randMatrix(sh[0], sh[1], rng), Vector(f64Values(rng, sh[1], 0)), NewVector(sh[0])
@@ -299,6 +395,28 @@ func BenchmarkF64Kernels(b *testing.B) {
 		src, dst := f64Values(rng, 1024, 0), make([]float64, 1024)
 		ks = append(ks, kernel{"FastTanhInto/1024",
 			func() { FastTanhInto(dst, src) }, func() { fastTanhIntoGeneric(dst, src) }})
+	}
+	{
+		dout, y, dz, gb := randMatrix(16, 64, rng), randMatrix(16, 64, rng), NewMatrix(16, 64), NewVector(64)
+		ks = append(ks, kernel{"TanhBackward/16x64",
+			func() { TanhBackward(dz, dout, y, gb) }, func() { tanhBackwardGeneric(dz, dout, y, gb) }})
+	}
+	// The actor's parameters (18→64→64→3 and three log-σ) and the
+	// critic's (18→64→64→1): one Adam step, and one merge-tree addition.
+	// Gradients hold no zeros: a zero gradient would decay its moment into
+	// subnormals over the benchmark's repeated steps, and time the CPU's
+	// subnormal assist instead of the kernel.
+	for _, n := range []int{5574, 5441} {
+		w, g, m, v := randMatrix(1, n, rng).Data, randMatrix(1, n, rng).Data, randMatrix(1, n, rng).Data, randMatrix(1, n, rng).Data
+		for i := range v {
+			v[i] = math.Abs(v[i])
+		}
+		c := AdamCoeffs{LR: 3e-4, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, BC1: 0.5, BC2: 0.25, Scale: 1}
+		ks = append(ks, kernel{fmt.Sprintf("AdamStep/%d", n),
+			func() { AdamStep(w, g, m, v, c) }, func() { adamStepGeneric(w, g, m, v, c) }})
+		a, bb := Vector(f64Values(rng, n, 0)), Vector(f64Values(rng, n, 0))
+		ks = append(ks, kernel{fmt.Sprintf("Add/%d", n),
+			func() { a.Add(a, bb) }, func() { addVectorsGeneric(a, a, bb) }})
 	}
 	for _, k := range ks {
 		b.Run(k.name+"/dispatch", func(b *testing.B) {

@@ -15,23 +15,27 @@ func randMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 }
 
 // TestMatMulTransBMatchesMatVec pins the batching contract: row i of
-// MatMulTransB(dst, A, W) must be bit-identical to MatVec(y, W, A.Row(i)),
-// because the batched kernels promise to reproduce the per-sample
-// floating-point accumulation order exactly.
+// MatMulTransB(dst, A, W, bias) must be bit-identical to MatVec(y, W,
+// A.Row(i)) followed by y.Add(y, bias), because the batched kernels
+// promise to reproduce the per-sample floating-point accumulation order
+// exactly.
 func TestMatMulTransBMatchesMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{1, 4, 3}, {5, 8, 6}, {17, 13, 11}} {
+	for _, dims := range [][3]int{{1, 4, 3}, {5, 8, 6}, {17, 13, 11}, {16, 18, 64}, {7, 64, 3}} {
 		n, k, out := dims[0], dims[1], dims[2]
 		a := randMatrix(n, k, rng)
 		w := randMatrix(out, k, rng)
-		dst := NewMatrix(n, out)
-		MatMulTransB(dst, a, w)
-		y := NewVector(out)
-		for i := 0; i < n; i++ {
-			MatVec(y, w, Vector(a.Data[i*k:(i+1)*k]))
-			for j, want := range y {
-				if got := dst.At(i, j); got != want {
-					t.Fatalf("dims %v row %d col %d: %v != %v", dims, i, j, got, want)
+		for bi, bias := range []Vector{NewVector(out), randMatrix(1, out, rng).Data} {
+			dst := NewMatrix(n, out)
+			MatMulTransB(dst, a, w, bias)
+			y := NewVector(out)
+			for i := 0; i < n; i++ {
+				MatVec(y, w, Vector(a.Data[i*k:(i+1)*k]))
+				y.Add(y, bias)
+				for j, want := range y {
+					if got := dst.At(i, j); got != want {
+						t.Fatalf("dims %v bias %d row %d col %d: %v != %v", dims, bi, i, j, got, want)
+					}
 				}
 			}
 		}
@@ -74,17 +78,6 @@ func TestAddRowSumsMatchesVectorAdd(t *testing.T) {
 	for j := range got {
 		if got[j] != want[j] {
 			t.Fatalf("col %d: %v != %v", j, got[j], want[j])
-		}
-	}
-}
-
-func TestAddRowVector(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	m.AddRowVector(Vector{10, 20})
-	want := []float64{11, 22, 13, 24}
-	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("AddRowVector = %v, want %v", m.Data, want)
 		}
 	}
 }
@@ -180,10 +173,16 @@ func TestMatMulParallelDeterministic(t *testing.T) {
 
 func TestBatchKernelShapePanics(t *testing.T) {
 	cases := map[string]func(){
-		"MatMulTransB":    func() { MatMulTransB(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4)) },
-		"AddMatMulTransA": func() { AddMatMulTransA(NewMatrix(2, 2), NewMatrix(3, 2), NewMatrix(4, 2)) },
-		"AddRowSums":      func() { AddRowSums(NewVector(3), NewMatrix(2, 2)) },
-		"AddRowVector":    func() { NewMatrix(2, 2).AddRowVector(NewVector(3)) },
+		"MatMulTransB":            func() { MatMulTransB(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4), NewVector(2)) },
+		"MatMulTransB bias":       func() { MatMulTransB(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), NewVector(3)) },
+		"MatMulTransB no bias":    func() { MatMulTransB(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), nil) },
+		"MatMulTransBRange bias":  func() { MatMulTransBRange(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), NewVector(1), 0, 2) },
+		"MatMulTransBRange width": func() { MatMulTransBRange(NewMatrix(2, 3), NewMatrix(2, 5), NewMatrix(4, 5), NewVector(4), 0, 2) },
+		"MatMulTransBRange cols":  func() { MatMulTransBRange(NewMatrix(2, 4), NewMatrix(2, 5), NewMatrix(4, 3), NewVector(4), 0, 2) },
+		"AddMatMulTransA":         func() { AddMatMulTransA(NewMatrix(2, 2), NewMatrix(3, 2), NewMatrix(4, 2)) },
+		"AddRowSums":              func() { AddRowSums(NewVector(3), NewMatrix(2, 2)) },
+		"TanhBackward":            func() { TanhBackward(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), NewVector(3)) },
+		"AdamStep":                func() { AdamStep(NewVector(3), NewVector(3), NewVector(2), NewVector(3), AdamCoeffs{}) },
 	}
 	for name, f := range cases {
 		func() {

@@ -70,9 +70,15 @@ func (v Vector) Fill(x float64) {
 // Zero sets every element of v to 0.
 func (v Vector) Zero() { v.Fill(0) }
 
-// Add stores a+b into v. All three must have equal length.
+// Add stores a+b into v. All three must have equal length; v may be a or
+// b. Where the AVX kernels run (DESIGN.md §15) they add four elements at a
+// time with the same bits.
 func (v Vector) Add(a, b Vector) {
 	checkLen3(len(v), len(a), len(b))
+	addVectors(v, a, b)
+}
+
+func addVectorsGeneric(v, a, b Vector) {
 	for i := range v {
 		v[i] = a[i] + b[i]
 	}
@@ -92,13 +98,17 @@ func Equal(a, b Vector) bool {
 }
 
 // AllFinite reports whether every element of v is finite (no NaN/Inf).
-func (v Vector) AllFinite() bool {
-	for _, x := range v {
+func (v Vector) AllFinite() bool { return v.FirstNonFinite() < 0 }
+
+// FirstNonFinite returns the index of v's first NaN or ±Inf element, or -1
+// when every element is finite.
+func (v Vector) FirstNonFinite() int {
+	for i, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 // Matrix is a dense row-major float64 matrix.
@@ -299,35 +309,44 @@ func matMulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTransB stores a·bᵀ into dst (shapes: a r×k, b c×k, dst r×c). Each
-// destination element is a dot product of two rows, so both operands stream
-// sequentially through cache. The inner accumulation runs in ascending k
-// order — exactly the order MatVec uses — so batching a stack of MatVec
-// calls through this kernel is bit-identical to the per-vector loop.
+// MatMulTransB stores a·bᵀ + bias into dst (shapes: a r×k, b c×k, dst
+// r×c, bias c). Each destination element is a dot product of two rows, so
+// both operands stream sequentially through cache. The inner accumulation
+// runs in ascending k order — exactly the order MatVec uses — and the bias
+// is added to the finished sum, so batching a stack of MatVec calls
+// followed by Vector.Add of the bias through this kernel is bit-identical
+// to the per-vector loop.
 //
 // The kernel is register-tiled 2×2: four destination elements accumulate
 // concurrently, so each load of a[i][j] / b[o][j] feeds two multiplies and
 // the two a-rows' streams hit the same cache lines of b. Every destination
 // element still has its own accumulator running in ascending k, so tiling
 // changes no result bit (pinned by TestMatMulTransBTiledBitIdentical). The
-// AVX kernels (DESIGN.md §15) run each sample row as a MatVec.
-func MatMulTransB(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
+// AVX kernels (DESIGN.md §15) take two sample rows at a time, sharing each
+// transposed 4×4 tile of b between them.
+func MatMulTransB(dst, a, b *Matrix, bias Vector) {
+	checkMatMulTransB(dst, a, b, bias)
 	ParallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		MatMulTransBRange(dst, a, b, lo, hi)
+		matMulTransBRange(dst, a, b, bias, lo, hi)
 	})
 }
 
-// MatMulTransBRange computes rows [lo, hi) of dst = a·bᵀ on the calling
-// goroutine (see MatMulTransB for the tiling and bit-identity contract).
-func MatMulTransBRange(dst, a, b *Matrix, lo, hi int) {
-	matMulTransBRange(dst, a, b, lo, hi)
+// MatMulTransBRange computes rows [lo, hi) of dst = a·bᵀ + bias on the
+// calling goroutine (see MatMulTransB for the shapes, the tiling and the
+// bit-identity contract).
+func MatMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
+	checkMatMulTransB(dst, a, b, bias)
+	matMulTransBRange(dst, a, b, bias, lo, hi)
 }
 
-func matMulTransBRangeGeneric(dst, a, b *Matrix, lo, hi int) {
+func checkMatMulTransB(dst, a, b *Matrix, bias Vector) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || len(bias) != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ + %d -> %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, len(bias), dst.Rows, dst.Cols))
+	}
+}
+
+func matMulTransBRangeGeneric(dst, a, b *Matrix, bias Vector, lo, hi int) {
 	k, c := a.Cols, b.Rows
 	{
 		i := lo
@@ -378,6 +397,12 @@ func matMulTransBRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 				}
 				drow[o] = s
 			}
+		}
+	}
+	for i := lo; i < hi; i++ {
+		row := dst.Data[i*c : (i+1)*c]
+		for o, x := range bias {
+			row[o] += x
 		}
 	}
 }
@@ -507,6 +532,63 @@ func AddRowSums(dst Vector, m *Matrix) {
 	}
 }
 
+// TanhBackward backpropagates through a tanh layer: it stores dz = dout ⊙
+// (1 − y⊙y) (all three n×c, y the layer's output) and adds the column sums
+// of dz to gb (length c), rows in ascending order. Each element matches
+// the derivative loop followed by AddRowSums bit for bit; where the AVX
+// kernels run (DESIGN.md §15) four columns share each instruction.
+func TanhBackward(dz, dout, y *Matrix, gb Vector) {
+	if dz.Rows != y.Rows || dz.Cols != y.Cols || dout.Rows != y.Rows || dout.Cols != y.Cols || len(gb) != y.Cols {
+		panic("tensor: TanhBackward shape mismatch")
+	}
+	tanhBackward(dz, dout, y, gb)
+}
+
+func tanhBackwardGeneric(dz, dout, y *Matrix, gb Vector) {
+	c := y.Cols
+	for i := 0; i < y.Rows; i++ {
+		yr := y.Data[i*c : (i+1)*c]
+		or := dout.Data[i*c : (i+1)*c]
+		dr := dz.Data[i*c : (i+1)*c]
+		for j, yv := range yr {
+			d := or[j] * (1 - yv*yv)
+			dr[j] = d
+			gb[j] += d
+		}
+	}
+}
+
+// AdamCoeffs are the scalars of one Adam step (see AdamStep).
+type AdamCoeffs struct {
+	LR, Beta1, Beta2, Epsilon float64
+	BC1, BC2                  float64 // bias corrections 1−β1ᵗ and 1−β2ᵗ
+	Scale                     float64 // multiplier on every gradient read
+}
+
+// AdamStep applies one Adam update to the weights w from the gradients g,
+// updating the first and second moments m and v in place (all four of equal
+// length): for each i, g' = g[i]·Scale, m = β1·m + (1−β1)·g',
+// v = β2·v + (1−β2)·g'·g', and w −= LR·(m/BC1) / (√(v/BC2) + ε). Where the
+// AVX kernels run (DESIGN.md §15) four elements go through the same
+// operations in the same order, with the same bits.
+func AdamStep(w, g, m, v []float64, c AdamCoeffs) {
+	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic(fmt.Sprintf("tensor: AdamStep length mismatch %d/%d/%d/%d", len(w), len(g), len(m), len(v)))
+	}
+	adamStep(w, g, m, v, c)
+}
+
+func adamStepGeneric(w, g, m, v []float64, c AdamCoeffs) {
+	for i := range w {
+		gs := g[i] * c.Scale
+		m[i] = c.Beta1*m[i] + (1-c.Beta1)*gs
+		v[i] = c.Beta2*v[i] + (1-c.Beta2)*gs*gs
+		mh := m[i] / c.BC1
+		vh := v[i] / c.BC2
+		w[i] -= c.LR * mh / (math.Sqrt(vh) + c.Epsilon)
+	}
+}
+
 // EnsureShape returns m resized to rows×cols, reusing its backing array
 // when it has enough capacity and allocating a fresh matrix otherwise. The
 // contents after a resize are unspecified; callers that need zeros must
@@ -518,19 +600,6 @@ func EnsureShape(m *Matrix, rows, cols int) *Matrix {
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:rows*cols]
 	return m
-}
-
-// AddRowVector adds v to every row of m in place (broadcast bias add).
-func (m *Matrix) AddRowVector(v Vector) {
-	if len(v) != m.Cols {
-		panic("tensor: AddRowVector shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range v {
-			row[j] += x
-		}
-	}
 }
 
 // AddOuter performs m += s · x·yᵀ (rank-1 update; x len m.Rows, y len m.Cols).

@@ -138,7 +138,8 @@ func TestAddMatMulTransATiledBitIdentical(t *testing.T) {
 }
 
 // TestMatMulTransBTiledBitIdentical pins the tiled a·bᵀ kernel to the
-// plain dot-product loop, bit for bit.
+// plain dot-product loop, bit for bit. Its zero bias adds nothing: a sum
+// that starts at +0 never rounds to −0, so adding +0 keeps every bit.
 func TestMatMulTransBTiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// Odd and even dims: exercises the 2×2 tiles plus both tail paths.
@@ -152,7 +153,7 @@ func TestMatMulTransBTiledBitIdentical(t *testing.T) {
 			b.Data[i] = rng.NormFloat64()
 		}
 		got := NewMatrix(sh.r, sh.c)
-		MatMulTransB(got, a, b)
+		MatMulTransB(got, a, b, NewVector(sh.c))
 		for i := 0; i < sh.r; i++ {
 			for o := 0; o < sh.c; o++ {
 				var s float64
@@ -177,11 +178,12 @@ func TestMatMulTransBRangeComposes(t *testing.T) {
 		a := randSparse(r, k, rng)
 		b := randSparse(c, k, rng)
 		want := NewMatrix(r, c)
-		MatMulTransB(want, a, b)
+		bias := Vector(randSparse(1, c, rng).Data)
+		MatMulTransB(want, a, b, bias)
 		got := NewMatrix(r, c)
 		mid := r / 3
-		MatMulTransBRange(got, a, b, 0, mid)
-		MatMulTransBRange(got, a, b, mid, r)
+		MatMulTransBRange(got, a, b, bias, 0, mid)
+		MatMulTransBRange(got, a, b, bias, mid, r)
 		matricesEqual(t, "MatMulTransBRange", got, want)
 	}
 }
@@ -224,9 +226,9 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = rng.NormFloat64()
 	}
-	dst := NewMatrix(256, 64)
+	dst, bias := NewMatrix(256, 64), NewVector(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransB(dst, a, w)
+		MatMulTransB(dst, a, w, bias)
 	}
 }
