@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/report"
 	"repro/internal/rl"
 )
 
@@ -235,9 +236,9 @@ func (t *Trainer) maxDraws(episodes int) uint64 {
 	return t.src.State().Draws + 2*uint64(episodes)*perEpisode
 }
 
-// SaveCheckpoint captures the trainer's state and writes it crash-safely:
-// the snapshot goes to a temp file in the target directory first and is
-// renamed into place, so a crash mid-write leaves the previous checkpoint
+// SaveCheckpoint captures the trainer's state and writes it crash-safely
+// (report.WriteFileAtomic: a synced temp file in the target directory,
+// renamed into place), so a crash mid-write leaves the previous checkpoint
 // intact.
 func (t *Trainer) SaveCheckpoint(path string) error {
 	ck, err := t.CaptureCheckpoint()
@@ -248,13 +249,8 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: encode checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := report.WriteFileAtomic(path, data, 0o644); err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: commit checkpoint: %w", err)
 	}
 	t.lastSaved = t.nextEpisode
 	return nil

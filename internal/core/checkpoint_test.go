@@ -36,6 +36,10 @@ func trainInterrupted(t *testing.T, cfg Config, stopAfter int) string {
 	if err := tr.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
+	// The crash-safe write leaves no staging file beside the checkpoint.
+	if names := dirNames(t, filepath.Dir(path)); len(names) != 1 || names[0] != "ck.json" {
+		t.Fatalf("directory after SaveCheckpoint holds %v, want only ck.json", names)
+	}
 	return path
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/report"
 	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -266,11 +267,11 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	}
 	var net nn.MLP
 	if err := net.UnmarshalBinary(w.PolicyNet); err != nil {
-		return err
+		return fmt.Errorf("core: decode agent: policy network: %w", err)
 	}
 	var critic nn.MLP
 	if err := critic.UnmarshalBinary(w.Critic); err != nil {
-		return err
+		return fmt.Errorf("core: decode agent: critic: %w", err)
 	}
 	groups := 1
 	switch Arch(w.Arch) {
@@ -305,13 +306,14 @@ func (a *Agent) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Save writes the agent to a file.
+// Save writes the agent to a file crash-safely (report.WriteFileAtomic):
+// a crash mid-write leaves the previous file, if any, intact.
 func (a *Agent) Save(path string) error {
 	data, err := a.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := report.WriteFileAtomic(path, data, 0o644); err != nil {
 		return fmt.Errorf("core: save agent: %w", err)
 	}
 	return nil
@@ -325,7 +327,7 @@ func LoadAgent(path string) (*Agent, error) {
 	}
 	a := &Agent{}
 	if err := a.UnmarshalBinary(data); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: load agent %s: %w", path, err)
 	}
 	return a, nil
 }
@@ -530,35 +532,11 @@ func (t *Trainer) RunEpisode(episode int) (EpisodeStats, error) {
 			state = t.norm.Normalize(state)
 		}
 
-		// Buffer full: update with M PPO epochs, sync θ_old, clear D
-		// (lines 17–23).
+		// Buffer full: update, sync θ_old, clear D (lines 17–23).
 		if t.buffer.Full() {
-			lastValue := 0.0
-			if !res.Done {
-				lastValue = t.algo.Value(state)
-			}
-			gamma, lambda := t.Cfg.PPO.Gamma, t.Cfg.PPO.Lambda
-			if t.Cfg.Algo == AlgoA2C {
-				gamma, lambda = t.Cfg.A2C.Gamma, t.Cfg.A2C.Lambda
-			}
-			var batch *rl.Batch
-			if cp != nil {
-				var lastCost rl.CostVec
-				if !res.Done {
-					lastCost = cp.CostValues(state)
-				}
-				batch = rl.MakeConstrainedBatchInto(t.batch, t.buffer, lastValue, lastCost, gamma, lambda)
-			} else {
-				batch = rl.MakeBatchInto(t.batch, t.buffer, lastValue, gamma, lambda)
-			}
-			st, err := t.algo.Update(batch)
-			if err != nil {
+			if err := t.update(state, res.Done); err != nil {
 				return EpisodeStats{}, err
 			}
-			t.lastLoss = st.Loss(t.Cfg.PPO)
-			t.updates++
-			t.actorOld.CopyFrom(t.actor)
-			t.buffer.Clear()
 		}
 		if res.Done {
 			break
@@ -571,6 +549,42 @@ func (t *Trainer) RunEpisode(episode int) (EpisodeStats, error) {
 		Loss:      t.lastLoss,
 		Updates:   t.updates,
 	}, nil
+}
+
+// update runs Algorithm 1's buffer-full step (lines 17–23) on the full
+// buffer D: bootstrap the value of next (and, under constrained PPO, its
+// cost values) unless the episode ended, turn D into a batch with γ and λ
+// of the configured algorithm, optimize for M epochs, sync θ_old and clear
+// D. next is the state after D's last transition.
+func (t *Trainer) update(next tensor.Vector, done bool) error {
+	cp := t.constrainedPPO()
+	lastValue := 0.0
+	var lastCost rl.CostVec
+	if !done {
+		lastValue = t.algo.Value(next)
+		if cp != nil {
+			lastCost = cp.CostValues(next)
+		}
+	}
+	gamma, lambda := t.Cfg.PPO.Gamma, t.Cfg.PPO.Lambda
+	if t.Cfg.Algo == AlgoA2C {
+		gamma, lambda = t.Cfg.A2C.Gamma, t.Cfg.A2C.Lambda
+	}
+	var batch *rl.Batch
+	if cp != nil {
+		batch = rl.MakeConstrainedBatchInto(t.batch, t.buffer, lastValue, lastCost, gamma, lambda)
+	} else {
+		batch = rl.MakeBatchInto(t.batch, t.buffer, lastValue, gamma, lambda)
+	}
+	st, err := t.algo.Update(batch)
+	if err != nil {
+		return err
+	}
+	t.lastLoss = st.Loss(t.Cfg.PPO)
+	t.updates++
+	t.actorOld.CopyFrom(t.actor)
+	t.buffer.Clear()
+	return nil
 }
 
 // Stop asks a running Run to stop at the next episode (sequential mode) or

@@ -2,11 +2,16 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
 	"repro/internal/device"
 	"repro/internal/fl"
+	"repro/internal/nn"
+	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -145,6 +150,10 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if err := agent.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	// The crash-safe write leaves no staging file beside the agent.
+	if names := dirNames(t, filepath.Dir(path)); len(names) != 1 || names[0] != "agent.gob" {
+		t.Fatalf("directory after Save holds %v, want only agent.gob", names)
+	}
 	back, err := LoadAgent(path)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +194,49 @@ func TestLoadAgentErrors(t *testing.T) {
 	if err := a.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A non-finite weight is rejected with an error naming the file and
+	// the network it belongs to.
+	sys := testbedSystem(3, 4)
+	for _, c := range []struct {
+		network, other string
+		net            func(*Agent) *nn.MLP
+	}{
+		{"policy network", "critic", func(a *Agent) *nn.MLP { return a.Policy.(*rl.GaussianPolicy).Net }},
+		{"critic", "policy network", func(a *Agent) *nn.MLP { return a.Critic }},
+	} {
+		tr, err := NewTrainer(sys, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent := tr.Agent()
+		c.net(agent).Layers[0].W.Data[0] = math.NaN()
+		path := filepath.Join(t.TempDir(), "nan.gob")
+		if err := agent.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadAgent(path)
+		if err == nil {
+			t.Fatalf("agent with a NaN %s weight accepted", c.network)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, path) || !strings.Contains(msg, c.network) || strings.Contains(msg, c.other) || !strings.Contains(msg, "NaN") {
+			t.Fatalf("NaN %s weight: error %q does not name the file and the network", c.network, msg)
+		}
+	}
+}
+
+// dirNames lists the names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestEvaluatePaired(t *testing.T) {

@@ -159,52 +159,28 @@ func (t *Trainer) collectEpisode(episode int, actor rl.Policy, critic, costCriti
 }
 
 // absorb merges one collected trajectory into the shared buffer, replaying
-// Algorithm 1's buffer-full updates (lines 17–23) exactly as the sequential
-// loop would: value bootstrap from the transition after the fill point
-// under the current critic, M optimization epochs, θ_old sync, buffer
-// clear. Running observation statistics are replayed in state-visit order.
+// Algorithm 1's buffer-full updates (lines 17–23, Trainer.update) exactly
+// as the sequential loop would, bootstrapping from the transition after the
+// fill point under the current critic. Running observation statistics are
+// replayed in state-visit order.
 func (t *Trainer) absorb(tr *rl.Trajectory) (EpisodeStats, error) {
 	if t.norm != nil {
 		for _, raw := range tr.RawStates {
 			t.norm.Update(raw)
 		}
 	}
-	cp := t.constrainedPPO()
 	for i, step := range tr.Steps {
 		t.buffer.Add(step)
 		if !t.buffer.Full() {
 			continue
 		}
-		lastValue := 0.0
-		var lastCost rl.CostVec
-		if !step.Done {
-			next := tr.FinalState
-			if i+1 < len(tr.Steps) {
-				next = tr.Steps[i+1].State
-			}
-			lastValue = t.algo.Value(next)
-			if cp != nil {
-				lastCost = cp.CostValues(next)
-			}
+		next := tr.FinalState
+		if i+1 < len(tr.Steps) {
+			next = tr.Steps[i+1].State
 		}
-		gamma, lambda := t.Cfg.PPO.Gamma, t.Cfg.PPO.Lambda
-		if t.Cfg.Algo == AlgoA2C {
-			gamma, lambda = t.Cfg.A2C.Gamma, t.Cfg.A2C.Lambda
-		}
-		var batch *rl.Batch
-		if cp != nil {
-			batch = rl.MakeConstrainedBatchInto(t.batch, t.buffer, lastValue, lastCost, gamma, lambda)
-		} else {
-			batch = rl.MakeBatchInto(t.batch, t.buffer, lastValue, gamma, lambda)
-		}
-		st, err := t.algo.Update(batch)
-		if err != nil {
+		if err := t.update(next, step.Done); err != nil {
 			return EpisodeStats{}, err
 		}
-		t.lastLoss = st.Loss(t.Cfg.PPO)
-		t.updates++
-		t.actorOld.CopyFrom(t.actor)
-		t.buffer.Clear()
 	}
 	steps := float64(len(tr.Steps))
 	return EpisodeStats{

@@ -101,7 +101,7 @@ func newAudit(capacity int) *Audit {
 func (a *Audit) add(d Decision) {
 	a.total++
 	a.served[d.Layer]++
-	if a.cap > 0 && len(a.recs) >= a.cap {
+	if len(a.recs) >= a.cap {
 		n := copy(a.recs, a.recs[1:])
 		a.recs = a.recs[:n]
 		a.dropped++

@@ -44,7 +44,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Defaults applied by New to zero-valued Config fields.
+// Defaults applied by New to zero-valued Config fields. DefaultOODWindow,
+// DefaultOODHysteresis, DefaultBackoff, DefaultMaxProbation and
+// DefaultAuditCap are fixed: no Config field overrides them.
 const (
 	DefaultOODThreshold  = 4.0
 	DefaultOODWindow     = 5
@@ -58,8 +60,8 @@ const (
 )
 
 // Config parameterizes the guard. The zero value of every field except
-// Env selects the documented default; negative OODThreshold, CostFactor
-// or AuditCap disable the respective mechanism.
+// Env selects the documented default; negative OODThreshold or CostFactor
+// disable the respective mechanism.
 type Config struct {
 	// Env is the environment layout the actor was trained in; the guard
 	// rebuilds states with it. Required.
@@ -68,27 +70,19 @@ type Config struct {
 	// Required when the OOD layer is enabled (OODThreshold ≥ 0); see
 	// RefFromNormalizer and ProbeReference.
 	Ref *Reference
-	// OODThreshold is the windowed drift score above which the gate
-	// opens. 0 selects DefaultOODThreshold; negative disables the layer.
+	// OODThreshold is the drift score, averaged over the last
+	// DefaultOODWindow decisions, above which the gate opens; the gate
+	// re-closes only below DefaultOODHysteresis·OODThreshold. 0 selects
+	// DefaultOODThreshold; negative disables the layer.
 	OODThreshold float64
-	// OODWindow is the number of recent per-decision scores averaged
-	// into the gate statistic (0 → DefaultOODWindow).
-	OODWindow int
-	// OODHysteresis re-closes the gate only below
-	// OODHysteresis·OODThreshold, in (0,1] (0 → DefaultOODHysteresis).
-	OODHysteresis float64
 	// TripAfter is the consecutive-violation budget before a level's
 	// breaker trips open (0 → DefaultTripAfter).
 	TripAfter int
 	// Probation is the number of decisions a tripped level sits out
-	// before its first probe (0 → DefaultProbation).
+	// before its first probe (0 → DefaultProbation), at most
+	// DefaultMaxProbation. Each failed probe multiplies the window by
+	// DefaultBackoff, capped at DefaultMaxProbation.
 	Probation int
-	// ProbationBackoff multiplies the probation window after each failed
-	// probe, ≥ 1 (0 → DefaultBackoff).
-	ProbationBackoff float64
-	// MaxProbation caps the escalated probation window
-	// (0 → DefaultMaxProbation).
-	MaxProbation int
 	// CostFactor bounds how much worse than the max-frequency safe plan
 	// a served plan may price (layer 3) or a realized iteration may cost
 	// (cost-regression breaker input). 0 selects DefaultCostFactor;
@@ -98,9 +92,6 @@ type Config struct {
 	// to answer before the watchdog skips it. 0 disables the watchdog
 	// and keeps the pipeline fully synchronous (and deterministic).
 	LatencyBudget time.Duration
-	// AuditCap bounds retained audit records (counters are never capped;
-	// 0 → DefaultAuditCap, negative → unlimited).
-	AuditCap int
 	// RecordPlans stores a copy of every served frequency plan on its
 	// Decision, switching audit lines to the extended form that carries the
 	// decision clock and the plan. The online continual-learning loop needs
@@ -119,29 +110,14 @@ func (c Config) withDefaults() Config {
 	if c.OODThreshold == 0 {
 		c.OODThreshold = DefaultOODThreshold
 	}
-	if c.OODWindow == 0 {
-		c.OODWindow = DefaultOODWindow
-	}
-	if c.OODHysteresis == 0 {
-		c.OODHysteresis = DefaultOODHysteresis
-	}
 	if c.TripAfter == 0 {
 		c.TripAfter = DefaultTripAfter
 	}
 	if c.Probation == 0 {
 		c.Probation = DefaultProbation
 	}
-	if c.ProbationBackoff == 0 {
-		c.ProbationBackoff = DefaultBackoff
-	}
-	if c.MaxProbation == 0 {
-		c.MaxProbation = DefaultMaxProbation
-	}
 	if c.CostFactor == 0 {
 		c.CostFactor = DefaultCostFactor
-	}
-	if c.AuditCap == 0 {
-		c.AuditCap = DefaultAuditCap
 	}
 	return c
 }
@@ -151,16 +127,8 @@ func (c Config) validate() error {
 	if err := c.Env.Validate(); err != nil {
 		return fmt.Errorf("guard: %w", err)
 	}
-	if c.OODThreshold > 0 {
-		if c.Ref == nil {
-			return fmt.Errorf("guard: OOD layer enabled (threshold %v) but no reference; set Config.Ref (RefFromNormalizer or ProbeReference) or disable with a negative threshold", c.OODThreshold)
-		}
-		if c.OODWindow < 1 {
-			return fmt.Errorf("guard: OOD window %d must be positive", c.OODWindow)
-		}
-		if c.OODHysteresis <= 0 || c.OODHysteresis > 1 {
-			return fmt.Errorf("guard: OOD hysteresis %v outside (0,1]", c.OODHysteresis)
-		}
+	if c.OODThreshold > 0 && c.Ref == nil {
+		return fmt.Errorf("guard: OOD layer enabled (threshold %v) but no reference; set Config.Ref (RefFromNormalizer or ProbeReference) or disable with a negative threshold", c.OODThreshold)
 	}
 	if c.TripAfter < 1 {
 		return fmt.Errorf("guard: trip budget %d must be positive", c.TripAfter)
@@ -168,11 +136,8 @@ func (c Config) validate() error {
 	if c.Probation < 1 {
 		return fmt.Errorf("guard: probation %d must be positive", c.Probation)
 	}
-	if c.ProbationBackoff < 1 {
-		return fmt.Errorf("guard: probation backoff %v must be ≥ 1", c.ProbationBackoff)
-	}
-	if c.MaxProbation < c.Probation {
-		return fmt.Errorf("guard: max probation %d below probation %d", c.MaxProbation, c.Probation)
+	if c.Probation > DefaultMaxProbation {
+		return fmt.Errorf("guard: probation %d above the maximum %d", c.Probation, DefaultMaxProbation)
 	}
 	if c.CostFactor > 0 && c.CostFactor < 1 {
 		return fmt.Errorf("guard: cost factor %v below 1 would reject the safe plan itself", c.CostFactor)
@@ -185,12 +150,11 @@ func (c Config) validate() error {
 //	closed --TripAfter consecutive violations--> open (cooldown=probation)
 //	open   --cooldown elapsed--> probing (one decision)
 //	probe ok --> closed (probation resets to base)
-//	probe fails --> open again, probation ×= backoff (capped)
+//	probe fails --> open again, probation ×= DefaultBackoff (capped at
+//	DefaultMaxProbation)
 type breaker struct {
 	tripAfter int
 	base      int
-	max       int
-	backoff   float64
 
 	open      bool
 	consec    int // consecutive violations while closed
@@ -202,8 +166,6 @@ func newBreaker(c Config) *breaker {
 	return &breaker{
 		tripAfter: c.TripAfter,
 		base:      c.Probation,
-		max:       c.MaxProbation,
-		backoff:   c.ProbationBackoff,
 		probation: c.Probation,
 	}
 }
@@ -235,12 +197,9 @@ func (b *breaker) record(ok bool) string {
 		return ""
 	}
 	if b.open { // failed probe: escalate
-		next := int(float64(b.probation) * b.backoff)
-		if next <= b.probation {
-			next = b.probation + 1
-		}
-		if next > b.max {
-			next = b.max
+		next := int(float64(b.probation) * DefaultBackoff)
+		if next > DefaultMaxProbation {
+			next = DefaultMaxProbation
 		}
 		b.probation = next
 		b.cooldown = next
@@ -328,13 +287,9 @@ func New(primary sched.Scheduler, cfg Config, fallbacks ...sched.Scheduler) (*Gu
 		g.chain = append(g.chain, lv)
 	}
 	if cfg.OODThreshold > 0 {
-		g.ood = newOODDetector(cfg.Ref, cfg.OODThreshold, cfg.OODHysteresis, cfg.OODWindow)
+		g.ood = newOODDetector(cfg.Ref, cfg.OODThreshold, DefaultOODHysteresis, DefaultOODWindow)
 	}
-	cap := cfg.AuditCap
-	if cap < 0 {
-		cap = 0 // unlimited
-	}
-	g.aud = newAudit(cap)
+	g.aud = newAudit(DefaultAuditCap)
 	return g, nil
 }
 

@@ -168,7 +168,6 @@ func TestBreakerEscalation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.TripAfter = 2
 	cfg.Probation = 3
-	cfg.ProbationBackoff = 2
 	chain, _ := ChainFromSpec(sys, "maxfreq", 0.05)
 	g, err := New(primary, cfg, chain...)
 	if err != nil {
@@ -328,8 +327,6 @@ func TestOODGateBypassesActor(t *testing.T) {
 	}}
 	cfg := baseConfig()
 	cfg.OODThreshold = 5
-	cfg.OODWindow = 2
-	cfg.OODHysteresis = 0.5
 	ref, err := ProbeReference(sys, cfg.Env, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +344,9 @@ func TestOODGateBypassesActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 14; k++ {
+	// The gate averages DefaultOODWindow scores, so it can stay open up to
+	// that many decisions past the corruption; run a few more after that.
+	for k := 0; k < 8+DefaultOODWindow+5; k++ {
 		decide(t, g, sys, k)
 	}
 	recs := g.Audit().Records()

@@ -124,8 +124,8 @@ type Hysteresis struct {
 }
 
 // NewHysteresis builds a closed gate. threshold > 0, hysteresis in (0,1]
-// and window ≥ 1 are the caller's to check, as Config.Validate does for the
-// OOD layer.
+// and window ≥ 1 are the caller's to check; the OOD layer and online.Loop
+// pass the package constants for the last two.
 func NewHysteresis(threshold, hysteresis float64, window int) *Hysteresis {
 	return &Hysteresis{threshold: threshold, hysteresis: hysteresis, win: make([]float64, window)}
 }

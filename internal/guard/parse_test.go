@@ -140,7 +140,7 @@ func TestGuardAuditLinesRoundTrip(t *testing.T) {
 }
 
 func TestTripReasons(t *testing.T) {
-	a := newAudit(0)
+	a := newAudit(DefaultAuditCap)
 	add := func(events ...string) {
 		d := Decision{Iter: a.total, Layer: "maxfreq"}
 		for _, ev := range events {

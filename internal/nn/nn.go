@@ -161,11 +161,10 @@ type Linear struct {
 	xref             *tensor.Matrix
 	zb, yb, dzb, dxb *tensor.Matrix
 
-	// serial disables intra-layer ParallelRows so gradient-replica shards
-	// (one per training worker) never nest parallelism; setGrads makes the
-	// batched backward overwrite GW/GB instead of accumulating, so replica
-	// gradients need no ZeroGrad memclr between minibatches.
-	serial, setGrads bool
+	// setGrads makes the batched backward overwrite GW/GB instead of
+	// accumulating, so gradient replicas (CloneGradOnly) need no ZeroGrad
+	// memclr between minibatches.
+	setGrads bool
 }
 
 // NewLinear creates a layer with Xavier/He initialization appropriate for
@@ -239,21 +238,10 @@ func (l *Linear) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 	l.xref = X
 	l.zb = tensor.EnsureShape(l.zb, n, l.Out)
 	l.yb = tensor.EnsureShape(l.yb, n, l.Out)
-	if l.serial {
-		tensor.MatMulTransBRange(l.zb, X, l.W, l.B, 0, n)
-		l.Act.applyBatch(l.yb.Data, l.zb.Data)
-		return l.yb
-	}
 	tensor.MatMulTransB(l.zb, X, l.W, l.B)
-	tensor.ParallelRows(n, n*l.Out*actWorkFactor, func(lo, hi int) {
-		l.Act.applyBatch(l.yb.Data[lo*l.Out:hi*l.Out], l.zb.Data[lo*l.Out:hi*l.Out])
-	})
+	l.Act.applyBatch(l.yb.Data, l.zb.Data)
 	return l.yb
 }
-
-// actWorkFactor approximates the scalar-op cost of one activation (tanh is
-// far more expensive than a fused multiply-add) for parallel scheduling.
-const actWorkFactor = 16
 
 // BackwardBatch accumulates parameter gradients for the last ForwardBatch
 // batch and returns d(loss)/d(input), one row per sample. Gradients are
@@ -281,19 +269,6 @@ func (l *Linear) backwardBatch(dout *tensor.Matrix, needDX bool) *tensor.Matrix 
 	} else {
 		l.Act.derivBatch(l.dzb.Data, dout.Data[:n*l.Out], l.zb.Data, l.yb.Data)
 		tensor.AddRowSums(l.GB, l.dzb)
-	}
-	if l.serial {
-		if l.setGrads {
-			tensor.MatMulTransARange(l.GW, l.dzb, l.xref, 0, l.Out)
-		} else {
-			tensor.AddMatMulTransARange(l.GW, l.dzb, l.xref, 0, l.Out)
-		}
-		if !needDX {
-			return nil
-		}
-		l.dxb = tensor.EnsureShape(l.dxb, n, l.In)
-		tensor.MatMulRange(l.dxb, l.dzb, l.W, 0, n)
-		return l.dxb
 	}
 	if l.setGrads {
 		tensor.MatMulTransA(l.GW, l.dzb, l.xref)

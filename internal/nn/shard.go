@@ -13,11 +13,10 @@ import "repro/internal/tensor"
 
 // CloneGradOnly returns a gradient replica of m: a network whose layers
 // share m's weight and bias backing arrays but own private gradient
-// accumulators and forward caches. Replicas run their kernels serially (the
-// engine already runs one replica per worker, so nesting ParallelRows would
-// only add scheduling overhead) and overwrite rather than accumulate their
-// gradients on each batched backward pass, which makes per-minibatch
-// ZeroGrad calls on replicas unnecessary.
+// accumulators and forward caches. Replicas run the same kernels as the
+// primary network but overwrite rather than accumulate their gradients on
+// each batched backward pass, which makes per-minibatch ZeroGrad calls on
+// replicas unnecessary.
 func (m *MLP) CloneGradOnly() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
@@ -31,7 +30,6 @@ func (m *MLP) CloneGradOnly() *MLP {
 			z:  tensor.NewVector(l.Out),
 			y:  tensor.NewVector(l.Out),
 
-			serial:   true,
 			setGrads: true,
 		}
 		c.Layers = append(c.Layers, nl)

@@ -10,7 +10,9 @@ import (
 	"repro/internal/rl"
 )
 
-// Defaults applied by NewLoop to zero-valued Config fields.
+// Defaults applied by NewLoop to zero-valued Config fields. The retrain
+// gate's DefaultDriftThreshold, DefaultDriftHysteresis and
+// DefaultDriftWindow are fixed: no Config field overrides them.
 const (
 	DefaultBufferCap       = 1024
 	DefaultDriftThreshold  = guard.DefaultOODThreshold
@@ -28,12 +30,6 @@ const (
 type Config struct {
 	// BufferCap bounds the replay buffer (0 → DefaultBufferCap).
 	BufferCap int
-	// DriftThreshold/DriftHysteresis/DriftWindow parameterize the retrain
-	// gate over parsed drift scores, the same guard.Hysteresis the serving
-	// side's OOD layer runs (0 → the documented defaults).
-	DriftThreshold  float64
-	DriftHysteresis float64
-	DriftWindow     int
 	// MinSamples is the replay-buffer fill required before a retrain can
 	// trigger (0 → DefaultMinSamples).
 	MinSamples int
@@ -74,15 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.BufferCap == 0 {
 		c.BufferCap = DefaultBufferCap
 	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = DefaultDriftThreshold
-	}
-	if c.DriftHysteresis == 0 {
-		c.DriftHysteresis = DefaultDriftHysteresis
-	}
-	if c.DriftWindow == 0 {
-		c.DriftWindow = DefaultDriftWindow
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = DefaultMinSamples
 	}
@@ -114,12 +101,6 @@ func (c Config) validate() error {
 	switch {
 	case c.BufferCap < 1:
 		return fmt.Errorf("online: buffer capacity %d must be positive", c.BufferCap)
-	case c.DriftThreshold <= 0:
-		return fmt.Errorf("online: drift threshold %v must be positive", c.DriftThreshold)
-	case c.DriftHysteresis <= 0 || c.DriftHysteresis > 1:
-		return fmt.Errorf("online: drift hysteresis %v outside (0,1]", c.DriftHysteresis)
-	case c.DriftWindow < 1:
-		return fmt.Errorf("online: drift window %d must be positive", c.DriftWindow)
 	case c.MinSamples < 1:
 		return fmt.Errorf("online: min samples %d must be positive", c.MinSamples)
 	case c.MinSamples > c.BufferCap:
@@ -182,7 +163,7 @@ func NewLoop(sys *fl.System, agent *core.Agent, cfg Config) (*Loop, error) {
 		agent:        agent,
 		rep:          rep,
 		buf:          NewBuffer(cfg.BufferCap),
-		gate:         guard.NewHysteresis(cfg.DriftThreshold, cfg.DriftHysteresis, cfg.DriftWindow),
+		gate:         guard.NewHysteresis(DefaultDriftThreshold, DefaultDriftHysteresis, DefaultDriftWindow),
 		sinceAttempt: cfg.Cooldown, // an already-drifted log retrains as soon as MinSamples arrive
 	}, nil
 }

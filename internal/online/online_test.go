@@ -265,6 +265,14 @@ func TestLoopRetrainDeterministic(t *testing.T) {
 			t.Errorf("checkpoint %q outside requested dir", r1[i].CheckpointPath)
 		}
 	}
+	// The crash-safe writes leave no staging files beside the candidates.
+	entries, err := os.ReadDir(d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(r1) {
+		t.Fatalf("checkpoint dir holds %d files for %d retrains", len(entries), len(r1))
+	}
 }
 
 // TestLoopRollbackOnRegression: a replay buffer full of stall plans

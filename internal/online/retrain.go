@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/core"
@@ -128,24 +127,12 @@ func (l *Loop) probe(a *core.Agent) (cost float64, trips int, err error) {
 	return cost, trips, nil
 }
 
-// writeCandidate persists a candidate agent crash-safely: encode, write
-// to a temp file in the target directory, rename into place.
+// writeCandidate persists a candidate agent crash-safely (Agent.Save) as
+// candidate-<ordinal>.gob in dir, creating dir if needed.
 func writeCandidate(dir string, ordinal int, a *core.Agent) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("online: checkpoint dir: %w", err)
-	}
-	data, err := a.MarshalBinary()
-	if err != nil {
-		return "", err
-	}
 	path := filepath.Join(dir, fmt.Sprintf("candidate-%04d.gob", ordinal))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := a.Save(path); err != nil {
 		return "", fmt.Errorf("online: write candidate: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("online: commit candidate: %w", err)
 	}
 	return path, nil
 }

@@ -10,9 +10,8 @@ import (
 // temporary file in the same directory, are fsynced, and are renamed over
 // the destination in one step. A reader (or a restart after kill -9) sees
 // either the previous complete file or the new complete file, never a
-// partial write. This is the same pattern core.Checkpoint uses for agent
-// snapshots; it lives here so servers and reporters can share it for audit
-// flushes, registry snapshots and benchmark results.
+// partial write. Agent files, training checkpoints, audit flushes,
+// registry snapshots and benchmark results all go through it.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -12,6 +12,8 @@ import (
 // blocks; each block owns a gradient replica of the actor and critic
 // (weights shared, gradients and forward caches private), so any number of
 // workers can process disjoint blocks concurrently without synchronization.
+// The workers are the update's only parallelism: every kernel a block calls
+// runs on its worker's goroutine, the same code the primary networks run.
 // The per-block gradients are then folded into the primary networks by
 // nn.MergeGradTree, whose reduction shape depends only on the block count —
 // never on the worker count — so the merged gradient, and therefore the

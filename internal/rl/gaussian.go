@@ -329,9 +329,9 @@ func (p *GaussianPolicy) BackwardLogProbBatch(S, A *tensor.Matrix, upstream tens
 
 // cloneGradShard returns a gradient replica for the update engine: it
 // shares the network's weights and the LogStd vector with p, owns private
-// gradient accumulators and forward caches, and runs the serial set-grads
-// kernels of nn.CloneGradOnly, overwriting rather than accumulating its
-// gradients on each BackwardLogProbBatch call.
+// gradient accumulators and forward caches, and runs the set-grads backward
+// of nn.CloneGradOnly, overwriting rather than accumulating its gradients on
+// each BackwardLogProbBatch call.
 func (p *GaussianPolicy) cloneGradShard() *GaussianPolicy {
 	return &GaussianPolicy{
 		Net:       p.Net.CloneGradOnly(),

@@ -458,9 +458,8 @@ func (d *DRL) FrequenciesFromState(ctx Context, state tensor.Vector) ([]float64,
 // FrequenciesFromStateInto is FrequenciesFromState with a caller-provided
 // destination (grown if needed, allocated when nil). Together with the
 // DRL's internal state/action buffers this makes the steady-state serving
-// tick allocation-free for the joint actor (core's
-// TestDRLJointTickZeroAllocs); the shared actor's batched forward still
-// allocates its parallel-row closures.
+// tick allocation-free for the joint and the shared actor alike (core's
+// TestDRLTickZeroAllocs).
 func (d *DRL) FrequenciesFromStateInto(dst []float64, ctx Context, state tensor.Vector) ([]float64, error) {
 	if len(state) != d.Policy.StateDim() {
 		return nil, fmt.Errorf("sched: state dim %d but policy expects %d (trained on a different N or H?)",

@@ -93,19 +93,19 @@ func matVec(dst Vector, m *Matrix, x Vector) {
 	dotRows(dst, m.Data, m.Cols, x)
 }
 
-func matMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
+func matMulTransB(dst, a, b *Matrix, bias Vector) {
 	if !useF64Asm {
-		matMulTransBRangeGeneric(dst, a, b, bias, lo, hi)
+		matMulTransBGeneric(dst, a, b, bias)
 		return
 	}
-	k, c := a.Cols, b.Rows
+	n, k, c := a.Rows, a.Cols, b.Rows
 	c4 := c &^ 3
 	if c4 > 0 {
 		w, bv := b.Data[:c4*k], bias[:c4]
 		// A lone last row goes in as both rows of the pair: the kernel
 		// stores the same sums to it twice.
-		for i := lo; i < hi; i += 2 {
-			j := min(i+1, hi-1)
+		for i := 0; i < n; i += 2 {
+			j := min(i+1, n-1)
 			d0, d1 := dst.Data[i*c:i*c+c4], dst.Data[j*c:j*c+c4]
 			x0, x1 := a.Data[i*k:(i+1)*k], a.Data[j*k:(j+1)*k]
 			dotPair(&d0[0], &d1[0], first(w), k, first(x0), first(x1), k, c4, &bv[0])
@@ -116,8 +116,8 @@ func matMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
 	// with the operands of each product swapped.
 	var t [8]float64
 	for o := c4; o < c; o++ {
-		for i := lo; i < hi; i += len(t) {
-			m := min(hi-i, len(t))
+		for i := 0; i < n; i += len(t) {
+			m := min(n-i, len(t))
 			dotRows(t[:m], a.Data[i*k:], k, b.Data[o*k:(o+1)*k])
 			for l, v := range t[:m] {
 				dst.Data[(i+l)*c+o] = v + bias[o]
@@ -147,26 +147,26 @@ func dotRows(dst, w []float64, k int, x []float64) {
 	}
 }
 
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
+func matMul(dst, a, b *Matrix) {
 	if !useF64Asm {
-		matMulRangeGeneric(dst, a, b, lo, hi)
+		matMulGeneric(dst, a, b)
 		return
 	}
 	k, c := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		d := dst.Data[i*c : (i+1)*c]
 		clear(d)
 		axpyRows(d, a.Data[i*k:(i+1)*k], 1, b.Data, k)
 	}
 }
 
-func addMatMulTransARange(dst, a, b *Matrix, set bool, lo, hi int) {
+func addMatMulTransA(dst, a, b *Matrix, set bool) {
 	if !useF64Asm {
-		addMatMulTransARangeGeneric(dst, a, b, set, lo, hi)
+		addMatMulTransAGeneric(dst, a, b, set)
 		return
 	}
 	n, r, c := a.Rows, a.Cols, b.Cols
-	for o := lo; o < hi; o++ {
+	for o := 0; o < dst.Rows; o++ {
 		d := dst.Data[o*c : (o+1)*c]
 		if set {
 			clear(d)

@@ -9,15 +9,11 @@ const useF64Asm = false
 
 func matVec(dst Vector, m *Matrix, x Vector) { matVecGeneric(dst, m, x) }
 
-func matMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
-	matMulTransBRangeGeneric(dst, a, b, bias, lo, hi)
-}
+func matMulTransB(dst, a, b *Matrix, bias Vector) { matMulTransBGeneric(dst, a, b, bias) }
 
-func matMulRange(dst, a, b *Matrix, lo, hi int) { matMulRangeGeneric(dst, a, b, lo, hi) }
+func matMul(dst, a, b *Matrix) { matMulGeneric(dst, a, b) }
 
-func addMatMulTransARange(dst, a, b *Matrix, set bool, lo, hi int) {
-	addMatMulTransARangeGeneric(dst, a, b, set, lo, hi)
-}
+func addMatMulTransA(dst, a, b *Matrix, set bool) { addMatMulTransAGeneric(dst, a, b, set) }
 
 func fastTanhInto(dst, src []float64) { fastTanhIntoGeneric(dst, src) }
 

@@ -142,10 +142,10 @@ func TestF64KernelsMatchGo(t *testing.T) {
 			}
 		}
 	})
-	// With a zero and a drawn bias; odd row counts and odd range splits
-	// leave a lone last row, which goes through dotPair as both rows of
-	// the pair, and the 3-row and 1-row heads take the swapped-lane path.
-	t.Run("MatMulTransBRange", func(t *testing.T) {
+	// With a zero and a drawn bias; odd row counts leave a lone last row,
+	// which goes through dotPair as both rows of the pair, and the 3-row
+	// and 1-row heads take the swapped-lane path.
+	t.Run("MatMulTransB", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(62))
 		shapes := append(f64Shapes(rng), [3]int{16, 18, 64}, [3]int{16, 64, 64}, [3]int{16, 64, 3}, [3]int{16, 64, 1},
 			[3]int{15, 18, 64}, [3]int{15, 64, 64}, [3]int{15, 64, 3}, [3]int{15, 64, 1}, [3]int{3, 20, 12}, [3]int{5, 7, 68})
@@ -156,17 +156,15 @@ func TestF64KernelsMatchGo(t *testing.T) {
 				for bi, bias := range []Vector{NewVector(c), f64Values(rng, c, sp)} {
 					got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
 					want := NewMatrix(n, c)
-					lo := rng.Intn(n + 1)
-					MatMulTransBRange(got, a, w, bias, 0, lo)
-					MatMulTransBRange(got, a, w, bias, lo, n)
+					MatMulTransB(got, a, w, bias)
 					guard()
-					matMulTransBRangeGeneric(want, a, w, bias, 0, n)
+					matMulTransBGeneric(want, a, w, bias)
 					checkSameF64(t, fmt.Sprintf("%dx%d·(%dx%d)ᵀ bias %d density %v", n, k, c, k, bi, sp), got.Data, want.Data)
 				}
 			}
 		}
 	})
-	t.Run("MatMulRange", func(t *testing.T) {
+	t.Run("MatMul", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(63))
 		shapes := append(f64Shapes(rng), [3]int{16, 64, 64}, [3]int{16, 3, 64}, [3]int{16, 1, 64}, [3]int{16, 64, 18})
 		for _, sh := range shapes {
@@ -175,16 +173,14 @@ func TestF64KernelsMatchGo(t *testing.T) {
 				a, b := f64Matrix(rng, n, k, sp), f64Matrix(rng, k, c, sp)
 				got, guard := guarded(t, f64Matrix(rng, n, c, 0.5)) // stale got
 				want := NewMatrix(n, c)
-				lo := rng.Intn(n + 1)
-				MatMulRange(got, a, b, 0, lo)
-				MatMulRange(got, a, b, lo, n)
+				MatMul(got, a, b)
 				guard()
-				matMulRangeGeneric(want, a, b, 0, n)
+				matMulGeneric(want, a, b)
 				checkSameF64(t, fmt.Sprintf("%dx%d·%dx%d density %v", n, k, k, c, sp), got.Data, want.Data)
 			}
 		}
 	})
-	t.Run("AddMatMulTransARange", func(t *testing.T) {
+	t.Run("AddMatMulTransA", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(64))
 		shapes := append(f64Shapes(rng), [3]int{16, 64, 18}, [3]int{16, 64, 64}, [3]int{16, 3, 64}, [3]int{16, 1, 64})
 		for _, sh := range shapes {
@@ -198,11 +194,9 @@ func TestF64KernelsMatchGo(t *testing.T) {
 				for _, set := range []bool{false, true} {
 					got, guard := guarded(t, init)
 					want := init.Clone()
-					lo := rng.Intn(r + 1)
-					addMatMulTransARange(got, a, b, set, 0, lo)
-					addMatMulTransARange(got, a, b, set, lo, r)
+					addMatMulTransA(got, a, b, set)
 					guard()
-					addMatMulTransARangeGeneric(want, a, b, set, 0, r)
+					addMatMulTransAGeneric(want, a, b, set)
 					checkSameF64(t, fmt.Sprintf("(%dx%d)ᵀ·%dx%d set=%v density %v", n, r, n, c, set, sp), got.Data, want.Data)
 				}
 			}
@@ -218,20 +212,20 @@ func TestF64KernelsMatchGo(t *testing.T) {
 			b := NewMatrix(5, c)
 			b.Fill(0.5)
 			got := NewMatrix(1, c)
-			MatMulRange(got, a, b, 0, 1)
+			MatMul(got, a, b)
 			for j, v := range got.Data {
 				if !math.IsNaN(v) {
-					t.Fatalf("MatMulRange width %d: column %d = %v, want NaN", c, j, v)
+					t.Fatalf("MatMul width %d: column %d = %v, want NaN", c, j, v)
 				}
 			}
 			// The same multiplier as a column of a in dW = aᵀ·b.
 			at := NewMatrix(5, 1)
 			at.Data[2] = math.NaN()
 			gw := NewMatrix(1, c)
-			addMatMulTransARange(gw, at, b, true, 0, 1)
+			MatMulTransA(gw, at, b)
 			for j, v := range gw.Data {
 				if !math.IsNaN(v) {
-					t.Fatalf("MatMulTransARange width %d: column %d = %v, want NaN", c, j, v)
+					t.Fatalf("MatMulTransA width %d: column %d = %v, want NaN", c, j, v)
 				}
 			}
 		}
@@ -372,8 +366,8 @@ func BenchmarkF64Kernels(b *testing.B) {
 		a, w, dst := randMatrix(n, k, rng), randMatrix(c, k, rng), NewMatrix(n, c)
 		bias := Vector(f64Values(rng, c, 0))
 		ks = append(ks, kernel{fmt.Sprintf("MatMulTransB/%dx%d·%dx%d", n, k, c, k),
-			func() { MatMulTransBRange(dst, a, w, bias, 0, n) },
-			func() { matMulTransBRangeGeneric(dst, a, w, bias, 0, n) }})
+			func() { MatMulTransB(dst, a, w, bias) },
+			func() { matMulTransBGeneric(dst, a, w, bias) }})
 	}
 	for _, sh := range [][2]int{{64, 18}, {64, 64}, {3, 64}, {64, 6000}} {
 		m, x, y := randMatrix(sh[0], sh[1], rng), Vector(f64Values(rng, sh[1], 0)), NewVector(sh[0])
@@ -383,13 +377,13 @@ func BenchmarkF64Kernels(b *testing.B) {
 	{
 		dz, w, dx := randSparse(16, 64, rng), randMatrix(64, 64, rng), NewMatrix(16, 64)
 		ks = append(ks, kernel{"MatMul/16x64·64x64",
-			func() { MatMulRange(dx, dz, w, 0, 16) }, func() { matMulRangeGeneric(dx, dz, w, 0, 16) }})
+			func() { MatMul(dx, dz, w) }, func() { matMulGeneric(dx, dz, w) }})
 	}
 	for _, in := range []int{18, 64} {
 		dz, x, gw := randSparse(16, 64, rng), randMatrix(16, in, rng), NewMatrix(64, in)
 		ks = append(ks, kernel{fmt.Sprintf("MatMulTransA/64x%d·16", in),
-			func() { addMatMulTransARange(gw, dz, x, true, 0, 64) },
-			func() { addMatMulTransARangeGeneric(gw, dz, x, true, 0, 64) }})
+			func() { MatMulTransA(gw, dz, x) },
+			func() { addMatMulTransAGeneric(gw, dz, x, true) }})
 	}
 	{
 		src, dst := f64Values(rng, 1024, 0), make([]float64, 1024)

@@ -9,43 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
-
-// parallelMinWork is the approximate scalar-op count below which row-
-// parallel kernels stay inline: goroutine hand-off costs more than the loop.
-const parallelMinWork = 1 << 15
-
-// ParallelRows splits [0, rows) into contiguous disjoint blocks and runs fn
-// on each block, concurrently when GOMAXPROCS allows and the loop is big
-// enough (work ≈ total scalar-op count). Because blocks partition the rows
-// and each row's result must be independent of the others, kernels built on
-// it stay bit-identical to their sequential form at any worker count.
-func ParallelRows(rows, work int, fn func(lo, hi int)) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > rows {
-		nw = rows
-	}
-	if nw <= 1 || work < parallelMinWork {
-		fn(0, rows)
-		return
-	}
-	chunk := (rows + nw - 1) / nw
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Vector is a dense float64 vector.
 type Vector []float64
@@ -218,8 +182,7 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 // MatMul stores a·b into dst (shapes: a r×k, b k×c, dst r×c). dst must not
 // alias a or b.
 //
-// The kernel is register-tiled 2×2 in destination-major form: each
-// destination element owns an accumulator that sums a[i][k]·b[k][j] in
+// Each destination element owns an accumulator that sums a[i][k]·b[k][j] in
 // ascending k, skipping a[i][k] == 0 — exactly the term sequence of the
 // naive saxpy loop, so the result is bit-identical to it (pinned by
 // TestMatMulTiledBitIdentical). The zero skip matters beyond speed: rows of
@@ -228,37 +191,22 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 // run (DESIGN.md §15), 16 destination columns share each broadcast
 // a[i][k], with the same term sequence and zero skip.
 func MatMul(dst, a, b *Matrix) {
-	checkMatMul(dst, a, b)
-	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		MatMulRange(dst, a, b, lo, hi)
-	})
-}
-
-func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMul shape mismatch")
 	}
+	matMul(dst, a, b)
 }
 
-// MatMulRange computes rows [lo, hi) of dst = a·b with the saxpy kernel on
-// the calling goroutine. It is the building block for callers that manage
-// their own parallelism (the sharded training engine runs one row block per
-// gradient shard); each dst row depends only on the same row of a, so
-// disjoint ranges compose to exactly MatMul.
-//
-// Each dst row accumulates Σ_kk a[i][kk]·b[kk][:] over contiguous b rows,
-// four terms per pass; the chained d[j] + t₀ + t₁ + t₂ + t₃ associates left
-// to right, keeping every element's accumulation in ascending kk order —
-// bit-identical to the plain dot-product loop, including the skip of zero
-// a[i][kk] terms (mixed quads fall back to sequential single-term axpys).
-func MatMulRange(dst, a, b *Matrix, lo, hi int) {
-	matMulRange(dst, a, b, lo, hi)
-}
-
-func matMulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
+// matMulGeneric is MatMul's Go loop. Each dst row accumulates Σ_kk
+// a[i][kk]·b[kk][:] over contiguous b rows, four terms per pass; the chained
+// d[j] + t₀ + t₁ + t₂ + t₃ associates left to right, keeping every
+// element's accumulation in ascending kk order — bit-identical to the plain
+// dot-product loop, including the skip of zero a[i][kk] terms (mixed quads
+// fall back to sequential single-term axpys).
+func matMulGeneric(dst, a, b *Matrix) {
 	k, c := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := ad[i*k : (i+1)*k]
 		d := dst.Data[i*c : (i+1)*c]
 		for j := range d {
@@ -325,81 +273,65 @@ func matMulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 // AVX kernels (DESIGN.md §15) take two sample rows at a time, sharing each
 // transposed 4×4 tile of b between them.
 func MatMulTransB(dst, a, b *Matrix, bias Vector) {
-	checkMatMulTransB(dst, a, b, bias)
-	ParallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulTransBRange(dst, a, b, bias, lo, hi)
-	})
-}
-
-// MatMulTransBRange computes rows [lo, hi) of dst = a·bᵀ + bias on the
-// calling goroutine (see MatMulTransB for the shapes, the tiling and the
-// bit-identity contract).
-func MatMulTransBRange(dst, a, b *Matrix, bias Vector, lo, hi int) {
-	checkMatMulTransB(dst, a, b, bias)
-	matMulTransBRange(dst, a, b, bias, lo, hi)
-}
-
-func checkMatMulTransB(dst, a, b *Matrix, bias Vector) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || len(bias) != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ + %d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, len(bias), dst.Rows, dst.Cols))
 	}
+	matMulTransB(dst, a, b, bias)
 }
 
-func matMulTransBRangeGeneric(dst, a, b *Matrix, bias Vector, lo, hi int) {
-	k, c := a.Cols, b.Rows
-	{
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			a0 := a.Data[i*k : (i+1)*k]
-			a1 := a.Data[(i+1)*k : (i+2)*k]
-			d0 := dst.Data[i*c : (i+1)*c]
-			d1 := dst.Data[(i+1)*c : (i+2)*c]
-			o := 0
-			// 2×2 register tile: four independent accumulators per pass
-			// raise the multiply-add to load ratio; each dst element still
-			// owns one accumulator summed in ascending j, so the tile shape
-			// cannot change a bit. (Wider 2×4 and 4×2 tiles measured slower
-			// here: eight live accumulators spill on amd64.)
-			for ; o+2 <= c; o += 2 {
-				b0 := b.Data[o*k : (o+1)*k]
-				b1 := b.Data[(o+1)*k : (o+2)*k]
-				var s00, s01, s10, s11 float64
-				for j, av0 := range a0 {
-					av1 := a1[j]
-					bv0, bv1 := b0[j], b1[j]
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s10 += av1 * bv0
-					s11 += av1 * bv1
-				}
-				d0[o], d0[o+1] = s00, s01
-				d1[o], d1[o+1] = s10, s11
+func matMulTransBGeneric(dst, a, b *Matrix, bias Vector) {
+	n, k, c := a.Rows, a.Cols, b.Rows
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		a0 := a.Data[i*k : (i+1)*k]
+		a1 := a.Data[(i+1)*k : (i+2)*k]
+		d0 := dst.Data[i*c : (i+1)*c]
+		d1 := dst.Data[(i+1)*c : (i+2)*c]
+		o := 0
+		// 2×2 register tile: four independent accumulators per pass
+		// raise the multiply-add to load ratio; each dst element still
+		// owns one accumulator summed in ascending j, so the tile shape
+		// cannot change a bit. (Wider 2×4 and 4×2 tiles measured slower
+		// here: eight live accumulators spill on amd64.)
+		for ; o+2 <= c; o += 2 {
+			b0 := b.Data[o*k : (o+1)*k]
+			b1 := b.Data[(o+1)*k : (o+2)*k]
+			var s00, s01, s10, s11 float64
+			for j, av0 := range a0 {
+				av1 := a1[j]
+				bv0, bv1 := b0[j], b1[j]
+				s00 += av0 * bv0
+				s01 += av0 * bv1
+				s10 += av1 * bv0
+				s11 += av1 * bv1
 			}
-			for ; o < c; o++ {
-				b0 := b.Data[o*k : (o+1)*k]
-				var s00, s10 float64
-				for j, av0 := range a0 {
-					s00 += av0 * b0[j]
-					s10 += a1[j] * b0[j]
-				}
-				d0[o], d1[o] = s00, s10
-			}
+			d0[o], d0[o+1] = s00, s01
+			d1[o], d1[o+1] = s10, s11
 		}
-		if i < hi {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*c : (i+1)*c]
-			for o := 0; o < c; o++ {
-				brow := b.Data[o*k : (o+1)*k]
-				var s float64
-				for j, av := range arow {
-					s += av * brow[j]
-				}
-				drow[o] = s
+		for ; o < c; o++ {
+			b0 := b.Data[o*k : (o+1)*k]
+			var s00, s10 float64
+			for j, av0 := range a0 {
+				s00 += av0 * b0[j]
+				s10 += a1[j] * b0[j]
 			}
+			d0[o], d1[o] = s00, s10
 		}
 	}
-	for i := lo; i < hi; i++ {
+	if i < n {
+		arow := a.Data[i*k : (i+1)*k]
+		drow := dst.Data[i*c : (i+1)*c]
+		for o := 0; o < c; o++ {
+			brow := b.Data[o*k : (o+1)*k]
+			var s float64
+			for j, av := range arow {
+				s += av * brow[j]
+			}
+			drow[o] = s
+		}
+	}
+	for i := 0; i < n; i++ {
 		row := dst.Data[i*c : (i+1)*c]
 		for o, x := range bias {
 			row[o] += x
@@ -412,20 +344,12 @@ func matMulTransBRangeGeneric(dst, a, b *Matrix, bias Vector, lo, hi int) {
 // order s, skipping a[s][o] == 0 — exactly the term sequence of n successive
 // AddOuter rank-1 updates, reproduced bit for bit (pinned by
 // TestAddMatMulTransATiledBitIdentical). The kernel iterates destination
-// rows in the outer loop (so it parallelizes over them without changing a
-// single bit) and streams four samples per pass inside each row; the AVX
-// kernels (DESIGN.md §15) stream one sample per pass over 16 columns.
+// rows in the outer loop and streams four samples per pass inside each row;
+// the AVX kernels (DESIGN.md §15) stream one sample per pass over 16
+// columns.
 func AddMatMulTransA(dst, a, b *Matrix) {
 	checkMatMulTransA(dst, a, b)
-	ParallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		addMatMulTransARange(dst, a, b, false, lo, hi)
-	})
-}
-
-// AddMatMulTransARange computes dst rows [lo, hi) of dst += aᵀ·b on the
-// calling goroutine (see AddMatMulTransA for the accumulation contract).
-func AddMatMulTransARange(dst, a, b *Matrix, lo, hi int) {
-	addMatMulTransARange(dst, a, b, false, lo, hi)
+	addMatMulTransA(dst, a, b, false)
 }
 
 // MatMulTransA stores aᵀ·b into dst (set form of AddMatMulTransA: the
@@ -433,15 +357,7 @@ func AddMatMulTransARange(dst, a, b *Matrix, lo, hi int) {
 // gradient replicas need no zeroing pass between minibatches).
 func MatMulTransA(dst, a, b *Matrix) {
 	checkMatMulTransA(dst, a, b)
-	ParallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		addMatMulTransARange(dst, a, b, true, lo, hi)
-	})
-}
-
-// MatMulTransARange computes dst rows [lo, hi) of dst = aᵀ·b on the calling
-// goroutine.
-func MatMulTransARange(dst, a, b *Matrix, lo, hi int) {
-	addMatMulTransARange(dst, a, b, true, lo, hi)
+	addMatMulTransA(dst, a, b, true)
 }
 
 func checkMatMulTransA(dst, a, b *Matrix) {
@@ -451,9 +367,9 @@ func checkMatMulTransA(dst, a, b *Matrix) {
 	}
 }
 
-// addMatMulTransARangeGeneric is the shared register-tiled Go core. Each
-// dst row o is a column of a, accumulated as Σ_i a[i][o]·b[i][:]. The outer
-// loop keeps one dst row hot while streaming four samples at a time: the
+// addMatMulTransAGeneric is the shared register-tiled Go core. Each dst row
+// o is a column of a, accumulated as Σ_i a[i][o]·b[i][:]. The outer loop
+// keeps one dst row hot while streaming four samples at a time: the
 // unrolled axpy chain d[j] + t₀ + t₁ + t₂ + t₃ associates left to right, so
 // every dst element still sees its contributions in ascending sample order
 // — bit-identical to the one-sample-at-a-time loop. A zero a[i][o] skips
@@ -461,10 +377,10 @@ func checkMatMulTransA(dst, a, b *Matrix) {
 // upstream rows); mixed zero/nonzero quads fall back to sequential
 // single-sample axpys in the same i order. When set is true the row starts
 // from zero (cleared up front) instead of the current dst values.
-func addMatMulTransARangeGeneric(dst, a, b *Matrix, set bool, lo, hi int) {
+func addMatMulTransAGeneric(dst, a, b *Matrix, set bool) {
 	n, r, c := a.Rows, a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
-	for o := lo; o < hi; o++ {
+	for o := 0; o < dst.Rows; o++ {
 		d := dst.Data[o*c : (o+1)*c]
 		if set {
 			for j := range d {

@@ -90,13 +90,6 @@ func TestMatMulTiledBitIdentical(t *testing.T) {
 		got.Fill(3.25) // stale contents must be fully overwritten
 		MatMul(got, a, b)
 		matricesEqual(t, "MatMul", got, want)
-
-		// Range form over a split must compose to the same result.
-		got2 := NewMatrix(r, c)
-		mid := r / 2
-		MatMulRange(got2, a, b, 0, mid)
-		MatMulRange(got2, a, b, mid, r)
-		matricesEqual(t, "MatMulRange", got2, want)
 	}
 }
 
@@ -117,12 +110,6 @@ func TestAddMatMulTransATiledBitIdentical(t *testing.T) {
 		AddMatMulTransA(got, a, b)
 		matricesEqual(t, "AddMatMulTransA", got, want)
 
-		got2 := init.Clone()
-		mid := r / 2
-		AddMatMulTransARange(got2, a, b, 0, mid)
-		AddMatMulTransARange(got2, a, b, mid, r)
-		matricesEqual(t, "AddMatMulTransARange", got2, want)
-
 		// Set form: identical to accumulating into a zero dst, regardless of
 		// the stale contents it overwrites.
 		wantSet := NewMatrix(r, c)
@@ -130,10 +117,6 @@ func TestAddMatMulTransATiledBitIdentical(t *testing.T) {
 		got3 := init.Clone()
 		MatMulTransA(got3, a, b)
 		matricesEqual(t, "MatMulTransA", got3, wantSet)
-		got4 := init.Clone()
-		MatMulTransARange(got4, a, b, 0, mid)
-		MatMulTransARange(got4, a, b, mid, r)
-		matricesEqual(t, "MatMulTransARange", got4, wantSet)
 	}
 }
 
@@ -166,25 +149,6 @@ func TestMatMulTransBTiledBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMatMulTransBRangeComposes pins the exported range form of the tiled
-// a·bᵀ kernel to the whole-matrix call.
-func TestMatMulTransBRangeComposes(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, sh := range [][3]int{{1, 3, 1}, {5, 4, 7}, {16, 18, 64}, {33, 64, 63}} {
-		r, k, c := sh[0], sh[1], sh[2]
-		a := randSparse(r, k, rng)
-		b := randSparse(c, k, rng)
-		want := NewMatrix(r, c)
-		bias := Vector(randSparse(1, c, rng).Data)
-		MatMulTransB(want, a, b, bias)
-		got := NewMatrix(r, c)
-		mid := r / 3
-		MatMulTransBRange(got, a, b, bias, 0, mid)
-		MatMulTransBRange(got, a, b, bias, mid, r)
-		matricesEqual(t, "MatMulTransBRange", got, want)
 	}
 }
 

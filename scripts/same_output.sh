@@ -3,14 +3,19 @@
 #
 # Checks that a change alters no arithmetic by running the training and
 # evaluation CLIs of two checkouts side by side. CHANGE_DIR defaults to the
-# checkout this script lives in. Both sides build fltrain and flexperiments
-# from their own source, then:
+# checkout this script lives in. Both sides build fltrain, flsim and
+# flexperiments from their own source, then:
 #
 #   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2, at
 #     -arch joint|shared with -constrained and with -workers 2, and at
 #     -arch shared -n 12 -workers 2 -train-workers 2: the nine saved .gob
 #     agents must be byte-identical (cmp), and so must the printed
 #     convergence tables;
+#   - flsim -iters 60 -runs 2 -guard -cdf over the joint-tw0 (N=3) and
+#     shared-n12-w2-tw2 (N=12) agents, which serves the joint and the
+#     shared actor's mean action through the guard: the cost-CDF CSVs must
+#     be byte-identical, and stdout must match after dropping the
+#     "wrote ..." line;
 #   - flexperiments -quick -out DIR: every CSV must be byte-identical, and
 #     stdout must match after dropping the "wrote ..." lines and the
 #     hier-sweep table's rounds/s and speedup columns, which are wall-clock
@@ -37,7 +42,7 @@ fail() {
 
 build() { # side dir
 	mkdir -p "$work/$1/bin"
-	(cd "$2" && go build -o "$work/$1/bin/" ./cmd/fltrain ./cmd/flexperiments) ||
+	(cd "$2" && go build -o "$work/$1/bin/" ./cmd/fltrain ./cmd/flsim ./cmd/flexperiments) ||
 		fail "build failed in $2"
 }
 
@@ -48,6 +53,14 @@ train() { # side name flags...
 	shift 2
 	bin/fltrain -episodes 60 "$@" -o "$name.gob" >"fltrain-$name.txt" ||
 		fail "$side fltrain $* failed"
+}
+
+# simulate serves a saved agent of a side for 60 iterations x 2 runs with
+# the guard on, saving the cost CDFs as flsim-NAME.csv and stdout as
+# flsim-NAME.txt.
+simulate() { # side name n
+	bin/flsim -agent "$2.gob" -n "$3" -iters 60 -runs 2 -guard -cdf "flsim-$2.csv" >"flsim-$2.txt" ||
+		fail "$1 flsim -agent $2.gob failed"
 }
 
 # run_side runs every workload of one side from inside its work directory,
@@ -62,6 +75,8 @@ run_side() { # side
 		train "$1" "$arch-w2" -arch "$arch" -workers 2
 	done
 	train "$1" shared-n12-w2-tw2 -arch shared -n 12 -workers 2 -train-workers 2
+	simulate "$1" joint-tw0 3
+	simulate "$1" shared-n12-w2-tw2 12
 	bin/flexperiments -quick -out csv >flexperiments.txt ||
 		fail "$1 flexperiments -quick failed"
 	cd - >/dev/null
@@ -102,6 +117,14 @@ for f in "$work"/parent/fltrain-*.txt; do
 	name=$(basename "$f")
 	diff -q "$f" "$work/change/$name" >/dev/null || differ "$name"
 done
+for f in "$work"/parent/flsim-*.csv; do
+	name=$(basename "$f")
+	cmp -s "$f" "$work/change/$name" || differ "$name"
+done
+for f in "$work"/parent/flsim-*.txt; do
+	name=$(basename "$f")
+	diff -q <(grep -v '^wrote ' "$f") <(grep -v '^wrote ' "$work/change/$name") >/dev/null || differ "$name"
+done
 parent_csv=$(cd "$work/parent/csv" && ls)
 change_csv=$(cd "$work/change/csv" && ls)
 if [[ "$parent_csv" != "$change_csv" ]]; then
@@ -117,8 +140,9 @@ fi
 
 ngob=$(ls "$work"/parent/*.gob | wc -l)
 ncsv=$(echo "$parent_csv" | wc -w)
+nsim=$(ls "$work"/parent/flsim-*.csv | wc -l)
 if [[ $status -eq 0 ]]; then
-	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, all tables)"
+	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, $nsim flsim runs, all tables)"
 	rm -rf "$work"
 else
 	echo "same_output: outputs differ; work dir kept at $work" >&2
