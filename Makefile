@@ -70,10 +70,11 @@ fuzz:
 serve-smoke: build
 	./scripts/serve_smoke.sh
 
-# same-output checks that a change alters no arithmetic: it builds fltrain
-# and flexperiments from PARENT (a checkout of the parent commit, made with
-# git clone or git archive) and from this tree, and compares the saved
-# agents, CSVs and tables byte for byte (scripts/same_output.sh).
+# same-output checks that a change alters no arithmetic: it builds fltrain,
+# flsim, flexperiments and flserver from PARENT (a checkout of the parent
+# commit, made with git clone or git archive) and from this tree, and
+# compares the saved agents, CSVs, tables and a fixed serving sequence's
+# responses, audits and snapshot byte for byte (scripts/same_output.sh).
 same-output:
 	@if [ -z "$(PARENT)" ]; then echo "usage: make same-output PARENT=<parent checkout>"; exit 2; fi
 	./scripts/same_output.sh $(PARENT)

@@ -8,8 +8,8 @@ import (
 
 // Counters are the daemon's lifetime counters, one per overload-pipeline
 // stage (DESIGN.md §13): every request lands in exactly one terminal
-// counter, so admitted + the four rejection classes + timeouts always
-// reconcile against Requests.
+// counter, so Requests = Served + Malformed + NotFound + the four shed
+// classes + Timeouts.
 type Counters struct {
 	// Requests counts decide requests that reached the handler.
 	Requests atomic.Int64
@@ -19,7 +19,8 @@ type Counters struct {
 	NotFound atomic.Int64
 	// ShedRate counts admission-control rejections (429, token bucket).
 	ShedRate atomic.Int64
-	// ShedQueue counts bounded-queue overflows (503).
+	// ShedQueue counts requests refused at the queue bound, with QueueCap
+	// requests already waiting for the tenant's turn (503).
 	ShedQueue atomic.Int64
 	// ShedDeadline counts deadline-aware rejections: the estimated queue
 	// wait already exceeded the client's budget, so the request was
@@ -27,17 +28,22 @@ type Counters struct {
 	ShedDeadline atomic.Int64
 	// ShedDrain counts requests refused because the daemon was draining.
 	ShedDrain atomic.Int64
-	// Timeouts counts requests whose context expired before a decision
-	// was delivered (504).
+	// Timeouts counts requests whose deadline passed before their answer
+	// (504): while they waited for the tenant's turn, or during their
+	// decision.
 	Timeouts atomic.Int64
+	// Served counts requests answered with their plans (200).
+	Served atomic.Int64
 	// Errors counts internal decision failures answered by the terminal
 	// max-frequency plan (the response still succeeds; this counts how
 	// often the emergency plan backed it).
 	Errors atomic.Int64
-	// Decisions counts successfully served frequency plans.
+	// Decisions counts the frequency plans the tenants' guards made: a
+	// batch makes Count of them, and a request that timed out during its
+	// decision made one that was not served. Not a terminal counter.
 	Decisions atomic.Int64
-	// Degraded counts served decisions that did not come from the
-	// tenant's primary layer.
+	// Degraded counts the plans made that did not come from the tenant's
+	// primary layer.
 	Degraded atomic.Int64
 	// DegradeTransitions counts moves of a tenant's guard to a lower level
 	// (Guard.Level), checked after each observation and decision; each
@@ -56,6 +62,7 @@ func (c *Counters) Snapshot() map[string]int64 {
 		"shed_deadline":       c.ShedDeadline.Load(),
 		"shed_drain":          c.ShedDrain.Load(),
 		"timeouts":            c.Timeouts.Load(),
+		"served":              c.Served.Load(),
 		"errors":              c.Errors.Load(),
 		"decisions":           c.Decisions.Load(),
 		"degraded":            c.Degraded.Load(),

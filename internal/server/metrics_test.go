@@ -65,8 +65,8 @@ func TestCountersSnapshotComplete(t *testing.T) {
 	}
 	want := []string{
 		"requests", "malformed", "not_found", "shed_rate", "shed_queue",
-		"shed_deadline", "shed_drain", "timeouts", "errors", "decisions",
-		"degraded", "degrade_transitions",
+		"shed_deadline", "shed_drain", "timeouts", "served", "errors",
+		"decisions", "degraded", "degrade_transitions",
 	}
 	for _, k := range want {
 		if _, ok := snap[k]; !ok {

@@ -15,8 +15,8 @@ import (
 // many goroutines at once, interleaving decide calls (some carrying
 // observed-cost feedback, which reaches guard.Observe) with stats reads
 // (which walk the guard audit). Run under -race this pins the central
-// concurrency claim: guards are documented single-stream, and the per-
-// tenant worker plus tenant mutex make that safe under arbitrary handler
+// concurrency claim: guards are documented single-stream, and the
+// tenant's turn plus tenant mutex make that safe under arbitrary handler
 // concurrency.
 //
 // It also pins per-tenant audit determinism in the ordering sense: however

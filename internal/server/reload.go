@@ -47,8 +47,9 @@ type ReloadReport struct {
 	Rebuilt   int `json:"rebuilt"`
 	Unchanged int `json:"unchanged"`
 	// Dropped counts in-flight requests lost across all rebuilds. The
-	// reload contract pins it to zero: retired tenants drain their queue
-	// before teardown and late arrivals re-route to the replacement.
+	// reload contract pins it to zero: requests waiting for a retired
+	// tenant's turn decide on it before teardown, and later ones re-route
+	// to the replacement.
 	Dropped int64 `json:"dropped"`
 	// AddedNames / RebuiltNames list the affected tenants in spec order.
 	AddedNames   []string `json:"added_names,omitempty"`
@@ -60,7 +61,7 @@ type ReloadReport struct {
 // registry change, so a bad spec (or a failed build) rejects the whole
 // reload and leaves the daemon exactly as it was. Unchanged specs keep
 // their running tenant; changed ones are swapped in first and the old
-// tenant retired after — its queued requests all finish (zero dropped),
+// tenant retired after — its waiting requests all finish (zero dropped),
 // while new arrivals already resolve to the replacement. Tenants absent
 // from the new configuration are left running (reload adds and rebuilds;
 // it never removes).
@@ -97,11 +98,12 @@ func (s *Server) Reload(specs []TenantSpec) (*ReloadReport, error) {
 	}
 
 	// Install phase: swap each tenant in, then retire its predecessor.
-	// Handlers holding the old pointer observe the closed queue and
-	// re-resolve to the replacement.
+	// Requests already waiting for the old tenant's turn decide on it;
+	// later holders of its turn find it retired and re-resolve to the
+	// replacement.
 	for _, t := range pending {
 		old := s.reg.replace(t)
-		t.start(s)
+		t.start()
 		if old == nil {
 			rep.Added++
 			rep.AddedNames = append(rep.AddedNames, t.spec.Name)

@@ -199,6 +199,68 @@ func TestReloadZeroDroppedUnderLoad(t *testing.T) {
 	}
 }
 
+// TestReloadRetiresBehindWaiters: requests waiting for a tenant's turn
+// when a reload replaces it each either decide on the old tenant or, if
+// the reload's retire got the turn first, are sent to re-resolve the name;
+// the reload counts none of them dropped, and a request that gets the
+// retired tenant's turn later is sent on without being counted there.
+func TestReloadRetiresBehindWaiters(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.SlowActor = 20 * time.Millisecond
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.BeginDrainForTest(t)
+	if _, err := s.Reload([]TenantSpec{{Name: "hot", N: 2, Seed: 1, Primary: PrimaryFresh}}); err != nil {
+		t.Fatal(err)
+	}
+	old := s.Tenant("hot")
+
+	const n = 3
+	var served, rerouted atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, retired := old.serve(context.Background(), s, &DecideRequest{Tenant: "hot"})
+			switch {
+			case retired:
+				rerouted.Add(1)
+			case res.status == http.StatusOK:
+				served.Add(1)
+			default:
+				t.Errorf("waiting request: status %d (%s)", res.status, res.errMsg)
+			}
+		}()
+	}
+	// One request decides for 20ms while the others wait for the turn.
+	for old.accepted.Load() == 0 || old.QueueLen() < n-1 {
+		time.Sleep(time.Millisecond)
+	}
+	rep, err := s.Reload([]TenantSpec{{Name: "hot", N: 2, Seed: 2, Primary: PrimaryFresh}})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rebuilt != 1 || rep.Dropped != 0 {
+		t.Fatalf("reload report %+v, want one rebuild and none dropped", rep)
+	}
+	st := old.Stats()
+	if served.Load()+rerouted.Load() != n || int64(st.Decisions) != served.Load() ||
+		st.Accepted != served.Load() || st.Responded != served.Load() {
+		t.Fatalf("%d served and %d rerouted of %d; old tenant: %d decisions, accepted %d, responded %d",
+			served.Load(), rerouted.Load(), n, st.Decisions, st.Accepted, st.Responded)
+	}
+	if res, retired := old.serve(context.Background(), s, &DecideRequest{Tenant: "hot"}); !retired {
+		t.Fatalf("the retired tenant's turn answered a request: status %d", res.status)
+	}
+	if got := old.accepted.Load(); got != served.Load() {
+		t.Fatalf("the retired tenant counted a rerouted request: accepted %d, served %d", got, served.Load())
+	}
+}
+
 // TestAuditExportReplayable: the audit endpoint exports canonical lines
 // that guard.ParseLines reads back; with RecordPlans they carry plans.
 func TestAuditExportReplayable(t *testing.T) {

@@ -47,7 +47,7 @@ type DecideRequest struct {
 }
 
 // MaxBatchDecisions bounds Count so one request cannot monopolize a
-// tenant's worker.
+// tenant's turn.
 const MaxBatchDecisions = 1024
 
 // Validate bounds and sanity-checks a decoded request.

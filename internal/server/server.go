@@ -1,12 +1,13 @@
 // Package server is the resilient multi-tenant scheduler daemon around the
-// guarded fleet actor: a sharded tenant registry where each tenant owns a
-// guard chain, fronted by the overload pipeline DESIGN.md §13 specifies —
-// token-bucket admission, a bounded per-tenant queue with deadline-aware
-// shedding, per-request timeouts and a graceful drain that finishes every
-// in-flight request, flushes audits and snapshots the registry
-// crash-safely. Every decision is served by the tenant's guard chain
-// (actor → heuristic → max-frequency); the tenant's mode is read off that
-// chain's breakers.
+// guarded fleet actor: a tenant registry where each tenant owns a guard
+// chain, fronted by the overload pipeline DESIGN.md §13 specifies —
+// token-bucket admission, a bounded per-tenant wait for the tenant's turn
+// with deadline-aware shedding, per-request timeouts and a graceful drain
+// that finishes every in-flight request, flushes audits and snapshots the
+// registry crash-safely. Each request decides on its own goroutine while
+// it holds its tenant's turn, through the tenant's guard chain (actor →
+// heuristic → max-frequency); the tenant's mode is read off that chain's
+// breakers.
 package server
 
 import (
@@ -14,8 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/online"
-	"repro/internal/report"
 )
 
 // Config parameterizes the daemon. The zero value is not usable; start
@@ -120,7 +118,8 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// Register builds and installs a tenant and starts its worker.
+// Register builds and installs a tenant and starts its online loop, when
+// configured.
 func (s *Server) Register(spec TenantSpec) (*Tenant, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -135,7 +134,7 @@ func (s *Server) Register(spec TenantSpec) (*Tenant, error) {
 	if err := s.reg.put(t); err != nil {
 		return nil, err
 	}
-	t.start(s)
+	t.start()
 	return t, nil
 }
 
@@ -237,9 +236,10 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, t.Stats())
 }
 
-// handleDecide runs the overload pipeline: drain gate → strict decode →
-// tenant lookup → admission → deadline shed → bounded enqueue → await
-// decision or timeout. Every request terminates in exactly one counter.
+// handleDecide runs the overload pipeline on the request's own goroutine:
+// drain gate → strict decode → tenant lookup → admission → deadline shed →
+// bounded wait for the tenant's turn → decision. Every request terminates
+// in exactly one counter.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	s.counters.Requests.Add(1)
 	s.inflight.Add(1)
@@ -292,9 +292,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Deadline-aware shedding: if the expected queue wait already spends
-	// the budget, reject now instead of letting the request time out in
-	// queue — the client learns in microseconds, not after its deadline.
+	// Deadline-aware shedding: if the expected wait for the turn already
+	// spends the budget, reject now instead of letting the request time out
+	// waiting — the client learns in microseconds, not after its deadline.
 	if est := t.estWait(); est > budget {
 		s.counters.ShedDeadline.Add(1)
 		writeError(w, http.StatusServiceUnavailable,
@@ -304,52 +304,36 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
-	c := &call{ctx: ctx, req: req, resp: make(chan callResult, 1)}
 
-	// Bounded enqueue: a full queue is backpressure, not a wait. A closed
-	// queue means a reload retired this tenant after the lookup above —
-	// re-resolve the name and land on the replacement, so reloads drop
+	// A retired tenant means a reload replaced it after the lookup above:
+	// re-resolve the name and decide on the replacement, so reloads drop
 	// zero in-flight requests.
-	for attempt := 0; ; attempt++ {
-		ok, closed := t.enqueue(c)
-		if ok {
+	res, retired := t.serve(ctx, s, req)
+	for attempt := 0; retired; attempt++ {
+		nt := s.reg.get(req.Tenant)
+		if attempt == 2 || nt == nil || nt == t {
+			res = callResult{status: http.StatusServiceUnavailable, errMsg: "tenant reloading", retryAfter: t.estWait()}
 			break
 		}
-		if closed && attempt < 2 {
-			if nt := s.reg.get(req.Tenant); nt != nil && nt != t {
-				t = nt
-				continue
-			}
-		}
-		s.counters.ShedQueue.Add(1)
-		msg := "queue full"
-		if closed {
-			msg = "tenant reloading"
-		}
-		writeError(w, http.StatusServiceUnavailable, msg, t.estWait())
-		return
+		t = nt
+		res, retired = t.serve(ctx, s, req)
 	}
 
-	select {
-	case res := <-c.resp:
-		switch res.status {
-		case http.StatusOK:
-			writeJSON(w, http.StatusOK, res.plan)
-			return
-		case http.StatusGatewayTimeout:
-			s.counters.Timeouts.Add(1)
-		case http.StatusBadRequest:
-			// The worker checks the request against the tenant's fleet
-			// size, which a reload may have changed since decode.
-			s.counters.Malformed.Add(1)
-		}
-		writeError(w, res.status, res.errMsg, res.retryAfter)
-	case <-ctx.Done():
-		// The worker will still drain the call (and observe the expired
-		// context); the client gets its timeout now.
+	switch res.status {
+	case http.StatusOK:
+		s.counters.Served.Add(1)
+		writeJSON(w, http.StatusOK, res.plan)
+		return
+	case http.StatusGatewayTimeout:
 		s.counters.Timeouts.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
+	case http.StatusBadRequest:
+		// The tenant checks the request against its fleet size, which a
+		// reload may have changed since decode.
+		s.counters.Malformed.Add(1)
+	case http.StatusServiceUnavailable:
+		s.counters.ShedQueue.Add(1)
 	}
+	writeError(w, res.status, res.errMsg, res.retryAfter)
 }
 
 // statsBody is the /v1/stats response.
@@ -415,18 +399,18 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // FinishDrain completes a graceful shutdown. It must be called after
 // BeginDrain and after the HTTP listener has stopped dispatching new
 // requests (http.Server.Shutdown): it waits for every in-flight handler to
-// finish, closes the tenant queues so the workers exit, flushes one audit
-// file per tenant and snapshots the registry — all crash-safe via atomic
-// renames. The report's Dropped count is accepted − responded: zero means
-// no in-flight request was dropped.
+// finish, stops the tenants' online loops, and makes the final telemetry
+// flush (FlushTelemetry: stats, one audit file per tenant and the registry
+// snapshot, all crash-safe via atomic renames). The report's Dropped count
+// is accepted − responded: zero means no in-flight request was dropped.
 func (s *Server) FinishDrain(ctx context.Context) (*DrainReport, error) {
 	if !s.draining.Load() {
 		return nil, fmt.Errorf("server: FinishDrain before BeginDrain")
 	}
 
 	// Wait out handlers that passed the drain gate before it flipped; no
-	// new ones can start. Once inflight hits zero every accepted call has
-	// been answered, so closing the queues below is safe.
+	// new ones can start. Once inflight hits zero no request waits for a
+	// turn or decides, so stopping the online loops below is safe.
 	for s.inflight.Load() != 0 {
 		select {
 		case <-ctx.Done():
@@ -435,51 +419,16 @@ func (s *Server) FinishDrain(ctx context.Context) (*DrainReport, error) {
 		}
 	}
 
-	rep := &DrainReport{}
 	tenants := s.reg.all()
-	rep.Tenants = len(tenants)
+	rep := &DrainReport{Tenants: len(tenants)}
 	for _, t := range tenants {
-		t.closeQueue()
-	}
-	for _, t := range tenants {
-		t.wg.Wait()
 		t.stopOnline()
 		rep.Accepted += t.accepted.Load()
 		rep.Responded += t.responded.Load()
 	}
 	rep.Dropped = rep.Accepted - rep.Responded
 
-	if s.cfg.AuditDir != "" {
-		if err := os.MkdirAll(s.cfg.AuditDir, 0o755); err != nil {
-			return rep, fmt.Errorf("server: audit dir: %w", err)
-		}
-		for _, t := range tenants {
-			var buf []byte
-			w := &sliceWriter{b: &buf}
-			if err := t.flushAudit(w); err != nil {
-				return rep, fmt.Errorf("server: render audit %q: %w", t.spec.Name, err)
-			}
-			path := filepath.Join(s.cfg.AuditDir, t.spec.Name+".audit")
-			if err := report.WriteFileAtomic(path, buf, 0o644); err != nil {
-				return rep, err
-			}
-			rep.AuditFiles = append(rep.AuditFiles, path)
-		}
-	}
-
-	if s.cfg.SnapshotPath != "" {
-		if err := s.SaveSnapshot(s.cfg.SnapshotPath); err != nil {
-			return rep, err
-		}
-		rep.Snapshot = s.cfg.SnapshotPath
-	}
-	return rep, nil
-}
-
-// sliceWriter collects writes into a byte slice (audit render target).
-type sliceWriter struct{ b *[]byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
+	tel, err := s.FlushTelemetry()
+	rep.AuditFiles, rep.Snapshot = tel.AuditFiles, tel.Snapshot
+	return rep, err
 }

@@ -187,12 +187,12 @@ func TestMalformedAndUnknown(t *testing.T) {
 // terminalSum adds the counters a decide request can end in; every request
 // must land in exactly one of them.
 func terminalSum(c map[string]int64) int64 {
-	return c["decisions"] + c["malformed"] + c["not_found"] + c["shed_rate"] + c["shed_queue"] +
+	return c["served"] + c["malformed"] + c["not_found"] + c["shed_rate"] + c["shed_queue"] +
 		c["shed_deadline"] + c["shed_drain"] + c["timeouts"]
 }
 
 // TestLengthMismatchCountedMalformed checks that a last_bw or down of the
-// wrong length, which only the tenant worker can detect, is answered 400,
+// wrong length, which only the tenant can detect, is answered 400,
 // counted as malformed, and leaves the tenant's clock untouched.
 func TestLengthMismatchCountedMalformed(t *testing.T) {
 	s, ts := newTestServer(t, DefaultServerConfig())
@@ -221,6 +221,44 @@ func TestLengthMismatchCountedMalformed(t *testing.T) {
 	if c["malformed"] != 2 || c["decisions"] != 1 || c["requests"] != terminalSum(c) {
 		t.Fatalf("counters after 2 mismatches and 1 decision: %v", c)
 	}
+}
+
+// TestCountersReconcileOverServed checks the conservation identity where
+// plans made and requests served part: a 5-plan batch is one request and
+// five decisions, and a request whose deadline passes during its decision
+// is one decision answered 504. Each request lands in exactly one terminal
+// counter, and decisions counts the plans.
+func TestCountersReconcileOverServed(t *testing.T) {
+	check := func(s *Server, want map[string]int64) {
+		t.Helper()
+		s.BeginDrainForTest(t) // every decision has finished
+		c := s.Counters().Snapshot()
+		for k, v := range want {
+			if got, ok := c[k]; !ok || got != v {
+				t.Errorf("counter %q = %d (present %v), want %d: %v", k, got, ok, v, c)
+			}
+		}
+		if c["requests"] != terminalSum(c) {
+			t.Errorf("requests %d, terminal counters sum to %d: %v", c["requests"], terminalSum(c), c)
+		}
+	}
+
+	s, ts := newTestServer(t, DefaultServerConfig())
+	registerTenant(t, ts, TenantSpec{Name: "batch", N: 3, Primary: PrimaryFresh})
+	if _, status := decide(t, ts, DecideRequest{Tenant: "batch", Count: 5}); status != http.StatusOK {
+		t.Fatalf("batch: status %d", status)
+	}
+	check(s, map[string]int64{"requests": 1, "served": 1, "decisions": 5})
+
+	cfg := DefaultServerConfig()
+	cfg.SlowActor = 250 * time.Millisecond
+	cfg.RequestTimeout = 50 * time.Millisecond
+	s, ts = newTestServer(t, cfg)
+	registerTenant(t, ts, TenantSpec{Name: "late", N: 3, Primary: PrimaryFresh})
+	if _, status := decide(t, ts, DecideRequest{Tenant: "late"}); status != http.StatusGatewayTimeout {
+		t.Fatalf("late decision: status %d, want 504", status)
+	}
+	check(s, map[string]int64{"requests": 1, "served": 0, "timeouts": 1, "decisions": 1})
 }
 
 // bytesPerRun returns the heap bytes f allocates per call, averaged over
@@ -706,6 +744,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	cfg := DefaultServerConfig()
 	cfg.SnapshotPath = snap
+	cfg.AuditDir = filepath.Join(filepath.Dir(snap), "audits")
 	s, ts := newTestServer(t, cfg)
 	registerTenant(t, ts, TenantSpec{Name: "persist", N: 3, Seed: 3, Primary: PrimaryFresh})
 	for k := 0; k < 4; k++ {
@@ -722,6 +761,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if rep.Snapshot != snap {
 		t.Fatalf("snapshot path %q, want %q", rep.Snapshot, snap)
+	}
+	// Drain is the last telemetry flush: the audit and the stats document
+	// land beside the snapshot.
+	if want := filepath.Join(cfg.AuditDir, "persist.audit"); len(rep.AuditFiles) != 1 || rep.AuditFiles[0] != want {
+		t.Fatalf("audit files %v, want [%s]", rep.AuditFiles, want)
+	}
+	data, err := os.ReadFile(filepath.Join(cfg.AuditDir, "stats.json"))
+	if err != nil {
+		t.Fatalf("no stats after drain: %v", err)
+	}
+	var stats statsBody
+	if err := json.Unmarshal(data, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Draining || stats.Counters["decisions"] != 4 {
+		t.Fatalf("drained stats: draining %v, counters %v", stats.Draining, stats.Counters)
 	}
 
 	// A restarted daemon restores the tenant and resumes its progress.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -49,13 +50,12 @@ func (s *Server) FlushTelemetry() (*TelemetryReport, error) {
 		}
 		rep.Stats = path
 		for _, t := range s.reg.all() {
-			var buf []byte
-			w := &sliceWriter{b: &buf}
-			if err := t.flushAudit(w); err != nil {
+			var buf bytes.Buffer
+			if err := t.flushAudit(&buf); err != nil {
 				return rep, fmt.Errorf("server: render audit %q: %w", t.spec.Name, err)
 			}
 			path := filepath.Join(s.cfg.AuditDir, t.spec.Name+".audit")
-			if err := report.WriteFileAtomic(path, buf, 0o644); err != nil {
+			if err := report.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
 				return rep, err
 			}
 			rep.AuditFiles = append(rep.AuditFiles, path)

@@ -73,7 +73,8 @@ type TenantSpec struct {
 	Rate float64 `json:"rate,omitempty"`
 	// Burst is the admission burst (0 inherits the server default).
 	Burst float64 `json:"burst,omitempty"`
-	// QueueCap bounds the tenant's request queue (0 inherits).
+	// QueueCap bounds the requests waiting for the tenant's turn (0
+	// inherits).
 	QueueCap int `json:"queue_cap,omitempty"`
 	// TickSec advances the tenant clock per decision when requests do not
 	// pin one (0 keeps 10s, one bandwidth slot).
@@ -112,14 +113,7 @@ func (s *TenantSpec) Validate() error {
 	return nil
 }
 
-// call is one queued decision request.
-type call struct {
-	ctx  context.Context
-	req  *DecideRequest
-	resp chan callResult // buffered(1): the worker's send never blocks
-}
-
-// callResult is what the worker hands back to the waiting handler.
+// callResult is one request's answer.
 type callResult struct {
 	status     int
 	plan       *DecideResponse
@@ -127,10 +121,15 @@ type callResult struct {
 	retryAfter time.Duration
 }
 
+// timedOut answers a request whose deadline passed before its answer.
+var timedOut = callResult{status: http.StatusGatewayTimeout, errMsg: "deadline exceeded"}
+
 // Tenant is one registered tenant: its simulated FL system, its guard
-// chain and its admission/queue state. All decision state (guard, clock,
-// iterator) is owned by the tenant's single worker goroutine under mu;
-// stats readers take mu briefly.
+// chain and its admission/queue state. A request decides on its own
+// goroutine while it holds the tenant's turn, so the guard (documented
+// single-stream) sees one decision at a time, in turn order; mu guards the
+// decision state (guard, clock, iterator) against stats readers, snapshots
+// and swapActor.
 type Tenant struct {
 	spec TenantSpec
 	sys  *fl.System
@@ -145,15 +144,14 @@ type Tenant struct {
 	clock   float64
 
 	bucket *Bucket
-	queue  chan *call
-	ewmaNS atomic.Int64 // EWMA decide service time, nanoseconds
-
-	// qmu serializes sends against the close in closeQueue: a reload can
-	// retire this tenant while handlers still hold its pointer, and a send
-	// on a closed channel would panic. qclosed makes the race observable —
-	// the handler re-resolves the name and lands on the replacement.
-	qmu     sync.RWMutex
-	qclosed bool
+	// turn is the right to decide: a request takes it by sending and gives
+	// it back by receiving. Go queues blocked senders in order, so waiting
+	// requests take the turn first in, first out.
+	turn     chan struct{}
+	waiting  atomic.Int64 // requests waiting for the turn, at most queueCap
+	queueCap int64
+	retired  bool         // set by retire under the turn
+	ewmaNS   atomic.Int64 // EWMA decide service time, nanoseconds
 
 	// Online continual learning (nil/zero when disabled): guarded
 	// decisions stream into the loop's goroutine, which retrains on drift
@@ -166,12 +164,13 @@ type Tenant struct {
 	onlineRetrains   atomic.Int64
 	onlinePromotions atomic.Int64
 
-	// Drain accounting: every accepted (enqueued) call must be responded
-	// to before the worker exits — the drain test pins accepted ==
-	// responded, i.e. zero dropped in-flight requests.
+	// Drain accounting: a request is accepted when it takes the turn of a
+	// live tenant and responded when it gives the turn back with its
+	// answer. Both move only under the turn, so whoever holds it, and
+	// every reader once no request is in flight, sees accepted == responded:
+	// zero dropped by construction.
 	accepted  atomic.Int64
 	responded atomic.Int64
-	wg        sync.WaitGroup
 }
 
 // buildTenant materializes a spec: the trace-driven system, the primary
@@ -319,11 +318,11 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		burst = cfg.Burst
 	}
 	t.bucket = NewBucket(rate, burst, cfg.Now)
-	qcap := spec.QueueCap
-	if qcap == 0 {
-		qcap = cfg.QueueCap
+	t.queueCap = int64(spec.QueueCap)
+	if t.queueCap == 0 {
+		t.queueCap = int64(cfg.QueueCap)
 	}
-	t.queue = make(chan *call, qcap)
+	t.turn = make(chan struct{}, 1)
 	return t, nil
 }
 
@@ -376,15 +375,16 @@ func (t *Tenant) trackLevel(s *Server) {
 	t.level = i
 }
 
-// QueueLen returns the instantaneous queue depth.
-func (t *Tenant) QueueLen() int { return len(t.queue) }
+// QueueLen returns the number of requests waiting for the tenant's turn.
+func (t *Tenant) QueueLen() int { return int(t.waiting.Load()) }
 
-// estWait estimates how long a request enqueued now would wait before
-// being served: queued work plus itself, at the EWMA service time. Zero
-// before the first decision (a cold tenant never sheds on estimates).
+// estWait estimates how long a request arriving now would wait before
+// being served: the waiting requests plus itself, at the EWMA service
+// time. Zero before the first decision (a cold tenant never sheds on
+// estimates).
 func (t *Tenant) estWait() time.Duration {
 	ewma := time.Duration(t.ewmaNS.Load())
-	return time.Duration(len(t.queue)+1) * ewma
+	return time.Duration(t.waiting.Load()+1) * ewma
 }
 
 // updateEWMA folds one service time into the estimate (α = 0.2).
@@ -397,74 +397,74 @@ func (t *Tenant) updateEWMA(d time.Duration) {
 	t.ewmaNS.Store(old + (int64(d)-old)/5)
 }
 
-// start launches the tenant's worker (and, when configured, its online
-// continual-learning goroutine). Called exactly once, after the tenant is
-// installed in the registry.
-func (t *Tenant) start(s *Server) {
-	t.wg.Add(1)
-	go t.run(s)
+// start launches the tenant's online continual-learning goroutine, when
+// configured. Called exactly once, after the tenant is installed in the
+// registry.
+func (t *Tenant) start() {
 	if t.loop != nil {
 		t.onlineWG.Add(1)
 		go t.runOnline()
 	}
 }
 
-// enqueue attempts to queue a call. closed reports that the tenant has
-// been retired by a reload — the handler should re-resolve the name and
-// retry on the replacement rather than fail the request.
-func (t *Tenant) enqueue(c *call) (ok, closed bool) {
-	t.qmu.RLock()
-	defer t.qmu.RUnlock()
-	if t.qclosed {
-		return false, true
+// serve waits for the tenant's turn and decides req on the caller's
+// goroutine while it holds the turn. A request past the queue bound is
+// shed (503), and one whose deadline passes while it waits leaves at once
+// (504); one whose deadline passes during its decision is answered 504
+// when the decision ends. retired reports that a reload retired the
+// tenant before the request got the turn: the caller re-resolves the name.
+func (t *Tenant) serve(ctx context.Context, s *Server, req *DecideRequest) (res callResult, retired bool) {
+	if t.waiting.Add(1) > t.queueCap {
+		t.waiting.Add(-1)
+		return callResult{status: http.StatusServiceUnavailable, errMsg: "queue full", retryAfter: t.estWait()}, false
 	}
 	select {
-	case t.queue <- c:
-		t.accepted.Add(1)
-		return true, false
-	default:
-		return false, false
+	case t.turn <- struct{}{}:
+		t.waiting.Add(-1)
+	case <-ctx.Done():
+		t.waiting.Add(-1)
+		return timedOut, false
 	}
+	defer func() { <-t.turn }()
+	if t.retired {
+		return callResult{}, true
+	}
+	t.accepted.Add(1)
+	defer t.responded.Add(1)
+	if ctx.Err() != nil {
+		// The select picks at random when the turn and the deadline are
+		// both ready; an expired request does no work.
+		return timedOut, false
+	}
+	start := s.now()
+	res = t.decide(s, req)
+	d := s.now().Sub(start)
+	t.updateEWMA(d)
+	s.hist.Observe(d)
+	if ctx.Err() != nil {
+		return timedOut, false
+	}
+	return res, false
 }
 
-// closeQueue closes the tenant's queue exactly once, excluding concurrent
-// enqueues. The worker drains whatever is already queued and exits —
-// every accepted call is still answered.
-func (t *Tenant) closeQueue() {
-	t.qmu.Lock()
-	defer t.qmu.Unlock()
-	if !t.qclosed {
-		t.qclosed = true
-		close(t.queue)
-	}
-}
-
-// retire shuts the tenant down: stop accepting, drain the queue, stop the
-// online goroutine. On return every accepted call has been responded to.
+// retire takes the turn behind every request already waiting, so those
+// decide on this tenant, then marks the tenant retired, so every later
+// holder of the turn re-resolves the name, and stops the online
+// goroutine. On return no request can decide on this tenant.
 func (t *Tenant) retire() {
-	t.closeQueue()
-	t.wg.Wait()
+	t.turn <- struct{}{}
+	t.retired = true
+	<-t.turn
 	t.stopOnline()
 }
 
-// stopOnline terminates the online goroutine after the worker has exited
-// (the worker is the only sender).
+// stopOnline terminates the online goroutine once no request can decide
+// on the tenant (deciders are its only senders).
 func (t *Tenant) stopOnline() {
 	if t.onlineCh != nil {
 		close(t.onlineCh)
 		t.onlineWG.Wait()
 		t.onlineCh = nil
-	}
-}
-
-// run is the tenant worker: it drains the queue sequentially, which is
-// what makes the guard (documented single-run) safe under arbitrary
-// handler concurrency and keeps each tenant's audit stream deterministic
-// in its request order.
-func (t *Tenant) run(s *Server) {
-	defer t.wg.Done()
-	for c := range t.queue {
-		t.serveCall(s, c)
 	}
 }
 
@@ -496,23 +496,6 @@ func (t *Tenant) swapActor(a *core.Agent) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.drl.SwapPolicy(a.Policy)
-}
-
-// serveCall answers one queued call, honoring its context deadline.
-func (t *Tenant) serveCall(s *Server, c *call) {
-	defer t.responded.Add(1)
-	if c.ctx.Err() != nil {
-		// The client's budget expired while the call was queued; the
-		// handler has already answered 504. Do no work.
-		c.resp <- callResult{status: http.StatusGatewayTimeout, errMsg: "deadline exceeded in queue"}
-		return
-	}
-	start := s.now()
-	res := t.decide(s, c.req)
-	d := s.now().Sub(start)
-	t.updateEWMA(d)
-	s.hist.Observe(d)
-	c.resp <- res
 }
 
 // decide makes one decision (or a batch) through the tenant's guard. The
@@ -642,7 +625,7 @@ func (t *Tenant) Stats() TenantStats {
 		Decisions: t.iter,
 		Accepted:  t.accepted.Load(),
 		Responded: t.responded.Load(),
-		QueueLen:  len(t.queue),
+		QueueLen:  t.QueueLen(),
 		Served:    t.guard.Audit().ServedCounts(),
 		Events:    t.guard.Audit().EventCounts(),
 	}

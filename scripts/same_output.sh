@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # same_output.sh PARENT_DIR [CHANGE_DIR]
 #
-# Checks that a change alters no arithmetic by running the training and
-# evaluation CLIs of two checkouts side by side. CHANGE_DIR defaults to the
-# checkout this script lives in. Both sides build fltrain, flsim and
-# flexperiments from their own source, then:
+# Checks that a change alters no arithmetic by running the training,
+# evaluation and serving CLIs of two checkouts side by side. CHANGE_DIR
+# defaults to the checkout this script lives in. Both sides build fltrain,
+# flsim, flexperiments and flserver from their own source, then:
 #
 #   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2, at
 #     -arch joint|shared with -constrained and with -workers 2, and at
@@ -19,7 +19,14 @@
 #   - flexperiments -quick -out DIR: every CSV must be byte-identical, and
 #     stdout must match after dropping the "wrote ..." lines and the
 #     hier-sweep table's rounds/s and speedup columns, which are wall-clock
-#     measurements.
+#     measurements;
+#   - flserver -record-plans -audit-dir -snapshot on 127.0.0.1:PORT
+#     (SAME_OUTPUT_PORT, default 8702), with a fresh-actor and a heuristic
+#     N=3 tenant, one fixed serial curl sequence (pinned clock, last_bw,
+#     down and observed_cost, a 4-decision batch, a wrong-length last_bw and
+#     an unknown tenant) and a SIGTERM drain: every response (body and
+#     status), every .audit file and the registry snapshot must be
+#     byte-identical. stats.json holds the uptime and is not compared.
 #
 # Exit status: 0 when everything matches, 1 on any difference, 2 on a usage
 # or build error. The work directory is removed on success and kept (its
@@ -42,7 +49,7 @@ fail() {
 
 build() { # side dir
 	mkdir -p "$work/$1/bin"
-	(cd "$2" && go build -o "$work/$1/bin/" ./cmd/fltrain ./cmd/flsim ./cmd/flexperiments) ||
+	(cd "$2" && go build -o "$work/$1/bin/" ./cmd/fltrain ./cmd/flsim ./cmd/flexperiments ./cmd/flserver) ||
 		fail "build failed in $2"
 }
 
@@ -63,6 +70,46 @@ simulate() { # side name n
 		fail "$1 flsim -agent $2.gob failed"
 }
 
+# serve boots a side's flserver, sends the fixed request sequence, one
+# curl at a time, saving each response body and status as serve/NN.txt,
+# and drains the daemon with SIGTERM, which writes serve/audits/*.audit and
+# serve/flserver.snap.json.
+server_pid=
+trap '[[ -n $server_pid ]] && kill -9 "$server_pid" 2>/dev/null' EXIT
+serve() { # side
+	local port=${SAME_OUTPUT_PORT:-8702} n=0 i tenant
+	local base=http://127.0.0.1:$port
+	mkdir -p serve
+	bin/flserver -addr "127.0.0.1:$port" -record-plans -audit-dir serve/audits \
+		-snapshot serve/flserver.snap.json >serve/flserver.log 2>&1 &
+	server_pid=$!
+	for i in $(seq 100); do
+		kill -0 "$server_pid" 2>/dev/null || fail "$1 flserver exited at boot (port $port taken?)"
+		curl -sf "$base/v1/healthz" >/dev/null 2>&1 && break
+		[[ $i -eq 100 ]] && fail "$1 flserver did not come up on port $port"
+		sleep 0.1
+	done
+	post() { # path body
+		n=$((n + 1))
+		curl -s -w '%{http_code}\n' -H 'Content-Type: application/json' --data "$2" \
+			"$base$1" >"serve/$(printf %02d $n).txt" || fail "curl $1 failed"
+	}
+	post /v1/tenants '{"name": "fresh3", "n": 3, "seed": 5, "primary": "fresh"}'
+	post /v1/tenants '{"name": "heur3", "n": 3, "seed": 6, "primary": "heuristic"}'
+	for tenant in fresh3 heur3; do
+		post /v1/decide '{"tenant": "'$tenant'", "clock": 0}'
+		post /v1/decide '{"tenant": "'$tenant'", "clock": 10, "last_bw": [1.5e6, 2e6, 2.5e6], "observed_cost": 40.5}'
+		post /v1/decide '{"tenant": "'$tenant'", "clock": 20, "down": [false, true, false], "observed_cost": 38}'
+		post /v1/decide '{"tenant": "'$tenant'", "clock": 30, "count": 4, "observed_cost": 1e12}'
+		post /v1/decide '{"tenant": "'$tenant'", "last_bw": [1e6, 2e6]}'
+		post /v1/decide '{"tenant": "'$tenant'", "observed_cost": 41}'
+	done
+	post /v1/decide '{"tenant": "nobody"}'
+	kill -TERM "$server_pid"
+	wait "$server_pid" || fail "$1 flserver drain failed"
+	server_pid=
+}
+
 # run_side runs every workload of one side from inside its work directory,
 # so the paths the tools print are the same relative paths on both sides.
 run_side() { # side
@@ -77,6 +124,7 @@ run_side() { # side
 	train "$1" shared-n12-w2-tw2 -arch shared -n 12 -workers 2 -train-workers 2
 	simulate "$1" joint-tw0 3
 	simulate "$1" shared-n12-w2-tw2 12
+	serve "$1"
 	bin/flexperiments -quick -out csv >flexperiments.txt ||
 		fail "$1 flexperiments -quick failed"
 	cd - >/dev/null
@@ -137,12 +185,21 @@ done
 if ! diff <(normalize "$work/parent/flexperiments.txt") <(normalize "$work/change/flexperiments.txt"); then
 	differ "flexperiments stdout"
 fi
+serve_files=$(cd "$work/parent" && ls serve/*.txt serve/audits/*.audit serve/flserver.snap.json)
+if [[ "$serve_files" != "$(cd "$work/change" && ls serve/*.txt serve/audits/*.audit serve/flserver.snap.json)" ]]; then
+	differ "the set of serving files"
+fi
+for name in $serve_files; do
+	[[ -f "$work/change/$name" ]] || continue
+	cmp -s "$work/parent/$name" "$work/change/$name" || differ "$name"
+done
 
 ngob=$(ls "$work"/parent/*.gob | wc -l)
 ncsv=$(echo "$parent_csv" | wc -w)
 nsim=$(ls "$work"/parent/flsim-*.csv | wc -l)
+nserve=$(echo "$serve_files" | wc -w)
 if [[ $status -eq 0 ]]; then
-	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, $nsim flsim runs, all tables)"
+	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, $nsim flsim runs, all tables, $nserve serving files)"
 	rm -rf "$work"
 else
 	echo "same_output: outputs differ; work dir kept at $work" >&2
