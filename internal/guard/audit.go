@@ -77,10 +77,14 @@ func auditFloat(v float64) string {
 // Audit accumulates the guard's decision records plus exact running
 // counters. Records are capped (oldest dropped first) so a long-lived
 // guard cannot grow without bound; the counters always cover the full
-// lifetime regardless of the cap.
+// lifetime regardless of the cap. The retained records sit in a fixed
+// ring: once it is full, an add overwrites the oldest record in place
+// instead of shifting the rest, so a decision costs the same at any
+// uptime; every reader returns the records oldest first.
 type Audit struct {
 	cap     int
-	recs    []Decision
+	recs    []Decision // ring storage, at most cap records
+	head    int        // slot of the oldest record (0 until the ring is full)
 	dropped int
 
 	total  int            // decisions made
@@ -96,17 +100,28 @@ func newAudit(capacity int) *Audit {
 	}
 }
 
-// add appends a finished decision record, evicting the oldest when the
-// cap is reached.
+// add appends a finished decision record; once the cap is reached it
+// overwrites the oldest record and advances the head past it.
 func (a *Audit) add(d Decision) {
 	a.total++
 	a.served[d.Layer]++
-	if len(a.recs) >= a.cap {
-		n := copy(a.recs, a.recs[1:])
-		a.recs = a.recs[:n]
-		a.dropped++
+	if len(a.recs) < a.cap {
+		a.recs = append(a.recs, d)
+		return
 	}
-	a.recs = append(a.recs, d)
+	a.recs[a.head] = d
+	if a.head++; a.head == len(a.recs) {
+		a.head = 0
+	}
+	a.dropped++
+}
+
+// at returns the i-th retained record, oldest first (0 <= i < Len).
+func (a *Audit) at(i int) *Decision {
+	if i += a.head; i >= len(a.recs) {
+		i -= len(a.recs)
+	}
+	return &a.recs[i]
 }
 
 // last returns the most recent record for post-serve mutation (Observe
@@ -115,7 +130,7 @@ func (a *Audit) last() *Decision {
 	if len(a.recs) == 0 {
 		return nil
 	}
-	return &a.recs[len(a.recs)-1]
+	return a.at(len(a.recs) - 1)
 }
 
 // note records an event both on the decision and in the lifetime counter.
@@ -141,7 +156,7 @@ func (a *Audit) Last() (Decision, bool) {
 	if len(a.recs) == 0 {
 		return Decision{}, false
 	}
-	d := a.recs[len(a.recs)-1]
+	d := *a.last()
 	d.Events = append([]string(nil), d.Events...)
 	if d.Plan != nil {
 		d.Plan = append([]float64(nil), d.Plan...)
@@ -152,11 +167,11 @@ func (a *Audit) Last() (Decision, bool) {
 // Records returns a copy of the retained decision records in order.
 func (a *Audit) Records() []Decision {
 	out := make([]Decision, len(a.recs))
-	copy(out, a.recs)
 	for i := range out {
-		out[i].Events = append([]string(nil), a.recs[i].Events...)
-		if a.recs[i].Plan != nil {
-			out[i].Plan = append([]float64(nil), a.recs[i].Plan...)
+		out[i] = *a.at(i)
+		out[i].Events = append([]string(nil), out[i].Events...)
+		if out[i].Plan != nil {
+			out[i].Plan = append([]float64(nil), out[i].Plan...)
 		}
 	}
 	return out
@@ -165,8 +180,8 @@ func (a *Audit) Records() []Decision {
 // Lines renders every retained record as canonical audit lines.
 func (a *Audit) Lines() []string {
 	out := make([]string, len(a.recs))
-	for i := range a.recs {
-		out[i] = a.recs[i].Line()
+	for i := range out {
+		out[i] = a.at(i).Line()
 	}
 	return out
 }
@@ -201,7 +216,7 @@ func (a *Audit) EventCounts() map[string]int {
 func (a *Audit) TripReasons() map[string]int {
 	out := make(map[string]int)
 	for i := range a.recs {
-		evs := a.recs[i].Events
+		evs := a.at(i).Events
 		for j, ev := range evs {
 			if !strings.HasSuffix(ev, ":trip") {
 				continue

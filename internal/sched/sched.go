@@ -351,8 +351,10 @@ func (h *Heuristic) Frequencies(ctx Context) ([]float64, error) {
 }
 
 // Oracle cheats: it reads each device's true mean bandwidth over the next
-// lookahead window and optimizes against it. It upper-bounds what any
-// history-driven scheduler (including the DRL agent) can achieve.
+// LookaheadSec and plans against those means through PlanFrequencies'
+// constant-bandwidth model. Eq. (3) integrates the bandwidth over the
+// actual upload window instead, so the plan is not optimal in hindsight and
+// the Oracle bounds nothing: the DRL agent beats it at N=50 (Fig. 8).
 type Oracle struct {
 	MinFrac      float64
 	LookaheadSec float64

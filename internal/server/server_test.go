@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -736,6 +738,131 @@ func TestAuditByteStableAcrossRuns(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("audit bytes differ across identical runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	}
+}
+
+// wrapBatches is how many MaxBatchDecisions batches take a tenant's audit
+// past its cap (5 × 1024 = 5120 decisions against DefaultAuditCap = 4096).
+const wrapBatches = 5
+
+// TestAuditWrapsPastCap drives one tenant past its audit's cap with pinned
+// batches that close the cost loop, then drains: the audit file keeps the
+// newest DefaultAuditCap decisions in order, every line round-trips through
+// guard.ParseLine, and the summary counts every decision served.
+func TestAuditWrapsPastCap(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultServerConfig()
+	cfg.AuditDir = dir
+	cfg.RecordPlans = true
+	cfg.RequestTimeout = time.Minute // a whole batch under -race
+	s, ts := newTestServer(t, cfg)
+	registerTenant(t, ts, TenantSpec{Name: "wrap", N: 3, Seed: 5, Primary: PrimaryFresh})
+	const total = wrapBatches * MaxBatchDecisions
+	for b := 0; b < wrapBatches; b++ {
+		clock, cost := 100+20000*float64(b), 40+float64(b)
+		dr, status := decide(t, ts, DecideRequest{Tenant: "wrap", Clock: &clock, ObservedCost: &cost, Count: MaxBatchDecisions})
+		if status != http.StatusOK || dr.Count != MaxBatchDecisions || dr.Iter != b*MaxBatchDecisions {
+			t.Fatalf("batch %d: status %d, %+v", b, status, dr)
+		}
+	}
+	s.BeginDrain()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.FinishDrain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "wrap.audit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first := total - guard.DefaultAuditCap
+	k, served := first, 0
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "served" {
+			n, err := strconv.Atoi(f[2])
+			if err != nil {
+				t.Fatalf("summary row %q: %v", line, err)
+			}
+			served += n
+		}
+		if !strings.HasPrefix(line, "k=") {
+			continue
+		}
+		d, err := guard.ParseLine(line)
+		if err != nil {
+			t.Fatalf("audit line %q: %v", line, err)
+		}
+		if d.Line() != line {
+			t.Fatalf("audit line %q re-renders as %q", line, d.Line())
+		}
+		// Decision k is the (k mod 1024)-th of batch k/1024, priced one
+		// 10 s tick after the previous one from the batch's pinned clock.
+		clock := 100 + 20000*float64(k/MaxBatchDecisions) + 10*float64(k%MaxBatchDecisions)
+		if d.Iter != k || d.Clock != clock {
+			t.Fatalf("audit line %d of the window is k=%d at t=%v, want k=%d at t=%v", k-first, d.Iter, d.Clock, k, clock)
+		}
+		// A batch's observed cost lands on the previous batch's last decision.
+		if b := (k + 1) / MaxBatchDecisions; (k+1)%MaxBatchDecisions == 0 && b < wrapBatches {
+			if d.Cost != 40+float64(b) {
+				t.Fatalf("k=%d: cost %v, want the next batch's observed %v", k, d.Cost, 40+float64(b))
+			}
+		} else if !math.IsNaN(d.Cost) {
+			t.Fatalf("k=%d: cost %v, want none observed", k, d.Cost)
+		}
+		k++
+	}
+	if k != total {
+		t.Fatalf("audit window ends at k=%d, want %d lines ending at k=%d", k-1, guard.DefaultAuditCap, total-1)
+	}
+	if served != total {
+		t.Fatalf("audit summary counts %d served decisions, want %d", served, total)
+	}
+}
+
+// BenchmarkDecideSteadyState times one in-process /v1/decide (pinned
+// clock, last_bw) through the handler on perfbench's serve-testbed shape,
+// 8 fresh-actor N=3 tenants served round-robin, each already past its
+// audit's cap as a long-running tenant is.
+func BenchmarkDecideSteadyState(b *testing.B) {
+	s, err := New(DefaultServerConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("decide %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	const tenants, seqLen = 8, 64
+	bodies := make([][]byte, 0, tenants*seqLen)
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("t%d", i)
+		if _, err := s.Register(TenantSpec{Name: name, N: 3, Seed: int64(i) + 1, Primary: PrimaryFresh}); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < wrapBatches; k++ {
+			post([]byte(fmt.Sprintf(`{"tenant": %q, "clock": 0, "count": %d}`, name, MaxBatchDecisions)))
+		}
+	}
+	for k := 0; k < seqLen; k++ {
+		for i := 0; i < tenants; i++ {
+			clock := 60 + 10*float64(k)
+			body, err := json.Marshal(DecideRequest{Tenant: fmt.Sprintf("t%d", i), Clock: &clock,
+				LastBW: []float64{1.5e6 + 1e4*float64(k), 2e6, 2.5e6 - 1e4*float64(i)}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
 	}
 }
 

@@ -23,10 +23,12 @@
 #   - flserver -record-plans -audit-dir -snapshot on 127.0.0.1:PORT
 #     (SAME_OUTPUT_PORT, default 8702), with a fresh-actor and a heuristic
 #     N=3 tenant, one fixed serial curl sequence (pinned clock, last_bw,
-#     down and observed_cost, a 4-decision batch, a wrong-length last_bw and
-#     an unknown tenant) and a SIGTERM drain: every response (body and
-#     status), every .audit file and the registry snapshot must be
-#     byte-identical. stats.json holds the uptime and is not compared.
+#     down and observed_cost, a 4-decision batch, a wrong-length last_bw,
+#     five 1024-decision batches that take the fresh tenant's audit past
+#     its 4,096-record cap, and an unknown tenant) and a SIGTERM drain:
+#     every response (body and status), every .audit file and the registry
+#     snapshot must be byte-identical. stats.json holds the uptime and is
+#     not compared.
 #
 # Exit status: 0 when everything matches, 1 on any difference, 2 on a usage
 # or build error. The work directory is removed on success and kept (its
@@ -103,6 +105,12 @@ serve() { # side
 		post /v1/decide '{"tenant": "'$tenant'", "clock": 30, "count": 4, "observed_cost": 1e12}'
 		post /v1/decide '{"tenant": "'$tenant'", "last_bw": [1e6, 2e6]}'
 		post /v1/decide '{"tenant": "'$tenant'", "observed_cost": 41}'
+	done
+	# 8 + 5 x 1024 decisions: the drained audit keeps k = 1032 ... 5127, a
+	# wrapped ring, and the fifth batch's observed cost is written into the
+	# newest record after the wrap.
+	for i in 1 2 3 4 5; do
+		post /v1/decide '{"tenant": "fresh3", "clock": '$((i * 20000))', "count": 1024, "observed_cost": '$((38 + i))'.5}'
 	done
 	post /v1/decide '{"tenant": "nobody"}'
 	kill -TERM "$server_pid"
