@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -126,16 +129,25 @@ func (p *Profile) Generate(name string, durationSec float64, seed int64) (*trace
 	dwell := p.drawDwell(rng, regime)
 	phase := rng.Float64() * 2 * math.Pi
 
-	for i := 0; i < n; i++ {
-		r := p.Regimes[regime]
-		mod := 1.0
-		if p.Drift.Amp > 0 {
+	// samples[i] holds step i's drift factor until step i overwrites it
+	// with the sample. The factors draw no randomness, so computing them
+	// in a loop of their own keeps the RNG stream, and every bit.
+	if p.Drift.Amp > 0 {
+		for i := range samples {
 			t := float64(i) * p.Interval
-			mod = 1 + p.Drift.Amp*math.Sin(2*math.Pi*t/p.Drift.PeriodSec+phase)
+			samples[i] = 1 + p.Drift.Amp*math.Sin(2*math.Pi*t/p.Drift.PeriodSec+phase)
 		}
+	} else {
+		for i := range samples {
+			samples[i] = 1
+		}
+	}
+
+	r := &p.Regimes[regime]
+	for i, mod := range samples {
 		target := r.Mean * mod
 		// Mean-reverting AR(1) around the (drift-modulated) regime mean.
-		noise := rng.NormFloat64() * r.Jitter * math.Max(target, 1)
+		noise := rng.NormFloat64() * r.Jitter * noiseScale(target)
 		level = p.AR1*level + (1-p.AR1)*target + noise
 		x := level
 		if x < p.Floor {
@@ -150,9 +162,23 @@ func (p *Profile) Generate(name string, durationSec float64, seed int64) (*trace
 		if dwell <= 0 {
 			regime = p.nextRegime(rng, regime)
 			dwell = p.drawDwell(rng, regime)
+			r = &p.Regimes[regime]
 		}
 	}
 	return trace.New(name, p.Interval, samples)
+}
+
+// noiseScale is math.Max(target, 1) bit for bit, NaN and infinities
+// included, as two inlined comparisons: on amd64 math.Max is an assembly
+// call the compiler cannot inline, once per generated sample.
+func noiseScale(target float64) float64 {
+	if target > 1 {
+		return target
+	}
+	if target != target {
+		return math.NaN() // the NaN math.Max returns, whatever NaN came in
+	}
+	return 1
 }
 
 // MustGenerate is Generate, panicking on error.
@@ -310,6 +336,51 @@ func Bicycle4G() *Profile {
 		Interval: 1,
 		Drift:    Drift{Amp: 0.4, PeriodSec: 2000},
 	}
+}
+
+// WalkingSet generates the bandwidth traces of an n-device fleet: trace i
+// replays WalkingProfiles()[i mod 5], is seeded seed + i·10007 and is named
+// fmt.Sprintf(nameFmt, profileName, i). The traces are generated, each with
+// its prefix index, on min(GOMAXPROCS, n) goroutines. A trace is a pure
+// function of its index and each job writes only its own slot, so the set
+// is bit-identical at any width (DESIGN.md §8); on failure WalkingSet
+// returns the lowest failing index's error, as a serial loop would.
+func WalkingSet(n int, nameFmt string, durationSec float64, seed int64) ([]*trace.Trace, error) {
+	return generateSet(WalkingProfiles(), n, nameFmt, durationSec, seed, runtime.GOMAXPROCS(0))
+}
+
+// generateSet is WalkingSet over the given profiles at the given width.
+func generateSet(profiles []*Profile, n int, nameFmt string, durationSec float64, seed int64, width int) ([]*trace.Trace, error) {
+	traces := make([]*trace.Trace, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			p := profiles[i%len(profiles)]
+			traces[i], errs[i] = p.Generate(fmt.Sprintf(nameFmt, p.Name, i), durationSec, seed+int64(i)*10007)
+		}
+	}
+	// The calling goroutine is one of the workers.
+	var wg sync.WaitGroup
+	for w := 1; w < min(width, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return traces, nil
 }
 
 // WalkingProfiles returns the five distinct walking-style profiles the

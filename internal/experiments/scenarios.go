@@ -14,7 +14,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fl"
 	"repro/internal/rl"
-	"repro/internal/trace"
 )
 
 // Scenario fixes the workload of an experiment: the fleet, traces and task
@@ -59,15 +58,9 @@ func (sc Scenario) Build() (*fl.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles := bandwidth.WalkingProfiles()
-	traces := make([]*trace.Trace, sc.N)
-	for i := range traces {
-		p := profiles[i%len(profiles)]
-		tr, err := p.Generate(fmt.Sprintf("%s-dev%02d", p.Name, i), sc.TraceSec, sc.Seed+int64(i)*10007)
-		if err != nil {
-			return nil, err
-		}
-		traces[i] = tr
+	traces, err := bandwidth.WalkingSet(sc.N, "%s-dev%02d", sc.TraceSec, sc.Seed)
+	if err != nil {
+		return nil, err
 	}
 	sys := &fl.System{
 		Devices:    devs,

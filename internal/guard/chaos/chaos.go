@@ -4,9 +4,15 @@
 // unit-scale errors, truncated logs, poisoned checkpoints — and runs the
 // guarded controller, an unguarded copy of the same actor, and the
 // max-frequency safe mode side by side over the mutated system. The
-// harness asserts the guard's contract: every emitted frequency stays in
-// [δ_floor, δ_i^max], and the guarded total cost never exceeds the safe
-// mode's.
+// guard's contract is that every emitted frequency stays in
+// [δ_floor, δ_i^max] and that no served plan prices above CostFactor ×
+// the max-frequency safe plan at the predicted bandwidth
+// (guard.Config.CostFactor); the harness counts breaches of the first
+// (Result.FreqViolations). It also reports the guarded total cost against
+// the safe mode's on the realized traces. GuardedCost ≤ SafeCost is an
+// empirical bound, not a guarantee: the guard prices plans at the
+// predicted bandwidth, which the realized bandwidth can betray.
+// TestChaosSuite checks the bound on its fixture.
 //
 // The safe-mode bound is evaluated as a paired counterfactual: at every
 // decision the harness also steps a throwaway session at max frequencies
@@ -231,7 +237,10 @@ type Result struct {
 	// mutated system. SafeCost is its paired max-frequency counterfactual:
 	// the cost of stepping at max frequencies from the same decision
 	// clocks, i.e. what safe mode would have paid for the guard's exact
-	// decision points. The guard's contract is GuardedCost ≤ SafeCost.
+	// decision points. GuardedCost ≤ SafeCost is an empirical bound, not
+	// the guard's contract: the guard bounds each served plan's price at
+	// the predicted bandwidth (CostFactor × the safe plan's), not its
+	// realized cost. TestChaosSuite checks the bound on its fixture.
 	GuardedCost float64
 	SafeCost    float64
 	// SafeEpisodeCost is an independent max-frequency episode from the

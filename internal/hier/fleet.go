@@ -90,15 +90,9 @@ func NewFleet(n int, opts FleetOptions, seed int64) (*Fleet, error) {
 		return nil, fmt.Errorf("hier: inverted parameter range in %+v", p)
 	}
 
-	profiles := bandwidth.WalkingProfiles()
-	pool := make([]*trace.Trace, poolSize)
-	for i := range pool {
-		prof := profiles[i%len(profiles)]
-		tr, err := prof.Generate(fmt.Sprintf("%s-pool%03d", prof.Name, i), traceSec, seed+int64(i)*10007)
-		if err != nil {
-			return nil, err
-		}
-		pool[i] = tr
+	pool, err := bandwidth.WalkingSet(poolSize, "%s-pool%03d", traceSec, seed)
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(seed))

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"time"
 )
 
 // Wire-format bounds. Requests beyond them are rejected before any work is
@@ -44,6 +46,17 @@ type DecideRequest struct {
 	// round trip; every decision still flows through the tenant's guard
 	// serially and is charged against admission individually.
 	Count int `json:"count,omitempty"`
+
+	// deadline is the instant (time.Now's clock) the server stops working
+	// on the request, set by the handler from DeadlineMS and the server's
+	// cap; zero for none.
+	deadline time.Time
+}
+
+// expired reports whether the request's deadline has passed or its client
+// has gone away (ctx).
+func (r *DecideRequest) expired(ctx context.Context) bool {
+	return (!r.deadline.IsZero() && !time.Now().Before(r.deadline)) || ctx.Err() != nil
 }
 
 // MaxBatchDecisions bounds Count so one request cannot monopolize a

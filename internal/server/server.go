@@ -302,13 +302,15 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
+	// The deadline is an instant on the clock a context deadline uses,
+	// checked by comparison, so a request that finds its tenant's turn
+	// free arms no timer.
+	req.deadline = time.Now().Add(budget)
 
 	// A retired tenant means a reload replaced it after the lookup above:
 	// re-resolve the name and decide on the replacement, so reloads drop
 	// zero in-flight requests.
-	res, retired := t.serve(ctx, s, req)
+	res, retired := t.serve(r.Context(), s, req)
 	for attempt := 0; retired; attempt++ {
 		nt := s.reg.get(req.Tenant)
 		if attempt == 2 || nt == nil || nt == t {
@@ -316,7 +318,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		t = nt
-		res, retired = t.serve(ctx, s, req)
+		res, retired = t.serve(r.Context(), s, req)
 	}
 
 	switch res.status {

@@ -866,6 +866,26 @@ func BenchmarkDecideSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterTenant times one registration of perfbench's
+// serve-fleet tenant shape, a fresh-actor N=1000 tenant, through Register:
+// trace generation, the slot table, the drift gate's reference probe and
+// the fresh agent. Each registration goes to a new server, so at most one
+// tenant's traces stay reachable.
+func BenchmarkRegisterTenant(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := New(DefaultServerConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.Register(TenantSpec{Name: "fleet", N: 1000, Seed: int64(i%4) + 1, Primary: PrimaryFresh}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "reg.snap.json")
 

@@ -409,31 +409,34 @@ func (t *Tenant) start() {
 
 // serve waits for the tenant's turn and decides req on the caller's
 // goroutine while it holds the turn. A request past the queue bound is
-// shed (503), and one whose deadline passes while it waits leaves at once
-// (504); one whose deadline passes during its decision is answered 504
-// when the decision ends. retired reports that a reload retired the
-// tenant before the request got the turn: the caller re-resolves the name.
+// shed (503), and one whose deadline (req.deadline) passes, or whose
+// client goes away (ctx), while it waits leaves at once (504); one whose
+// deadline passes during its decision is answered 504 when the decision
+// ends. retired reports that a reload retired the tenant before the
+// request got the turn: the caller re-resolves the name.
 func (t *Tenant) serve(ctx context.Context, s *Server, req *DecideRequest) (res callResult, retired bool) {
 	if t.waiting.Add(1) > t.queueCap {
 		t.waiting.Add(-1)
 		return callResult{status: http.StatusServiceUnavailable, errMsg: "queue full", retryAfter: t.estWait()}, false
 	}
+	// A free turn is taken without a timer; a waiting request arms one.
 	select {
 	case t.turn <- struct{}{}:
-		t.waiting.Add(-1)
-	case <-ctx.Done():
-		t.waiting.Add(-1)
-		return timedOut, false
+	default:
+		if !t.awaitTurn(ctx, req.deadline) {
+			t.waiting.Add(-1)
+			return timedOut, false
+		}
 	}
+	t.waiting.Add(-1)
 	defer func() { <-t.turn }()
 	if t.retired {
 		return callResult{}, true
 	}
 	t.accepted.Add(1)
 	defer t.responded.Add(1)
-	if ctx.Err() != nil {
-		// The select picks at random when the turn and the deadline are
-		// both ready; an expired request does no work.
+	if req.expired(ctx) {
+		// An expired request that got the turn does no work.
 		return timedOut, false
 	}
 	start := s.now()
@@ -441,10 +444,28 @@ func (t *Tenant) serve(ctx context.Context, s *Server, req *DecideRequest) (res 
 	d := s.now().Sub(start)
 	t.updateEWMA(d)
 	s.hist.Observe(d)
-	if ctx.Err() != nil {
+	if req.expired(ctx) {
 		return timedOut, false
 	}
 	return res, false
+}
+
+// awaitTurn blocks until the request takes the turn, which it reports, or
+// until the deadline (zero for none) passes or ctx ends.
+func (t *Tenant) awaitTurn(ctx context.Context, deadline time.Time) bool {
+	var expire <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expire = timer.C
+	}
+	select {
+	case t.turn <- struct{}{}:
+		return true
+	case <-expire:
+	case <-ctx.Done():
+	}
+	return false
 }
 
 // retire takes the turn behind every request already waiting, so those

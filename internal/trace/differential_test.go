@@ -274,15 +274,22 @@ func TestDifferentialLeadingOutage(t *testing.T) {
 	}
 }
 
-// TestCloneDropsIndex verifies the copy-on-write contract: mutating a
-// clone's samples (the pattern the tests rely on) must never read the
-// original's cached index, and vice versa.
+// TestCloneDropsIndex verifies the copy-on-write contract: New builds the
+// index, a clone starts without one, and mutating a clone's samples (the
+// pattern the tests rely on) must never read the original's cached index,
+// and vice versa.
 func TestCloneDropsIndex(t *testing.T) {
 	tr := MustNew("cow", 1, []float64{1e6, 2e6, 3e6})
+	if tr.idx.Load() == nil {
+		t.Fatal("New left the index to the first query")
+	}
 	if got := tr.Integrate(0, 3); !relClose(got, 6e6, 1e-12) {
 		t.Fatalf("warmup integral %v", got)
 	}
 	cl := tr.Clone()
+	if cl.idx.Load() != nil {
+		t.Fatal("Clone shares the index")
+	}
 	for i := range cl.Samples {
 		cl.Samples[i] = 10e6
 	}

@@ -2,12 +2,12 @@ package trace
 
 import "math"
 
-// This file is the indexed trace engine. A Trace lazily builds (and caches)
-// a prefix-sum index of cumulative byte volume at sample boundaries, which
-// turns the windowed integral of eq. (3) into O(1) arithmetic on two prefix
-// lookups, the upload-finish solve into a galloping search over the prefix
-// array from the upload's start segment, and a slot average into two prefix
-// lookups (slots.go). Every wall-clock time is wrapped into the replay cycle
+// This file is the indexed trace engine. A Trace builds (and caches) a
+// prefix-sum index of cumulative byte volume at sample boundaries, in New
+// or else on its first query, which turns the windowed integral of eq. (3)
+// into O(1) arithmetic on two prefix lookups, the upload-finish solve into
+// a galloping search over the prefix array from the upload's start
+// segment, and a slot average into two prefix lookups (slots.go). Every wall-clock time is wrapped into the replay cycle
 // by mod, an exact FMA remainder equal to math.Mod bit for bit.
 // The index is derived state only: it is built deterministically from
 // (Interval, Samples), it is dropped by Clone (copy-on-write safety — a

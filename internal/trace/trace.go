@@ -21,10 +21,10 @@ import (
 // bandwidth in bytes/second during [i·Interval, (i+1)·Interval). Replay is
 // cyclic, so the trace is defined for all t ≥ 0.
 //
-// Samples must not be mutated once the trace is in use: query methods
-// lazily build and cache a prefix-sum index over the samples (see index.go)
-// that would go stale. Derive modified traces with Clone, which never
-// shares the cache, or build a new one with New.
+// Samples must not be mutated once the trace is in use: the trace caches
+// a prefix-sum index over them (see index.go), built by New or else by the
+// first query, which would go stale. Derive modified traces with Clone,
+// which never shares the cache, or build a new one with New.
 type Trace struct {
 	// Name identifies the trace (e.g. "walking-4g-03").
 	Name string
@@ -40,7 +40,9 @@ type Trace struct {
 // ErrEmptyTrace is returned when an operation requires at least one sample.
 var ErrEmptyTrace = errors.New("trace: empty trace")
 
-// New validates and constructs a trace.
+// New validates and constructs a trace and builds its prefix index
+// (index.go) on the calling goroutine, so a trace set generated in
+// parallel is indexed in parallel too and its first query builds nothing.
 func New(name string, interval float64, samples []float64) (*Trace, error) {
 	if !(interval > 0) || math.IsInf(interval, 1) {
 		// NaN would reach an int conversion in locate and index out of range.
@@ -54,7 +56,9 @@ func New(name string, interval float64, samples []float64) (*Trace, error) {
 			return nil, fmt.Errorf("trace %q: sample %d = %v is invalid", name, i, s)
 		}
 	}
-	return &Trace{Name: name, Interval: interval, Samples: samples}, nil
+	tr := &Trace{Name: name, Interval: interval, Samples: samples}
+	tr.index()
+	return tr, nil
 }
 
 // MustNew is New, panicking on error; intended for tests and literals.
