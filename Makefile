@@ -46,10 +46,10 @@ bench-smoke:
 # fuzz exercises the parse/sanitize/decode fuzz targets, the snapshot and
 # checkpoint loaders and the upload-finish solve (go's native fuzzer runs
 # one target per invocation). Raise FUZZTIME for a deeper run. The agent
-# decoder's seeds are ~1 KB of gob, which the minimizer would spend up to a
-# minute per new input on; the decide-request target's spliced inputs grow
-# to KBs and stall it the same way (0 execs/s for 30 s and more of a 60 s
-# run); the checkpoint loader's JSON seeds are ~2.6 KB.
+# file decoder's JSON seeds are 0.6-0.8 KB, which the minimizer would
+# spend up to a minute per new input on; the decide-request target's
+# spliced inputs grow to KBs and stall it the same way (0 execs/s for 30 s
+# and more of a 60 s run); the checkpoint loader's JSON seeds are ~2.6 KB.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -82,7 +82,7 @@ same-output:
 # profile runs a short profiled training workload; inspect with
 #   go tool pprof cpu.pprof / mem.pprof   and   go tool trace exec.trace
 profile: build
-	$(GO) run ./cmd/fltrain -episodes 25 -o /tmp/fldrl-profile-agent.gob \
+	$(GO) run ./cmd/fltrain -episodes 25 -o /tmp/fldrl-profile-agent.json \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -trace exec.trace
 
 # quick regenerates every table at smoke-test sizes.

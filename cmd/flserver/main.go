@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	flserver [-addr :8700] [-agent agent.gob] [-snapshot flserver.snap.json]
+//	flserver [-addr :8700] [-agent agent.json] [-snapshot flserver.snap.json]
 //	         [-audit-dir audits] [-rate 0] [-burst 32] [-queue-cap 256]
 //	         [-request-timeout 1s] [-actor-budget 0] [-drain-timeout 10s]
 //	         [-chaos-slow-actor 0] [-tenants tenants.json] [-record-plans]
@@ -15,6 +15,9 @@
 // Every decision is served by the tenant's guard chain (actor → heuristic →
 // max-frequency, with circuit breakers); a response's mode names the first
 // level of that chain whose breaker is closed ("guarded" for the actor).
+// -agent loads an agent file written by fltrain (JSON): every tenant whose
+// layout fits it serves its own copy of the actor, and the guard's drift
+// gate scores states against the training distribution the file carries.
 //
 // -tenants points at a declarative spec file (JSON array of tenant specs)
 // loaded on boot; SIGHUP or POST /v1/reload re-reads it atomically,

@@ -5,11 +5,13 @@
 //
 // The agent must have been trained with fltrain on a scenario with the same
 // device count and history length; flsim rebuilds the scenario from the
-// same seed.
+// same seed. The agent file (JSON) carries the distribution of states on
+// the agent's training system, and -guard's drift gate scores states
+// against it.
 //
 // Usage:
 //
-//	flsim -agent agent.gob [-n 3] [-lambda 1] [-iters 400] [-runs 3]
+//	flsim -agent agent.json [-n 3] [-lambda 1] [-iters 400] [-runs 3]
 //	      [-seed 1] [-cdf cost.csv]
 //	      [-guard] [-guard-fallback heuristic,maxfreq] [-ood-threshold 4]
 //
@@ -35,7 +37,7 @@ import (
 
 func main() {
 	var (
-		agentPath = flag.String("agent", "agent.gob", "trained agent file from fltrain")
+		agentPath = flag.String("agent", "agent.json", "trained agent file from fltrain")
 		n         = flag.Int("n", 3, "number of mobile devices (must match training)")
 		lambda    = flag.Float64("lambda", 1, "cost weight λ")
 		iters     = flag.Int("iters", 400, "iterations per evaluation run")

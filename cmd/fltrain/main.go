@@ -24,7 +24,7 @@
 //	fltrain [-n 3] [-lambda 1] [-episodes 300] [-arch joint|shared]
 //	        [-seed 1] [-workers 0] [-train-workers 0]
 //	        [-constrained] [-cost-limit 0] [-time-slack 1.25] [-energy-frac 0.9]
-//	        [-o agent.gob] [-curves fig6.csv]
+//	        [-o agent.json] [-curves fig6.csv]
 //	        [-checkpoint train.ckpt] [-checkpoint-every 25] [-resume train.ckpt]
 //	        [-crash-prob 0] [-rejoin-prob 0] [-blackout-prob 0]
 //	        [-straggler-prob 0] [-straggler-mult 4] [-deadline 0]
@@ -54,7 +54,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "scenario and training seed")
 		workers      = flag.Int("workers", 0, "rollout workers: 0 = sequential Algorithm 1; w>=1 = parallel episode collection (deterministic, output independent of w)")
 		trainWorkers = flag.Int("train-workers", 0, "gradient-engine workers inside each PPO/A2C update (bit-identical at any value; 0 = single-threaded)")
-		out          = flag.String("o", "agent.gob", "output path for the trained agent")
+		out          = flag.String("o", "agent.json", "output path for the trained agent file (JSON)")
 		curves       = flag.String("curves", "", "optional CSV path for the Fig. 6 convergence curves")
 
 		constrained = flag.Bool("constrained", false, "train with Lagrangian constrained PPO: deadline/energy targets auto-calibrated from a run-at-max probe")

@@ -70,9 +70,9 @@ func main() {
 	}
 
 	// 4. Persist the agent for reuse (see cmd/flsim).
-	if err := agent.Save("quickstart-agent.gob"); err != nil {
+	if err := agent.Save("quickstart-agent.json"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nsaved trained agent to quickstart-agent.gob")
-	os.Remove("quickstart-agent.gob") // keep the example side-effect free
+	fmt.Println("\nsaved trained agent to quickstart-agent.json")
+	os.Remove("quickstart-agent.json") // keep the example side-effect free
 }

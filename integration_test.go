@@ -40,7 +40,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	agent := tinyTrain(t, sys, core.ArchJoint, 1)
 
 	// Persist → reload → identical decisions (the fltrain → flsim path).
-	path := filepath.Join(t.TempDir(), "agent.gob")
+	path := filepath.Join(t.TempDir(), "agent.json")
 	if err := agent.Save(path); err != nil {
 		t.Fatal(err)
 	}

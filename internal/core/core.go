@@ -7,8 +7,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/fl"
+	"repro/internal/guard"
 	"repro/internal/nn"
 	"repro/internal/report"
 	"repro/internal/rl"
@@ -179,8 +180,9 @@ func (c Config) Validate() error {
 }
 
 // Agent is a trained experience-driven controller: the actor network used
-// for online reasoning plus the critic and the environment layout it was
-// trained under.
+// for online reasoning plus the critic, the environment layout it was
+// trained under and the training distribution its guard checks states
+// against.
 type Agent struct {
 	Policy rl.Policy
 	Critic *nn.MLP
@@ -188,12 +190,23 @@ type Agent struct {
 	// Norm carries the frozen observation statistics when the agent was
 	// trained with NormalizeObs (nil otherwise).
 	Norm *rl.ObsNormalizer
+	// Ref is the guard's out-of-distribution reference: the training
+	// states' per-feature means and deviations, from Norm when the agent
+	// has one and otherwise probed from the training system's traces
+	// (Trainer.Agent). It travels in the agent file, so a deployment
+	// measures drift against training, not against the system it serves.
+	Ref *guard.Reference
 }
 
-// Scheduler wraps the agent for the evaluation harness (deterministic mean
-// action, as in §V-B2 online reasoning).
+// Scheduler wraps a private copy of the agent's actor for the evaluation
+// harness (deterministic mean action, as in §V-B2 online reasoning). No two
+// schedulers share forward-pass scratch, so each may decide on its own
+// goroutine.
 func (a *Agent) Scheduler() (*sched.DRL, error) {
-	d, err := sched.NewDRL(a.Policy, a.EnvCfg)
+	if a.Policy == nil {
+		return nil, fmt.Errorf("core: agent has no policy")
+	}
+	d, err := sched.NewDRL(a.Policy.ClonePolicy(), a.EnvCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -203,113 +216,115 @@ func (a *Agent) Scheduler() (*sched.DRL, error) {
 	return d, nil
 }
 
+// WithPolicy returns a copy of the agent that acts with p; the critic,
+// environment layout, normalizer and reference are a's.
+func (a *Agent) WithPolicy(p rl.Policy) *Agent {
+	c := *a
+	c.Policy = p
+	return &c
+}
+
+// agentVersion is the format version of the agent file written by Save.
+const agentVersion = 1
+
+// agentFile is the agent file: the inference subset of a Checkpoint, whose
+// actor, critic and normalizer it encodes the same way, plus the
+// environment layout and the guard's reference.
+type agentFile struct {
+	Version int                `json:"version"`
+	Env     env.Config         `json:"env"`
+	Actor   rl.PolicyState     `json:"actor"`
+	Critic  nn.MLPState        `json:"critic"`
+	Norm    rl.NormalizerState `json:"norm"`
+	Ref     *guard.Reference   `json:"ref"`
+}
+
 // maxStateDim bounds the state length N·(per-device inputs) of a decoded
 // shared actor, so that a malformed file cannot make the agent's first Mean
 // allocate without bound. N is the one dimension the file's weights do not
-// back: nn's decoder already ties a joint actor's input width to its first
+// back: MLPFromState already ties a joint actor's input width to its first
 // layer's weights.
 const maxStateDim = 1 << 20
 
-// agentWire is the gob wire format of an Agent.
-type agentWire struct {
-	Arch      string
-	N         int
-	PolicyNet []byte
-	LogStd    []float64
-	Critic    []byte
-	EnvCfg    env.Config
-	HasNorm   bool
-	NormMean  []float64
-	NormM2    []float64
-	NormCount float64
-	NormClip  float64
-}
-
-// MarshalBinary encodes the agent.
-func (a *Agent) MarshalBinary() ([]byte, error) {
-	w := agentWire{EnvCfg: a.EnvCfg}
-	if a.Norm != nil {
-		w.HasNorm = true
-		w.NormMean = append([]float64(nil), a.Norm.Mean...)
-		w.NormM2 = append([]float64(nil), a.Norm.M2...)
-		w.NormCount = a.Norm.Count
-		w.NormClip = a.Norm.Clip
-	}
+// encodeAgent writes the agent file. JSON round-trips every float64
+// exactly, so a loaded agent decides with the trained bits.
+func encodeAgent(a *Agent) ([]byte, error) {
 	p, ok := a.Policy.(*rl.GaussianPolicy)
 	if !ok {
 		return nil, fmt.Errorf("core: cannot serialize policy type %T", a.Policy)
 	}
-	pn, err := p.Net.MarshalBinary()
+	data, err := json.Marshal(agentFile{Version: agentVersion, Env: a.EnvCfg, Actor: rl.CapturePolicy(p),
+		Critic: a.Critic.State(), Norm: rl.CaptureNormalizer(a.Norm), Ref: a.Ref})
 	if err != nil {
-		return nil, err
-	}
-	w.Arch, w.PolicyNet, w.LogStd = string(ArchJoint), pn, append([]float64(nil), p.LogStd...)
-	if p.Groups > 1 {
-		w.Arch, w.N = string(ArchShared), p.Groups
-	}
-	cr, err := a.Critic.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Critic = cr
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 		return nil, fmt.Errorf("core: encode agent: %w", err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
-// UnmarshalBinary decodes an agent written by MarshalBinary.
-func (a *Agent) UnmarshalBinary(data []byte) error {
-	var w agentWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("core: decode agent: %w", err)
-	}
-	var net nn.MLP
-	if err := net.UnmarshalBinary(w.PolicyNet); err != nil {
-		return fmt.Errorf("core: decode agent: policy network: %w", err)
-	}
-	var critic nn.MLP
-	if err := critic.UnmarshalBinary(w.Critic); err != nil {
-		return fmt.Errorf("core: decode agent: critic: %w", err)
-	}
-	groups := 1
-	switch Arch(w.Arch) {
-	case ArchJoint:
-	case ArchShared:
-		if w.N <= 0 || w.N > maxStateDim/net.InDim() {
-			return fmt.Errorf("core: decode agent: shared policy of %d devices with %d inputs each", w.N, net.InDim())
+// decodeAgent reads an agent file written by encodeAgent.
+func decodeAgent(data []byte) (*Agent, error) {
+	var f agentFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		var syn *json.SyntaxError
+		if errors.As(err, &syn) {
+			return nil, fmt.Errorf("core: decode agent: %w (agent files are JSON: retrain a gob agent from an older version with fltrain)", err)
 		}
-		groups = w.N
-	default:
-		return fmt.Errorf("core: decode agent: unknown architecture %q", w.Arch)
+		return nil, fmt.Errorf("core: decode agent: %w", err)
 	}
-	if len(w.LogStd) != net.OutDim() {
-		return fmt.Errorf("core: decode agent: logstd length %d vs %d network outputs", len(w.LogStd), net.OutDim())
+	return f.agent()
+}
+
+// agent rebuilds the file's agent through the checks a checkpoint restore
+// makes (MLPFromState, RestorePolicy, RestoreNormalizer) and those serving
+// needs: a valid environment layout whose history the actor's input width
+// matches, and a reference that can score the actor's states.
+func (f *agentFile) agent() (*Agent, error) {
+	if f.Version != agentVersion {
+		return nil, fmt.Errorf("core: decode agent: version %d, want %d", f.Version, agentVersion)
 	}
-	if j := tensor.Vector(w.LogStd).FirstNonFinite(); j >= 0 {
-		return fmt.Errorf("core: decode agent: logstd %d is %v, want finite", j, w.LogStd[j])
+	if err := f.Env.Validate(); err != nil {
+		return nil, fmt.Errorf("core: decode agent: %w", err)
 	}
-	policy := &rl.GaussianPolicy{Net: &net, Groups: groups, LogStd: w.LogStd, GLogStd: make([]float64, len(w.LogStd))}
+	net, err := nn.MLPFromState(f.Actor.Net)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode agent: policy network: %w", err)
+	}
+	if f.Actor.N < 0 || f.Actor.N > maxStateDim/net.InDim() {
+		return nil, fmt.Errorf("core: decode agent: shared policy of %d devices with %d inputs each", f.Actor.N, net.InDim())
+	}
+	// RestorePolicy checks the tag against the group count and the log-σ
+	// against the network's outputs.
+	policy := &rl.GaussianPolicy{Net: net, Groups: max(f.Actor.N, 1),
+		LogStd: tensor.NewVector(net.OutDim()), GLogStd: tensor.NewVector(net.OutDim())}
+	if err := rl.RestorePolicy(policy, f.Actor); err != nil {
+		return nil, fmt.Errorf("core: decode agent: %w", err)
+	}
+	// Both actors read H+1 slots per action: StateDim = ActionDim·(H+1).
+	if in, out := net.InDim(), net.OutDim(); in%out != 0 || in/out-1 != f.Env.History {
+		return nil, fmt.Errorf("core: decode agent: actor maps %d inputs to %d outputs, which history %d does not fit",
+			in, out, f.Env.History)
+	}
+	critic, err := nn.MLPFromState(f.Critic)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode agent: critic: %w", err)
+	}
 	var norm *rl.ObsNormalizer
-	if w.HasNorm {
-		st := rl.NormalizerState{Mean: w.NormMean, M2: w.NormM2, Count: w.NormCount, Clip: w.NormClip}
-		if st.Dim() != policy.StateDim() {
-			return fmt.Errorf("core: decode agent: normalizer dim %d vs state dim %d", st.Dim(), policy.StateDim())
-		}
-		if err := st.Validate(); err != nil {
-			return fmt.Errorf("core: decode agent: %w", err)
-		}
-		norm = &rl.ObsNormalizer{Mean: st.Mean, M2: st.M2, Count: st.Count, Clip: st.Clip}
+	if f.Norm.Mean != nil {
+		norm = rl.NewObsNormalizer(policy.StateDim(), 0)
 	}
-	a.Policy, a.Critic, a.EnvCfg, a.Norm = policy, &critic, w.EnvCfg, norm
-	return nil
+	if err := rl.RestoreNormalizer(norm, f.Norm); err != nil {
+		return nil, fmt.Errorf("core: decode agent: %w", err)
+	}
+	if err := f.Ref.Validate(policy.StateDim()); err != nil {
+		return nil, fmt.Errorf("core: decode agent: %w", err)
+	}
+	return &Agent{Policy: policy, Critic: critic, EnvCfg: f.Env, Norm: norm, Ref: f.Ref}, nil
 }
 
-// Save writes the agent to a file crash-safely (report.WriteFileAtomic):
-// a crash mid-write leaves the previous file, if any, intact.
+// Save writes the agent file crash-safely (report.WriteFileAtomic): a
+// crash mid-write leaves the previous file, if any, intact.
 func (a *Agent) Save(path string) error {
-	data, err := a.MarshalBinary()
+	data, err := encodeAgent(a)
 	if err != nil {
 		return err
 	}
@@ -319,14 +334,14 @@ func (a *Agent) Save(path string) error {
 	return nil
 }
 
-// LoadAgent reads an agent from a file.
+// LoadAgent reads an agent file written by Save.
 func LoadAgent(path string) (*Agent, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load agent: %w", err)
 	}
-	a := &Agent{}
-	if err := a.UnmarshalBinary(data); err != nil {
+	a, err := decodeAgent(data)
+	if err != nil {
 		return nil, fmt.Errorf("core: load agent %s: %w", path, err)
 	}
 	return a, nil
@@ -360,6 +375,7 @@ type Trainer struct {
 	algo        rl.Trainable
 	actorOld    *rl.GaussianPolicy
 	norm        *rl.ObsNormalizer
+	ref         *guard.Reference // the probed OOD reference, once Agent has run
 	buffer      *rl.Buffer
 	batch       *rl.Batch // reused across buffer drains (see MakeBatchInto)
 	rng         *rand.Rand
@@ -473,11 +489,24 @@ func (t *Trainer) constrainedPPO() *rl.PPO {
 }
 
 // Agent returns the current trained agent (sharing parameters with the
-// trainer; Save before further training if isolation matters).
+// trainer; Save before further training if isolation matters). Its
+// reference is the normalizer's statistics when the trainer has one, and
+// otherwise probed from the training system on the first call and kept.
 func (t *Trainer) Agent() *Agent {
-	a := &Agent{Policy: t.actor, Critic: t.critic, EnvCfg: t.Cfg.Env}
-	if t.norm != nil {
+	a := &Agent{Policy: t.actor, Critic: t.critic, EnvCfg: t.Cfg.Env, Ref: t.ref}
+	var err error
+	switch {
+	case t.norm != nil:
 		a.Norm = t.norm.Clone()
+		a.Ref, err = guard.RefFromNormalizer(a.Norm)
+	case t.ref == nil:
+		t.ref, err = guard.ProbeReference(t.Sys, t.Cfg.Env, 256)
+		a.Ref = t.ref
+	}
+	if err != nil {
+		// Unreachable: both fail only on the system or layout that
+		// NewTrainer validated.
+		panic(err)
 	}
 	return a
 }

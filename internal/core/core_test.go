@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fl"
 	"repro/internal/nn"
-	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -146,13 +146,13 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := tr.Agent()
-	path := t.TempDir() + "/agent.gob"
+	path := t.TempDir() + "/agent.json"
 	if err := agent.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	// The crash-safe write leaves no staging file beside the agent.
-	if names := dirNames(t, filepath.Dir(path)); len(names) != 1 || names[0] != "agent.gob" {
-		t.Fatalf("directory after Save holds %v, want only agent.gob", names)
+	if names := dirNames(t, filepath.Dir(path)); len(names) != 1 || names[0] != "agent.json" {
+		t.Fatalf("directory after Save holds %v, want only agent.json", names)
 	}
 	back, err := LoadAgent(path)
 	if err != nil {
@@ -187,41 +187,62 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadAgentErrors(t *testing.T) {
-	if _, err := LoadAgent("/nonexistent/agent.gob"); err == nil {
+	if _, err := LoadAgent("/nonexistent/agent.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	a := &Agent{}
-	if err := a.UnmarshalBinary([]byte("garbage")); err == nil {
+	if _, err := decodeAgent([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// A non-finite weight is rejected with an error naming the file and
-	// the network it belongs to.
+	// A malformed or non-finite weight is rejected with an error naming
+	// the network it belongs to, and LoadAgent's names the file too. A NaN
+	// weight cannot be saved at all: JSON has no number for it.
 	sys := testbedSystem(3, 4)
 	for _, c := range []struct {
 		network, other string
-		net            func(*Agent) *nn.MLP
+		net            func(*agentFile) *nn.MLPState
 	}{
-		{"policy network", "critic", func(a *Agent) *nn.MLP { return a.Policy.(*rl.GaussianPolicy).Net }},
-		{"critic", "policy network", func(a *Agent) *nn.MLP { return a.Critic }},
+		{"policy network", "critic", func(f *agentFile) *nn.MLPState { return &f.Actor.Net }},
+		{"critic", "policy network", func(f *agentFile) *nn.MLPState { return &f.Critic }},
 	} {
 		tr, err := NewTrainer(sys, fastConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent := tr.Agent()
-		c.net(agent).Layers[0].W.Data[0] = math.NaN()
-		path := filepath.Join(t.TempDir(), "nan.gob")
-		if err := agent.Save(path); err != nil {
+		f := agentFileOf(t, tr.Agent())
+		w := c.net(f).W
+		w[0] = w[0][1:]
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "short.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err = LoadAgent(path)
 		if err == nil {
+			t.Fatalf("agent with a short %s layer accepted", c.network)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, c.network) || strings.Contains(msg, c.other) {
+			t.Fatalf("short %s layer: error %q does not name the file and the network", c.network, msg)
+		}
+		w[0] = append(w[0], math.NaN())
+		_, err = f.agent()
+		if err == nil {
 			t.Fatalf("agent with a NaN %s weight accepted", c.network)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, path) || !strings.Contains(msg, c.network) || strings.Contains(msg, c.other) || !strings.Contains(msg, "NaN") {
-			t.Fatalf("NaN %s weight: error %q does not name the file and the network", c.network, msg)
+		if msg := err.Error(); !strings.Contains(msg, c.network) || strings.Contains(msg, c.other) || !strings.Contains(msg, "NaN") {
+			t.Fatalf("NaN %s weight: error %q does not name the network", c.network, msg)
 		}
+	}
+	tr, err := NewTrainer(sys, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent := tr.Agent()
+	agent.Critic.Layers[0].W.Data[0] = math.NaN()
+	if err := agent.Save(filepath.Join(t.TempDir(), "nan.json")); err == nil {
+		t.Fatal("agent with a NaN critic weight saved")
 	}
 }
 

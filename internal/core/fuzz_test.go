@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,65 +13,86 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/nn"
 	"repro/internal/rl"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
-// FuzzUnmarshalAgent drives the agent decoder (the path of flserver -agent
-// and flsim -agent through LoadAgent) with arbitrary bytes, seeded with
-// freshly built joint and shared agents, with and without normalizers, and
-// with a 1-device shared agent under the shared tag that earlier versions
-// wrote. Invariants: decoding never panics, an accepted agent has finite
-// policy and critic weights and a finite log-σ, its normalizer passes
-// rl.NormalizerState.Validate at the actor's state length, and its policy
-// evaluates a zero state without panicking.
+// FuzzUnmarshalAgent drives the agent file decoder (the path of flserver
+// -agent and flsim -agent through LoadAgent) with arbitrary bytes, seeded
+// with the files of freshly built joint and shared agents, with and without
+// normalizers, and of a 1-device shared agent under the shared tag that
+// earlier versions wrote. Invariants: decoding never panics; an accepted
+// agent has finite policy and critic weights and a finite log-σ, an env
+// config that validates, a state length of ActionDim·(History+1), a
+// normalizer that passes rl.NormalizerState.Validate at that length and a
+// reference of that length with finite means and finite, positive
+// deviations; its policy evaluates a zero state; and when the actor fits
+// the fuzz system, a guarded scheduler builds and makes one decision.
 func FuzzUnmarshalAgent(f *testing.F) {
 	// Small networks keep the seeds short, which the mutator and the
 	// minimizer both work through byte by byte.
 	rng := rand.New(rand.NewSource(1))
-	critic := nn.NewMLP([]int{2, 1}, nn.Tanh, nn.Identity, rng)
-	for _, a := range []*Agent{
-		{Policy: rl.NewGaussianPolicy(2, 1, []int{2}, 0.5, rng), Critic: critic},
-		{Policy: rl.NewSharedGaussianPolicy(2, 1, nil, 0.5, rng), Critic: critic,
-			Norm: &rl.ObsNormalizer{Mean: make([]float64, 2), M2: make([]float64, 2), Count: 1, Clip: 5}},
-		{Policy: rl.NewSharedGaussianPolicy(3, 1, []int{2}, 0.5, rng), Critic: critic,
-			Norm: &rl.ObsNormalizer{Mean: []float64{0.5, -1, 2}, M2: []float64{4, 0.25, 9}, Count: 7, Clip: 10}},
-	} {
-		data, err := a.MarshalBinary()
+	sys := testbedSystem(2, 11)
+	joint := fileAgent(rl.NewGaussianPolicy(4, 2, []int{2}, 0.5, rng), nn.NewMLP([]int{4, 1}, nn.Tanh, nn.Identity, rng), 4)
+	shared := fileAgent(rl.NewSharedGaussianPolicy(2, 2, nil, 0.5, rng), nn.NewMLP([]int{4, 1}, nn.Tanh, nn.Identity, rng), 4)
+	shared.Norm = &rl.ObsNormalizer{Mean: make([]float64, 4), M2: make([]float64, 4), Count: 1, Clip: 5}
+	shared3 := fileAgent(rl.NewSharedGaussianPolicy(3, 1, []int{2}, 0.5, rng), nn.NewMLP([]int{3, 1}, nn.Tanh, nn.Identity, rng), 3)
+	shared3.Norm = &rl.ObsNormalizer{Mean: []float64{0.5, -1, 2}, M2: []float64{4, 0.25, 9}, Count: 7, Clip: 10}
+	for _, a := range []*Agent{joint, shared, shared3} {
+		data, err := encodeAgent(a)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	net, err := rl.NewSharedGaussianPolicy(1, 2, nil, 0.5, rng).Net.MarshalBinary()
+	one := fileAgent(rl.NewSharedGaussianPolicy(1, 2, nil, 0.5, rng), nn.NewMLP([]int{2, 1}, nn.Tanh, nn.Identity, rng), 2)
+	data, err := encodeAgent(one)
 	if err != nil {
 		f.Fatal(err)
 	}
-	cr, err := critic.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
+	tagged := bytes.Replace(data, []byte(`"arch":"gaussian"`), []byte(`"arch":"shared-gaussian","n":1`), 1)
+	if bytes.Equal(tagged, data) {
+		f.Fatal("the 1-device seed carries no joint tag to rewrite")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(agentWire{Arch: string(ArchShared), N: 1, PolicyNet: net, LogStd: []float64{-0.7}, Critic: cr}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(tagged)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var a Agent
-		if err := a.UnmarshalBinary(data); err != nil {
+		a, err := decodeAgent(data)
+		if err != nil {
 			return
 		}
 		policy := a.Policy.(*rl.GaussianPolicy)
 		if !finiteParams(policy.Params()) || !finiteParams(a.Critic.Params()) {
 			t.Fatal("accepted an agent with a non-finite weight or log-σ")
 		}
+		if err := a.EnvCfg.Validate(); err != nil {
+			t.Fatalf("accepted an invalid env config: %v", err)
+		}
+		dim := a.Policy.StateDim()
+		if dim != a.Policy.ActionDim()*(a.EnvCfg.History+1) {
+			t.Fatalf("accepted a %d-dim state for %d actions at history %d", dim, a.Policy.ActionDim(), a.EnvCfg.History)
+		}
 		if a.Norm != nil {
-			if err := a.Norm.Snapshot().Validate(); err != nil || a.Norm.Dim() != a.Policy.StateDim() {
-				t.Fatalf("accepted a %d-dim normalizer for a %d-dim state: %v", a.Norm.Dim(), a.Policy.StateDim(), err)
+			if err := a.Norm.Snapshot().Validate(); err != nil || a.Norm.Dim() != dim {
+				t.Fatalf("accepted a %d-dim normalizer for a %d-dim state: %v", a.Norm.Dim(), dim, err)
 			}
 		}
-		a.Policy.Mean(make(tensor.Vector, a.Policy.StateDim()))
+		if err := a.Ref.Validate(dim); err != nil {
+			t.Fatalf("accepted a reference that cannot score the state: %v", err)
+		}
+		a.Policy.Mean(make(tensor.Vector, dim))
+		if a.Policy.ActionDim() != sys.N() {
+			return
+		}
+		g, err := a.GuardedScheduler(sys, guard.Config{}, "")
+		if err != nil {
+			t.Fatalf("the guarded scheduler does not build: %v", err)
+		}
+		if _, err := g.Frequencies(sched.Context{Sys: sys, Clock: 45}); err != nil {
+			t.Fatalf("the guarded scheduler fails its first decision: %v", err)
+		}
 	})
 }
 

@@ -6,28 +6,18 @@ import (
 	"repro/internal/sched"
 )
 
-// GuardedScheduler wraps the agent's online actor in the layered safety
-// pipeline of internal/guard — the guarded online evaluation mode. The
-// OOD reference comes from the agent's trained normalizer when it has
-// one; otherwise it is probed deterministically from the system's traces
-// (which, in production serving, are the training traces). fallback is a
-// guard.ChainFromSpec spec ("" → heuristic,maxfreq).
+// GuardedScheduler wraps a private copy of the agent's actor in the layered
+// safety pipeline of internal/guard — the guarded online evaluation mode.
+// The guard rebuilds states with the agent's environment layout, and its OOD
+// layer scores them against the agent's reference (its training
+// distribution). fallback is a guard.ChainFromSpec spec ("" →
+// heuristic,maxfreq).
 func (a *Agent) GuardedScheduler(sys *fl.System, gcfg guard.Config, fallback string) (*guard.Guard, error) {
 	drl, err := a.Scheduler()
 	if err != nil {
 		return nil, err
 	}
-	gcfg.Env = a.EnvCfg
-	if gcfg.Ref == nil && gcfg.OODThreshold >= 0 {
-		if a.Norm != nil {
-			gcfg.Ref, err = guard.RefFromNormalizer(a.Norm)
-		} else {
-			gcfg.Ref, err = guard.ProbeReference(sys, a.EnvCfg, 256)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	gcfg.Env, gcfg.Ref = a.EnvCfg, a.Ref
 	chain, err := guard.ChainFromSpec(sys, fallback, a.EnvCfg.MinFreqFrac)
 	if err != nil {
 		return nil, err

@@ -81,8 +81,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every float field must be finite, and
+// so must the history span (H+1)·h that a state reaches back over.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"slot width", c.SlotSec}, {"bandwidth scale", c.BWScale}, {"min frequency fraction", c.MinFreqFrac},
+		{"reward scale", c.RewardScale}, {"max start time", c.MaxStartTime}, {"round deadline", c.RoundDeadline},
+		{"retry backoff", c.RetryBackoffSec}, {"deadline target", c.DeadlineTarget}, {"energy budget", c.EnergyBudget},
+		{"history span", (float64(c.History) + 1) * c.SlotSec},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("env: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.SlotSec <= 0:
 		return fmt.Errorf("env: slot width %v must be positive", c.SlotSec)

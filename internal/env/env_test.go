@@ -1,6 +1,7 @@
 package env
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,6 +52,21 @@ func TestConfigValidate(t *testing.T) {
 		"episode": func(c *Config) { c.EpisodeLen = 0 },
 		"reward":  func(c *Config) { c.RewardScale = 0 },
 		"start":   func(c *Config) { c.MaxStartTime = -1 },
+		// Non-finite fields, and a finite slot width whose history span
+		// (H+1)·h overflows: each made a guarded scheduler index a trace
+		// slot out of range.
+		"slot NaN":        func(c *Config) { c.SlotSec = math.NaN() },
+		"slot +Inf":       func(c *Config) { c.SlotSec = math.Inf(1) },
+		"slot 1e308":      func(c *Config) { c.SlotSec = 1e308 },
+		"bwscale +Inf":    func(c *Config) { c.BWScale = math.Inf(1) },
+		"minfrac NaN":     func(c *Config) { c.MinFreqFrac = math.NaN() },
+		"reward NaN":      func(c *Config) { c.RewardScale = math.NaN() },
+		"start +Inf":      func(c *Config) { c.MaxStartTime = math.Inf(1) },
+		"deadline NaN":    func(c *Config) { c.RoundDeadline = math.NaN() },
+		"backoff +Inf":    func(c *Config) { c.RetryBackoffSec = math.Inf(1) },
+		"target NaN":      func(c *Config) { c.DeadlineTarget = math.NaN() },
+		"energy +Inf":     func(c *Config) { c.EnergyBudget = math.Inf(1) },
+		"history 1<<62 h": func(c *Config) { c.History, c.SlotSec = 1<<62, 1e300 },
 	}
 	for name, mut := range muts {
 		c := DefaultConfig()

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fl"
 	"repro/internal/report"
@@ -128,8 +127,8 @@ func FaultSweep(sc Scenario, opts FaultSweepOptions) (*FaultSweepResult, error) 
 		initBW[i] = tr.Summary().Mean
 	}
 	// Each crash rate is an independent cell grid: it builds its own fault
-	// schedule and scheduler instances (including a cloned DRL policy —
-	// forward passes mutate scratch caches) from its own index-derived
+	// schedule and scheduler instances (Agent.Scheduler copies the actor,
+	// whose forward passes mutate scratch caches) from its own index-derived
 	// seeds, so the rows fan out over the worker pool and fill a
 	// preallocated table, bit-identical to the sequential loop.
 	rows := make([]FaultSweepRow, len(opts.CrashProbs))
@@ -144,8 +143,7 @@ func FaultSweep(sc Scenario, opts FaultSweepOptions) (*FaultSweepResult, error) 
 			iterOpts.Faults = fs
 		}
 		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*104729 + 11))
-		isolated := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm}
-		drl, err := isolated.Scheduler()
+		drl, err := agent.Scheduler()
 		if err != nil {
 			return err
 		}

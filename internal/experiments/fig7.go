@@ -124,10 +124,10 @@ func Compare(title string, sc Scenario, agent *core.Agent, opts CompareOptions) 
 
 	// Spread deterministic start times across the trace cycle. Runs are
 	// independent — every scheduler below is constructed per run from the
-	// run's own seeded RNG, and the DRL scheduler samples a cloned policy
-	// because network forward passes mutate scratch caches — so they fan
-	// out across the worker pool and merge in run order, bit-identical to
-	// the serial loop.
+	// run's own seeded RNG, and each DRL scheduler acts with its own copy
+	// of the actor because network forward passes mutate scratch caches —
+	// so they fan out across the worker pool and merge in run order,
+	// bit-identical to the serial loop.
 	maxStart := sys.Traces[0].Duration()
 	evals := make([][]core.EvalResult, opts.Runs)
 	audits := make([]*guard.Audit, opts.Runs)
@@ -135,17 +135,13 @@ func Compare(title string, sc Scenario, agent *core.Agent, opts CompareOptions) 
 		start := maxStart * float64(run) / float64(opts.Runs)
 		rng := rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
 
-		isolated := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm}
-		drl, err := isolated.Scheduler()
+		drl, err := agent.Scheduler()
 		if err != nil {
 			return err
 		}
 		schedulers := []sched.Scheduler{drl}
 		if opts.Guard != nil {
-			// A second policy clone: the guarded and bare columns must not
-			// share forward-pass scratch buffers.
-			giso := &core.Agent{Policy: agent.Policy.ClonePolicy(), Critic: agent.Critic, EnvCfg: agent.EnvCfg, Norm: agent.Norm}
-			g, err := giso.GuardedScheduler(sys, *opts.Guard, opts.GuardFallback)
+			g, err := agent.GuardedScheduler(sys, *opts.Guard, opts.GuardFallback)
 			if err != nil {
 				return err
 			}

@@ -208,7 +208,7 @@ func PoisonAgent(a *core.Agent) (*core.Agent, error) {
 	for i := range last.B {
 		last.B[i] = -10
 	}
-	return &core.Agent{Policy: p, Critic: a.Critic, EnvCfg: a.EnvCfg, Norm: a.Norm}, nil
+	return a.WithPolicy(p), nil
 }
 
 // Options parameterizes one chaos episode.
@@ -219,14 +219,11 @@ type Options struct {
 	Start float64
 	// Seed drives the trace mutators.
 	Seed int64
-	// Guard configures the pipeline. Env and (when needed) Ref are
-	// filled by Run from the agent and the pristine system if unset.
+	// Guard configures the pipeline. Run fills Env and Ref from the
+	// agent (core.Agent.GuardedScheduler).
 	Guard guard.Config
 	// Fallback is the ChainFromSpec fallback spec ("" → heuristic,maxfreq).
 	Fallback string
-	// ProbeSamples sizes the ProbeReference fallback when the agent has
-	// no trained normalizer (0 → 256).
-	ProbeSamples int
 }
 
 // Result is one chaos episode's verdict.
@@ -267,12 +264,6 @@ type Result struct {
 	Decisions int
 	// Audit is the guard's full decision audit for the episode.
 	Audit *guard.Audit
-}
-
-// isolate clones the agent's policy so concurrent episodes never share
-// network scratch buffers (same discipline as experiments.Compare).
-func isolate(a *core.Agent) *core.Agent {
-	return &core.Agent{Policy: a.Policy.ClonePolicy(), Critic: a.Critic, EnvCfg: a.EnvCfg, Norm: a.Norm}
 }
 
 // counterfactualSafe steps a throwaway session at max frequencies from
@@ -359,8 +350,8 @@ func (r *recorder) Observe(it fl.IterationStats) { r.g.Observe(it) }
 
 // Run executes one chaos episode: mutate the system per the class, then
 // race the guarded controller, the unguarded actor, and the max-frequency
-// safe mode over the mutated system. The pristine system supplies the
-// OOD reference (the training distribution) — never the mutated one.
+// safe mode over the mutated system. The agent's reference (its training
+// distribution) is the OOD baseline — never the mutated system.
 func Run(pristine *fl.System, agent *core.Agent, cl Class, opts Options) (*Result, error) {
 	if opts.Iters <= 0 {
 		return nil, fmt.Errorf("chaos: iteration count %d must be positive", opts.Iters)
@@ -377,33 +368,9 @@ func Run(pristine *fl.System, agent *core.Agent, cl Class, opts Options) (*Resul
 	}
 
 	// Guarded controller.
-	iso := isolate(actorAgent)
-	drl, err := iso.Scheduler()
-	if err != nil {
-		return nil, err
-	}
 	gcfg := opts.Guard
-	gcfg.Env = agent.EnvCfg
 	gcfg.CorruptState = cl.Corrupt
-	if gcfg.Ref == nil && gcfg.OODThreshold >= 0 {
-		if agent.Norm != nil {
-			gcfg.Ref, err = guard.RefFromNormalizer(agent.Norm)
-		} else {
-			samples := opts.ProbeSamples
-			if samples == 0 {
-				samples = 256
-			}
-			gcfg.Ref, err = guard.ProbeReference(pristine, agent.EnvCfg, samples)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	chain, err := guard.ChainFromSpec(mutated, opts.Fallback, agent.EnvCfg.MinFreqFrac)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guard.New(drl, gcfg, chain...)
+	g, err := actorAgent.GuardedScheduler(mutated, gcfg, opts.Fallback)
 	if err != nil {
 		return nil, err
 	}
@@ -429,12 +396,11 @@ func Run(pristine *fl.System, agent *core.Agent, cl Class, opts Options) (*Resul
 
 	// Unguarded actor: the negative control. Its failure is data, not an
 	// error.
-	iso2 := isolate(actorAgent)
-	drl2, err := iso2.Scheduler()
+	drl, err := actorAgent.Scheduler()
 	if err != nil {
 		return nil, err
 	}
-	ug := &unguarded{drl: drl2, corrupt: cl.Corrupt, maxFreqs: maxFreqs}
+	ug := &unguarded{drl: drl, corrupt: cl.Corrupt, maxFreqs: maxFreqs}
 	res := &Result{
 		Class:             cl.Name,
 		Description:       cl.Description,

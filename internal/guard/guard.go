@@ -67,8 +67,9 @@ type Config struct {
 	// rebuilds states with it. Required.
 	Env env.Config
 	// Ref is the training-distribution reference for the OOD layer.
-	// Required when the OOD layer is enabled (OODThreshold ≥ 0); see
-	// RefFromNormalizer and ProbeReference.
+	// Required when the OOD layer is enabled (OODThreshold ≥ 0); a trained
+	// agent carries its own (core.Agent.Ref, built by RefFromNormalizer or
+	// ProbeReference).
 	Ref *Reference
 	// OODThreshold is the drift score, averaged over the last
 	// DefaultOODWindow decisions, above which the gate opens; the gate

@@ -12,14 +12,30 @@ import (
 
 // Reference is the frozen per-dimension training distribution the OOD
 // layer scores live states against: the mean and standard deviation of
-// each state feature as the training normalizer saw them.
+// each state feature as the training normalizer saw them. A trained agent
+// carries its own (core.Agent.Ref), saved in its agent file.
 type Reference struct {
-	Mean []float64
-	Std  []float64
+	Mean []float64 `json:"mean"`
+	Std  []float64 `json:"std"`
 }
 
 // Dim returns the reference dimensionality.
 func (r *Reference) Dim() int { return len(r.Mean) }
+
+// Validate checks that the reference can score dim-long states: dim finite
+// means and dim finite, positive standard deviations. A zero deviation
+// would make a matching feature's z-score NaN, which the gate skips.
+func (r *Reference) Validate(dim int) error {
+	if r == nil || len(r.Mean) != dim || len(r.Std) != dim {
+		return fmt.Errorf("guard: reference does not hold %d means and deviations", dim)
+	}
+	for i, m := range r.Mean {
+		if s := r.Std[i]; math.IsNaN(m) || math.IsInf(m, 0) || !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("guard: reference feature %d has mean %v and deviation %v", i, m, s)
+		}
+	}
+	return nil
+}
 
 // RefFromNormalizer freezes a trained observation normalizer's running
 // statistics into an OOD reference via the stable Snapshot accessor — the

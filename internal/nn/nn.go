@@ -6,8 +6,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -167,10 +165,9 @@ type Linear struct {
 	setGrads bool
 }
 
-// NewLinear creates a layer with Xavier/He initialization appropriate for
-// the activation, drawn from rng.
-func NewLinear(in, out int, act Activation, rng *rand.Rand) *Linear {
-	l := &Linear{
+// newLinear allocates a layer with zero weights.
+func newLinear(in, out int, act Activation) *Linear {
+	return &Linear{
 		In: in, Out: out, Act: act,
 		W:  tensor.NewMatrix(out, in),
 		B:  tensor.NewVector(out),
@@ -180,6 +177,12 @@ func NewLinear(in, out int, act Activation, rng *rand.Rand) *Linear {
 		z:  tensor.NewVector(out),
 		y:  tensor.NewVector(out),
 	}
+}
+
+// NewLinear creates a layer with Xavier/He initialization appropriate for
+// the activation, drawn from rng.
+func NewLinear(in, out int, act Activation, rng *rand.Rand) *Linear {
+	l := newLinear(in, out, act)
 	var scale float64
 	switch act {
 	case ReLU:
@@ -303,8 +306,7 @@ type MLP struct {
 	Layers []*Linear
 
 	// params caches the Params() views; the views stay valid across
-	// in-place weight updates (Step, LoadState) and are invalidated only
-	// when the layers themselves are replaced (UnmarshalBinary).
+	// in-place weight updates (Step, LoadState).
 	params []Param
 }
 
@@ -427,95 +429,10 @@ func (m *MLP) CopyParamsFrom(src *MLP) {
 func (m *MLP) Clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
-		nl := &Linear{
-			In: l.In, Out: l.Out, Act: l.Act,
-			W:  l.W.Clone(),
-			B:  l.B.Clone(),
-			GW: tensor.NewMatrix(l.Out, l.In),
-			GB: tensor.NewVector(l.Out),
-			x:  tensor.NewVector(l.In),
-			z:  tensor.NewVector(l.Out),
-			y:  tensor.NewVector(l.Out),
-		}
+		nl := newLinear(l.In, l.Out, l.Act)
+		copy(nl.W.Data, l.W.Data)
+		copy(nl.B, l.B)
 		c.Layers = append(c.Layers, nl)
 	}
 	return c
-}
-
-// mlpWire is the gob wire format for MLP.
-type mlpWire struct {
-	Sizes []int
-	Acts  []Activation
-	W     [][]float64
-	B     [][]float64
-}
-
-// MarshalBinary encodes the network architecture and weights.
-func (m *MLP) MarshalBinary() ([]byte, error) {
-	w := mlpWire{}
-	for i, l := range m.Layers {
-		if i == 0 {
-			w.Sizes = append(w.Sizes, l.In)
-		}
-		w.Sizes = append(w.Sizes, l.Out)
-		w.Acts = append(w.Acts, l.Act)
-		w.W = append(w.W, append([]float64(nil), l.W.Data...))
-		w.B = append(w.B, append([]float64(nil), l.B...))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("nn: encode MLP: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// maxWireWidth bounds every layer width a decoded network may declare, so
-// that no width read from a file can ask for an allocation (or an in·out
-// product) the file's own weights do not back.
-const maxWireWidth = 1 << 24
-
-// UnmarshalBinary decodes a network previously encoded with MarshalBinary.
-// Malformed input is an error naming the offending layer, never a panic:
-// every width must lie in [1, 2^24], every layer must carry in·out finite
-// weights and out finite biases, and every activation must be a known one.
-func (m *MLP) UnmarshalBinary(data []byte) error {
-	var w mlpWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("nn: decode MLP: %w", err)
-	}
-	layers := len(w.Sizes) - 1
-	if layers < 1 || len(w.Acts) != layers || len(w.W) > layers || len(w.B) > layers {
-		return fmt.Errorf("nn: decode MLP: inconsistent wire format")
-	}
-	var decoded []*Linear
-	for i := 0; i < layers; i++ {
-		in, out := w.Sizes[i], w.Sizes[i+1]
-		switch {
-		case in < 1 || out < 1 || in > maxWireWidth || out > maxWireWidth:
-			return fmt.Errorf("nn: decode MLP: layer %d shape %d→%d outside [1, %d]", i, in, out, maxWireWidth)
-		case i >= len(w.W) || i >= len(w.B):
-			return fmt.Errorf("nn: decode MLP: layer %d has no weights", i)
-		case int64(len(w.W[i])) != int64(in)*int64(out) || len(w.B[i]) != out:
-			return fmt.Errorf("nn: decode MLP: layer %d shape mismatch", i)
-		case w.Acts[i] < Identity || w.Acts[i] > Softplus:
-			return fmt.Errorf("nn: decode MLP: layer %d has unknown activation %v", i, w.Acts[i])
-		}
-		if err := checkFiniteLayer(i, w.W[i], w.B[i]); err != nil {
-			return fmt.Errorf("nn: decode MLP: %w", err)
-		}
-		l := &Linear{
-			In: in, Out: out, Act: w.Acts[i],
-			W:  &tensor.Matrix{Rows: out, Cols: in, Data: append([]float64(nil), w.W[i]...)},
-			B:  append(tensor.Vector(nil), w.B[i]...),
-			GW: tensor.NewMatrix(out, in),
-			GB: tensor.NewVector(out),
-			x:  tensor.NewVector(in),
-			z:  tensor.NewVector(out),
-			y:  tensor.NewVector(out),
-		}
-		decoded = append(decoded, l)
-	}
-	m.Layers = decoded
-	m.params = nil // cached views point into the replaced layers
-	return nil
 }

@@ -1,8 +1,7 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
@@ -223,15 +222,25 @@ func TestCloneAndCopyParams(t *testing.T) {
 	}
 }
 
+// fromJSON decodes a network the way a file's network is loaded: its
+// snapshot through encoding/json, then MLPFromState.
+func fromJSON(data []byte) (*MLP, error) {
+	var st MLPState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
+	}
+	return MLPFromState(st)
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := NewMLP([]int{4, 6, 2}, ReLU, Sigmoid, rng)
-	data, err := m.MarshalBinary()
+	data, err := json.Marshal(m.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m2 MLP
-	if err := m2.UnmarshalBinary(data); err != nil {
+	m2, err := fromJSON(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.Vector{0.5, -1, 2, 0.25}
@@ -241,42 +250,45 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
-	var m MLP
-	if err := m.UnmarshalBinary([]byte("not gob")); err == nil {
-		t.Fatal("expected decode error")
+	for _, data := range []string{"not json", "{}", `{"sizes": [3]}`} {
+		if _, err := fromJSON([]byte(data)); err == nil {
+			t.Fatalf("%s: expected decode error", data)
+		}
 	}
 }
 
-// TestUnmarshalMalformed feeds the decoder well-formed gob carrying a
-// malformed network: each case must be an error naming the layer, not a
+// TestUnmarshalMalformed feeds MLPFromState well-formed snapshots of
+// malformed networks: each case must be an error naming the layer, not a
 // panic in decoding or in a later Forward.
 func TestUnmarshalMalformed(t *testing.T) {
+	tanh, identity := int(Tanh), int(Identity)
 	cases := []struct {
 		name, want string
-		wire       mlpWire
+		st         MLPState
 	}{
-		{"no weights", "layer 0", mlpWire{Sizes: []int{2, 3}, Acts: []Activation{Tanh}}},
-		{"in·out wraps to zero", "layer 0", mlpWire{Sizes: []int{1 << (bits.UintSize - 4), 16}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 16)}}},
-		{"unknown activation", "layer 0", mlpWire{Sizes: []int{1, 1}, Acts: []Activation{99}, W: [][]float64{{1}}, B: [][]float64{{0}}}},
-		{"zero width", "layer 0", mlpWire{Sizes: []int{0, 3}, Acts: []Activation{Tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 3)}}},
-		{"second layer short", "layer 1", mlpWire{Sizes: []int{1, 2, 1}, Acts: []Activation{Tanh, Identity}, W: [][]float64{{1, 1}, {1}}, B: [][]float64{{0, 0}, {0}}}},
-		{"extra weights", "inconsistent", mlpWire{Sizes: []int{1, 1}, Acts: []Activation{Tanh}, W: [][]float64{{1}, {1}}, B: [][]float64{{0}}}},
+		{"no weights", "layer 0", MLPState{Sizes: []int{2, 3}, Acts: []int{tanh}}},
+		{"in·out wraps to zero", "layer 0", MLPState{Sizes: []int{1 << (bits.UintSize - 4), 16}, Acts: []int{tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 16)}}},
+		{"unknown activation", "layer 0", MLPState{Sizes: []int{1, 1}, Acts: []int{99}, W: [][]float64{{1}}, B: [][]float64{{0}}}},
+		{"zero width", "layer 0", MLPState{Sizes: []int{0, 3}, Acts: []int{tanh}, W: [][]float64{{}}, B: [][]float64{make([]float64, 3)}}},
+		{"second layer short", "layer 1", MLPState{Sizes: []int{1, 2, 1}, Acts: []int{tanh, identity}, W: [][]float64{{1, 1}, {1}}, B: [][]float64{{0, 0}, {0}}}},
+		{"extra weights", "inconsistent", MLPState{Sizes: []int{1, 1}, Acts: []int{tanh}, W: [][]float64{{1}, {1}}, B: [][]float64{{0}}}},
 	}
 	for _, c := range cases {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(c.wire); err != nil {
+		data, err := json.Marshal(c.st)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var m MLP
-		if err := m.UnmarshalBinary(buf.Bytes()); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := fromJSON(data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
 }
 
-// TestUnmarshalRejectsNonFinite: a network file holding a NaN or ±Inf
-// weight or bias decodes to an error naming the layer and the element. A
-// NaN weight would otherwise reach the first decision as a NaN action.
+// TestUnmarshalRejectsNonFinite: a network snapshot holding a NaN or ±Inf
+// weight or bias is an error naming the layer and the element. A NaN
+// weight would otherwise reach the first decision as a NaN action. JSON
+// cannot carry a non-finite number, so the snapshot goes to MLPFromState
+// directly.
 func TestUnmarshalRejectsNonFinite(t *testing.T) {
 	for name, c := range map[string]struct {
 		want string
@@ -288,12 +300,7 @@ func TestUnmarshalRejectsNonFinite(t *testing.T) {
 	} {
 		m := NewMLP([]int{3, 4, 4, 2}, Tanh, Identity, rand.New(rand.NewSource(1)))
 		c.mut(m)
-		data, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back MLP
-		if err := back.UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := MLPFromState(m.State()); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", name, err, c.want)
 		}
 	}

@@ -8,10 +8,11 @@ import (
 )
 
 // This file provides JSON-friendly snapshots of networks and optimizer
-// state for crash-safe checkpointing. Snapshots restore IN PLACE: weights
-// are copied into the existing tensors rather than reallocating, so views
-// handed out earlier — in particular the &W[0] keys of optimizer moment
-// maps — stay valid across a restore.
+// state for crash-safe checkpointing and the agent file. Snapshots restore
+// IN PLACE: weights are copied into the existing tensors rather than
+// reallocating, so views handed out earlier — in particular the &W[0] keys
+// of optimizer moment maps — stay valid across a restore. MLPFromState
+// builds a network from a snapshot instead.
 
 // MLPState is a serializable snapshot of an MLP's architecture and weights.
 type MLPState struct {
@@ -34,6 +35,42 @@ func (m *MLP) State() MLPState {
 		st.B = append(st.B, append([]float64(nil), l.B...))
 	}
 	return st
+}
+
+// maxWidth bounds every layer width a snapshot read by MLPFromState may
+// declare, so that no width read from a file can ask for an allocation (or
+// an in·out product) the file's own weights do not back.
+const maxWidth = 1 << 24
+
+// MLPFromState builds a network from a snapshot, the way a file's network
+// is loaded. Malformed input is an error naming the offending layer, never
+// a panic: every width must lie in [1, 2^24], every layer must carry in·out
+// weights and out biases, and every activation must be a known one; then
+// LoadState's finiteness check applies.
+func MLPFromState(st MLPState) (*MLP, error) {
+	layers := len(st.Sizes) - 1
+	if layers < 1 || len(st.Acts) != layers || len(st.W) > layers || len(st.B) > layers {
+		return nil, fmt.Errorf("nn: snapshot has inconsistent layer counts")
+	}
+	m := &MLP{}
+	for i := 0; i < layers; i++ {
+		in, out, act := st.Sizes[i], st.Sizes[i+1], Activation(st.Acts[i])
+		switch {
+		case in < 1 || out < 1 || in > maxWidth || out > maxWidth:
+			return nil, fmt.Errorf("nn: snapshot layer %d shape %d→%d outside [1, %d]", i, in, out, maxWidth)
+		case i >= len(st.W) || i >= len(st.B):
+			return nil, fmt.Errorf("nn: snapshot layer %d has no weights", i)
+		case int64(len(st.W[i])) != int64(in)*int64(out) || len(st.B[i]) != out:
+			return nil, fmt.Errorf("nn: snapshot layer %d shape mismatch", i)
+		case act < Identity || act > Softplus:
+			return nil, fmt.Errorf("nn: snapshot layer %d has unknown activation %v", i, act)
+		}
+		m.Layers = append(m.Layers, newLinear(in, out, act))
+	}
+	if err := m.LoadState(st); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // LoadState copies a snapshot's weights into the network in place. The

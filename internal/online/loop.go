@@ -46,7 +46,7 @@ type Config struct {
 	// counts. Results are bit-identical at any value (0 → 1).
 	Workers int
 	// CheckpointDir, when set, receives every candidate as an atomically
-	// written agent file (candidate-<n>.gob) before validation — crash
+	// written agent file (candidate-<n>.json) before validation — crash
 	// mid-validation never leaves a half-written candidate.
 	CheckpointDir string
 	// ProbeIters is the per-class iteration count of the promotion probe

@@ -44,12 +44,7 @@ func (l *Loop) retrain() (*Report, error) {
 	rep := &Report{Retrain: l.retrains, Samples: len(items), Epochs: l.cfg.Epochs}
 
 	actor := l.agent.Policy.(*rl.GaussianPolicy).Clone()
-	candidate := &core.Agent{
-		Policy: actor,
-		Critic: l.agent.Critic,
-		EnvCfg: l.agent.EnvCfg,
-		Norm:   l.agent.Norm,
-	}
+	candidate := l.agent.WithPolicy(actor)
 	S := tensor.NewMatrix(len(items), actor.StateDim())
 	A := tensor.NewMatrix(len(items), actor.ActionDim())
 	for i, t := range items {
@@ -128,9 +123,9 @@ func (l *Loop) probe(a *core.Agent) (cost float64, trips int, err error) {
 }
 
 // writeCandidate persists a candidate agent crash-safely (Agent.Save) as
-// candidate-<ordinal>.gob in dir, creating dir if needed.
+// candidate-<ordinal>.json in dir, creating dir if needed.
 func writeCandidate(dir string, ordinal int, a *core.Agent) (string, error) {
-	path := filepath.Join(dir, fmt.Sprintf("candidate-%04d.gob", ordinal))
+	path := filepath.Join(dir, fmt.Sprintf("candidate-%04d.json", ordinal))
 	if err := a.Save(path); err != nil {
 		return "", fmt.Errorf("online: write candidate: %w", err)
 	}

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // TestGuardChainConcurrentHammer drives several tenants' guard chains from
@@ -115,5 +121,86 @@ func TestGuardChainConcurrentHammer(t *testing.T) {
 	}
 	if total != goroutines*perG {
 		t.Fatalf("audit total %d, want %d", total, goroutines*perG)
+	}
+}
+
+// TestLoadedAgentTenantsDecideConcurrently: DRL tenants served from one
+// loaded agent decide with private copies of its actor, so two of them
+// deciding at once, each on its requests' goroutines, neither race on the
+// actor's forward-pass scratch (run under -race) nor change each other's
+// plans: each tenant's responses equal those it gets when served alone.
+func TestLoadedAgentTenantsDecideConcurrently(t *testing.T) {
+	sys, err := experiments.TestbedScenario(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Episodes = 2
+	tr, err := core.NewTrainer(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "agent.json")
+	if err := tr.Agent().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	agent, err := core.LoadAgent(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const decisions = 100
+	serve := func(specs ...TenantSpec) map[string][]string {
+		scfg := DefaultServerConfig()
+		scfg.Agent = agent
+		s, err := New(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range specs {
+			if _, err := s.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := s.Handler()
+		responses := make([][]string, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func(i int, name string) {
+				defer wg.Done()
+				for k := 0; k < decisions; k++ {
+					body := fmt.Sprintf(`{"tenant": %q, "clock": %d, "last_bw": [%d, 2e6, 2.5e6]}`, name, 10*k, 1500000+1000*k)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(body)))
+					responses[i] = append(responses[i], fmt.Sprintf("%d %s", rec.Code, rec.Body))
+				}
+			}(i, spec.Name)
+		}
+		wg.Wait()
+		out := make(map[string][]string)
+		for i, spec := range specs {
+			out[spec.Name] = responses[i]
+		}
+		return out
+	}
+	specs := []TenantSpec{
+		{Name: "drl-a", N: 3, Seed: 1, Primary: PrimaryDRL},
+		{Name: "drl-b", N: 3, Seed: 2, Primary: PrimaryDRL},
+	}
+	both := serve(specs...)
+	for _, spec := range specs {
+		alone := serve(spec)[spec.Name]
+		if !strings.HasPrefix(alone[0], "200 ") {
+			t.Fatalf("tenant %s alone: %s", spec.Name, alone[0])
+		}
+		for k := range alone {
+			if both[spec.Name][k] != alone[k] {
+				t.Fatalf("tenant %s decision %d: %s beside another tenant, %s alone", spec.Name, k, both[spec.Name][k], alone[k])
+			}
+		}
 	}
 }

@@ -823,16 +823,22 @@ func TestAuditWrapsPastCap(t *testing.T) {
 // BenchmarkDecideSteadyState times one in-process /v1/decide (pinned
 // clock, last_bw) through the handler on perfbench's serve-testbed shape,
 // 8 fresh-actor N=3 tenants served round-robin, each already past its
-// audit's cap as a long-running tenant is.
+// audit's cap as a long-running tenant is. Each request carries the
+// context net/http gives a request on a keep-alive connection: a
+// cancelable child of the connection's, canceled once the handler returns.
 func BenchmarkDecideSteadyState(b *testing.B) {
 	s, err := New(DefaultServerConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	h := s.Handler()
+	conn, closeConn := context.WithCancel(context.Background())
+	defer closeConn()
 	post := func(body []byte) {
+		ctx, cancel := context.WithCancel(conn)
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)).WithContext(ctx))
+		cancel()
 		if rec.Code != http.StatusOK {
 			b.Fatalf("decide %s: status %d: %s", body, rec.Code, rec.Body)
 		}

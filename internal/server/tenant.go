@@ -263,15 +263,8 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		// No actor, no training distribution: the drift gate has nothing
 		// to compare against.
 		gcfg.OODThreshold = -1
-	} else if gcfg.OODThreshold >= 0 {
-		if agent != nil && agent.Norm != nil {
-			gcfg.Ref, err = guard.RefFromNormalizer(agent.Norm)
-		} else {
-			gcfg.Ref, err = guard.ProbeReference(sys, envCfg, 256)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: tenant %q: %w", spec.Name, err)
-		}
+	} else {
+		gcfg.Ref = agent.Ref
 	}
 	chain, err := guard.ChainFromSpec(sys, spec.Fallback, envCfg.MinFreqFrac)
 	if err != nil {
@@ -288,21 +281,17 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	}
 
 	// Online continual learning: only DRL-primary tenants carry a loop
-	// (there is no policy to fine-tune otherwise). The loop owns a clone
-	// of the serving agent's policy as its champion seed; promotions swap
-	// weights into the live DRL under the tenant lock.
+	// (there is no policy to fine-tune otherwise). The serving agent seeds
+	// the loop's champion: the live DRL acts with its own copy of the
+	// actor, and the loop only copies the champion's weights, so neither
+	// writes what the other reads. Promotions swap the candidate's actor
+	// into the live DRL under the tenant lock.
 	if cfg.Online != nil && t.drl != nil && agent != nil {
 		ocfg := *cfg.Online
 		ocfg.Guard.Env = envCfg
 		ocfg.Fallback = spec.Fallback
 		ocfg.OnPromote = t.swapActor
-		loopAgent := &core.Agent{
-			Policy: agent.Policy.ClonePolicy(),
-			Critic: agent.Critic,
-			EnvCfg: envCfg,
-			Norm:   agent.Norm,
-		}
-		t.loop, err = online.NewLoop(sys, loopAgent, ocfg)
+		t.loop, err = online.NewLoop(sys, agent, ocfg)
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q online loop: %w", spec.Name, err)
 		}

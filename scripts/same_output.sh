@@ -8,8 +8,8 @@
 #
 #   - fltrain -episodes 60 at -arch joint|shared x -train-workers 0|2, at
 #     -arch joint|shared with -constrained and with -workers 2, and at
-#     -arch shared -n 12 -workers 2 -train-workers 2: the nine saved .gob
-#     agents must be byte-identical (cmp), and so must the printed
+#     -arch shared -n 12 -workers 2 -train-workers 2: the nine saved .json
+#     agent files must be byte-identical (cmp), and so must the printed
 #     convergence tables;
 #   - flsim -iters 60 -runs 2 -guard -cdf over the joint-tw0 (N=3) and
 #     shared-n12-w2-tw2 (N=12) agents, which serves the joint and the
@@ -20,15 +20,16 @@
 #     stdout must match after dropping the "wrote ..." lines and the
 #     hier-sweep table's rounds/s and speedup columns, which are wall-clock
 #     measurements;
-#   - flserver -record-plans -audit-dir -snapshot on 127.0.0.1:PORT
-#     (SAME_OUTPUT_PORT, default 8702), with a fresh-actor and a heuristic
-#     N=3 tenant, one fixed serial curl sequence (pinned clock, last_bw,
-#     down and observed_cost, a 4-decision batch, a wrong-length last_bw,
-#     five 1024-decision batches that take the fresh tenant's audit past
-#     its 4,096-record cap, and an unknown tenant) and a SIGTERM drain:
-#     every response (body and status), every .audit file and the registry
-#     snapshot must be byte-identical. stats.json holds the uptime and is
-#     not compared.
+#   - flserver -agent joint-tw0.json -record-plans -audit-dir -snapshot on
+#     127.0.0.1:PORT (SAME_OUTPUT_PORT, default 8702), with a fresh-actor,
+#     a heuristic and a loaded-agent ("drl", on the agent's training
+#     system) N=3 tenant, one fixed serial curl sequence (pinned clock,
+#     last_bw, down and observed_cost, a 4-decision batch, a wrong-length
+#     last_bw, five 1024-decision batches that take the fresh tenant's
+#     audit past its 4,096-record cap, and an unknown tenant) and a
+#     SIGTERM drain: every response (body and status), every .audit file
+#     and the registry snapshot must be byte-identical. stats.json holds
+#     the uptime and is not compared.
 #
 # Exit status: 0 when everything matches, 1 on any difference, 2 on a usage
 # or build error. The work directory is removed on success and kept (its
@@ -55,12 +56,12 @@ build() { # side dir
 		fail "build failed in $2"
 }
 
-# train runs one 60-episode fltrain of a side, saving NAME.gob and the
+# train runs one 60-episode fltrain of a side, saving NAME.json and the
 # printed table as fltrain-NAME.txt.
 train() { # side name flags...
 	local side=$1 name=$2
 	shift 2
-	bin/fltrain -episodes 60 "$@" -o "$name.gob" >"fltrain-$name.txt" ||
+	bin/fltrain -episodes 60 "$@" -o "$name.json" >"fltrain-$name.txt" ||
 		fail "$side fltrain $* failed"
 }
 
@@ -68,21 +69,21 @@ train() { # side name flags...
 # the guard on, saving the cost CDFs as flsim-NAME.csv and stdout as
 # flsim-NAME.txt.
 simulate() { # side name n
-	bin/flsim -agent "$2.gob" -n "$3" -iters 60 -runs 2 -guard -cdf "flsim-$2.csv" >"flsim-$2.txt" ||
-		fail "$1 flsim -agent $2.gob failed"
+	bin/flsim -agent "$2.json" -n "$3" -iters 60 -runs 2 -guard -cdf "flsim-$2.csv" >"flsim-$2.txt" ||
+		fail "$1 flsim -agent $2.json failed"
 }
 
-# serve boots a side's flserver, sends the fixed request sequence, one
-# curl at a time, saving each response body and status as serve/NN.txt,
-# and drains the daemon with SIGTERM, which writes serve/audits/*.audit and
-# serve/flserver.snap.json.
+# serve boots a side's flserver with the joint-tw0 agent, sends the fixed
+# request sequence, one curl at a time, saving each response body and
+# status as serve/NN.txt, and drains the daemon with SIGTERM, which writes
+# serve/audits/*.audit and serve/flserver.snap.json.
 server_pid=
 trap '[[ -n $server_pid ]] && kill -9 "$server_pid" 2>/dev/null' EXIT
 serve() { # side
 	local port=${SAME_OUTPUT_PORT:-8702} n=0 i tenant
 	local base=http://127.0.0.1:$port
 	mkdir -p serve
-	bin/flserver -addr "127.0.0.1:$port" -record-plans -audit-dir serve/audits \
+	bin/flserver -addr "127.0.0.1:$port" -agent joint-tw0.json -record-plans -audit-dir serve/audits \
 		-snapshot serve/flserver.snap.json >serve/flserver.log 2>&1 &
 	server_pid=$!
 	for i in $(seq 100); do
@@ -98,7 +99,8 @@ serve() { # side
 	}
 	post /v1/tenants '{"name": "fresh3", "n": 3, "seed": 5, "primary": "fresh"}'
 	post /v1/tenants '{"name": "heur3", "n": 3, "seed": 6, "primary": "heuristic"}'
-	for tenant in fresh3 heur3; do
+	post /v1/tenants '{"name": "drl3", "n": 3, "seed": 1, "primary": "drl"}'
+	for tenant in fresh3 heur3 drl3; do
 		post /v1/decide '{"tenant": "'$tenant'", "clock": 0}'
 		post /v1/decide '{"tenant": "'$tenant'", "clock": 10, "last_bw": [1.5e6, 2e6, 2.5e6], "observed_cost": 40.5}'
 		post /v1/decide '{"tenant": "'$tenant'", "clock": 20, "down": [false, true, false], "observed_cost": 38}'
@@ -165,7 +167,7 @@ differ() {
 	echo "DIFFERENT: $1"
 	status=1
 }
-for f in "$work"/parent/*.gob; do
+for f in "$work"/parent/*.json; do
 	name=$(basename "$f")
 	cmp -s "$f" "$work/change/$name" || differ "$name"
 done
@@ -202,12 +204,12 @@ for name in $serve_files; do
 	cmp -s "$work/parent/$name" "$work/change/$name" || differ "$name"
 done
 
-ngob=$(ls "$work"/parent/*.gob | wc -l)
+nagents=$(ls "$work"/parent/*.json | wc -l)
 ncsv=$(echo "$parent_csv" | wc -w)
 nsim=$(ls "$work"/parent/flsim-*.csv | wc -l)
 nserve=$(echo "$serve_files" | wc -w)
 if [[ $status -eq 0 ]]; then
-	echo "same_output: identical ($ngob .gob files, $ncsv CSVs, $nsim flsim runs, all tables, $nserve serving files)"
+	echo "same_output: identical ($nagents agent files, $ncsv CSVs, $nsim flsim runs, all tables, $nserve serving files)"
 	rm -rf "$work"
 else
 	echo "same_output: outputs differ; work dir kept at $work" >&2
