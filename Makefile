@@ -47,9 +47,10 @@ bench-smoke:
 # checkpoint loaders and the upload-finish solve (go's native fuzzer runs
 # one target per invocation). Raise FUZZTIME for a deeper run. The agent
 # file decoder's JSON seeds are 0.6-0.8 KB, which the minimizer would
-# spend up to a minute per new input on; the decide-request target's
-# spliced inputs grow to KBs and stall it the same way (0 execs/s for 30 s
-# and more of a 60 s run); the checkpoint loader's JSON seeds are ~2.6 KB.
+# spend up to a minute per new input on; the decide-request and response
+# targets' spliced inputs grow to KBs and stall it the same way (0 execs/s
+# for 30 s and more of a 60 s run); the checkpoint loader's JSON seeds are
+# ~2.6 KB.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/guard
 	$(GO) test -run xxx -fuzz FuzzParseLine -fuzztime $(FUZZTIME) ./internal/guard
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run xxx -fuzz FuzzEncodeDecideResponse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzParseTenantSpecs -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/server
 

@@ -305,9 +305,24 @@ func (l *Linear) Params() []Param {
 type MLP struct {
 	Layers []*Linear
 
-	// params caches the Params() views; the views stay valid across
-	// in-place weight updates (Step, LoadState).
+	// params holds the Params() views, built with the network and never
+	// written after, so goroutines sharing a network (a loaded critic) may
+	// all call Params. The views stay valid across in-place weight updates
+	// (Step, LoadState).
 	params []Param
+}
+
+// newMLP builds a network over layers and its parameter views.
+func newMLP(layers []*Linear) *MLP {
+	m := &MLP{Layers: layers}
+	for i, l := range layers {
+		for _, p := range l.Params() {
+			p.Name = fmt.Sprintf("layer%d.%s", i, p.Name)
+			m.params = append(m.params, p)
+		}
+	}
+	m.params = m.params[:len(m.params):len(m.params)]
+	return m
 }
 
 // NewMLP builds an MLP with the given layer sizes (len ≥ 2) where every
@@ -316,15 +331,15 @@ func NewMLP(sizes []int, hiddenAct, outAct Activation, rng *rand.Rand) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: NewMLP needs at least input and output sizes")
 	}
-	m := &MLP{}
+	var layers []*Linear
 	for i := 0; i < len(sizes)-1; i++ {
 		act := hiddenAct
 		if i == len(sizes)-2 {
 			act = outAct
 		}
-		m.Layers = append(m.Layers, NewLinear(sizes[i], sizes[i+1], act, rng))
+		layers = append(layers, NewLinear(sizes[i], sizes[i+1], act, rng))
 	}
-	return m
+	return newMLP(layers)
 }
 
 // InDim returns the network input dimension.
@@ -392,23 +407,12 @@ func (m *MLP) ZeroGrad() {
 	}
 }
 
-// Params returns all parameter views, layer by layer. The slice is cached:
-// the views alias the live weight and gradient buffers, so repeated calls in
-// a training loop allocate nothing. It is returned with len == cap so a
-// caller appending its own entries (e.g. a policy's LogStd) always copies.
-func (m *MLP) Params() []Param {
-	if m.params == nil {
-		var ps []Param
-		for i, l := range m.Layers {
-			for _, p := range l.Params() {
-				p.Name = fmt.Sprintf("layer%d.%s", i, p.Name)
-				ps = append(ps, p)
-			}
-		}
-		m.params = ps[:len(ps):len(ps)]
-	}
-	return m.params
-}
+// Params returns all parameter views, layer by layer. The slice is built
+// with the network: the views alias the live weight and gradient buffers, so
+// repeated calls in a training loop allocate nothing, and a call writes
+// nothing. It is returned with len == cap so a caller appending its own
+// entries (e.g. a policy's LogStd) always copies.
+func (m *MLP) Params() []Param { return m.params }
 
 // CopyParamsFrom copies all parameter values from src (same architecture).
 func (m *MLP) CopyParamsFrom(src *MLP) {
@@ -427,12 +431,12 @@ func (m *MLP) CopyParamsFrom(src *MLP) {
 // Clone returns a deep copy of the network (parameters only; gradient
 // accumulators start at zero).
 func (m *MLP) Clone() *MLP {
-	c := &MLP{}
+	var layers []*Linear
 	for _, l := range m.Layers {
 		nl := newLinear(l.In, l.Out, l.Act)
 		copy(nl.W.Data, l.W.Data)
 		copy(nl.B, l.B)
-		c.Layers = append(c.Layers, nl)
+		layers = append(layers, nl)
 	}
-	return c
+	return newMLP(layers)
 }

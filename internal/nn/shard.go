@@ -18,7 +18,7 @@ import "repro/internal/tensor"
 // each batched backward pass, which makes per-minibatch ZeroGrad calls on
 // replicas unnecessary.
 func (m *MLP) CloneGradOnly() *MLP {
-	c := &MLP{}
+	var layers []*Linear
 	for _, l := range m.Layers {
 		nl := &Linear{
 			In: l.In, Out: l.Out, Act: l.Act,
@@ -32,9 +32,9 @@ func (m *MLP) CloneGradOnly() *MLP {
 
 			setGrads: true,
 		}
-		c.Layers = append(c.Layers, nl)
+		layers = append(layers, nl)
 	}
-	return c
+	return newMLP(layers)
 }
 
 // MergeGradTree reduces the shard gradients into dst's gradient buffers

@@ -52,7 +52,7 @@ func MLPFromState(st MLPState) (*MLP, error) {
 	if layers < 1 || len(st.Acts) != layers || len(st.W) > layers || len(st.B) > layers {
 		return nil, fmt.Errorf("nn: snapshot has inconsistent layer counts")
 	}
-	m := &MLP{}
+	var ls []*Linear
 	for i := 0; i < layers; i++ {
 		in, out, act := st.Sizes[i], st.Sizes[i+1], Activation(st.Acts[i])
 		switch {
@@ -65,8 +65,9 @@ func MLPFromState(st MLPState) (*MLP, error) {
 		case act < Identity || act > Softplus:
 			return nil, fmt.Errorf("nn: snapshot layer %d has unknown activation %v", i, act)
 		}
-		m.Layers = append(m.Layers, newLinear(in, out, act))
+		ls = append(ls, newLinear(in, out, act))
 	}
+	m := newMLP(ls)
 	if err := m.LoadState(st); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -102,5 +103,46 @@ func TestImitatorRejectsBadBatches(t *testing.T) {
 	bad.Data[0] = math.NaN()
 	if _, err := im.Step(S, bad); err == nil {
 		t.Fatal("accepted NaN action without erroring")
+	}
+}
+
+// TestImitatorsShareCritic: two imitators on one critic loaded from a
+// snapshot, as the daemon's DRL tenants share the loaded agent's critic,
+// build and step on two goroutines. Under -race this fails if either
+// writes the critic (Params once filled a cache on first call); it also
+// checks that the critic's weights and gradients are as loaded.
+func TestImitatorsShareCritic(t *testing.T) {
+	p, critic, S, A := imitateFixture(50)
+	shared, err := nn.MLPFromState(critic.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		actor := p.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			im, err := NewImitator(actor, shared, 1e-2, 0.5, 2)
+			for e := 0; err == nil && e < 3; e++ {
+				_, err = im.Step(S, A)
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("imitator %d: %v", g, err)
+		}
+	}
+	want := critic.Params()
+	for i, q := range shared.Params() {
+		for k := range q.W {
+			if math.Float64bits(q.W[k]) != math.Float64bits(want[i].W[k]) || q.G[k] != 0 {
+				t.Fatalf("%s[%d]: weight %v (loaded %v), gradient %v", q.Name, k, q.W[k], want[i].W[k], q.G[k])
+			}
+		}
 	}
 }

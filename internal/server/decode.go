@@ -22,8 +22,10 @@ import (
 //     decoded; a repeated key overwrites the earlier value;
 //   - null is a no-op for tenant, deadline_ms and count and sets clock,
 //     observed_cost, last_bw and down to nil;
-//   - numbers follow the JSON grammar and convert with strconv, so 1e400 and
-//     a non-integral count are errors and -0 stays -0.
+//   - numbers follow the JSON grammar and convert to strconv's values, so
+//     1e400 and a non-integral count are errors and -0 stays -0; a float
+//     converts in the scanning pass (atof.go), with strconv.ParseFloat only
+//     where the two fast paths decline.
 //
 // One divergence is deliberate: a null element of last_bw or down is an
 // error. encoding/json would decode it as 0 (or false), or, under a repeated
@@ -197,13 +199,13 @@ func (d *decideDecoder) optFloat(null bool) (*float64, error) {
 
 // int decodes a JSON number that strconv reads as an int.
 func (d *decideDecoder) int() (int, error) {
-	num, err := d.number()
+	text, _, err := d.number()
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(string(num), 10, 0)
+	n, err := strconv.ParseInt(string(text), 10, 0)
 	if err != nil {
-		return 0, d.errorf("count %s is not an int", num)
+		return 0, d.errorf("count %s is not an int", text)
 	}
 	return int(n), nil
 }
@@ -223,71 +225,121 @@ func (d *decideDecoder) bool() (bool, error) {
 
 // null consumes a null literal if one is next.
 func (d *decideDecoder) null() bool {
-	if bytes.HasPrefix(d.data[d.off:], []byte("null")) {
+	if d.peek() == 'n' && bytes.HasPrefix(d.data[d.off:], []byte("null")) {
 		d.off += 4
 		return true
 	}
 	return false
 }
 
-// float decodes a JSON number into a float64.
+// float decodes a JSON number into a float64 with strconv.ParseFloat's
+// bits, converting the scanned digits directly (atof.go) and parsing the
+// number's bytes only where that declines.
 func (d *decideDecoder) float() (float64, error) {
-	num, err := d.number()
+	text, dec, err := d.number()
 	if err != nil {
 		return 0, err
 	}
-	v, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return 0, d.errorf("number %s out of float64 range", num)
+	if f, ok := dec.float64(); ok {
+		return f, nil
 	}
-	return v, nil
+	f, err := strconv.ParseFloat(string(text), 64)
+	if err != nil {
+		return 0, d.errorf("number %s out of float64 range", text)
+	}
+	return f, nil
 }
 
-// number scans a JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decideDecoder) number() ([]byte, error) {
-	start := d.off
-	i := d.off
-	if i < len(d.data) && d.data[i] == '-' {
+// number scans a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and returns its bytes and what strconv's readFloat reads from them.
+func (d *decideDecoder) number() (text []byte, dec decimal, err error) {
+	data, i := d.data, d.off
+	if i < len(data) && data[i] == '-' {
+		dec.neg = true
 		i++
 	}
+	// ndMant counts the mantissa's digits; dp is the decimal point's place
+	// among the significant digits, which start at the first nonzero one.
+	ndMant, dp := 0, 0
 	switch {
-	case i < len(d.data) && d.data[i] == '0':
+	case i < len(data) && data[i] == '0':
 		i++
-	case i < len(d.data) && '1' <= d.data[i] && d.data[i] <= '9':
-		i = digits(d.data, i+1)
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		j := i
+		i, ndMant = dec.digits(data, i, ndMant)
+		dp = i - j
 	default:
-		return nil, d.errorf("want a number")
+		return nil, dec, d.errorf("want a number")
 	}
-	if i < len(d.data) && d.data[i] == '.' {
-		j := digits(d.data, i+1)
-		if j == i+1 {
-			d.off = j
-			return nil, d.errorf("want a digit after the decimal point")
-		}
-		i = j
-	}
-	if i < len(d.data) && (d.data[i] == 'e' || d.data[i] == 'E') {
+	if i < len(data) && data[i] == '.' {
 		i++
-		if i < len(d.data) && (d.data[i] == '+' || d.data[i] == '-') {
+		j := i
+		if dp == 0 {
+			// Zeros ahead of the first significant digit move the point.
+			for i < len(data) && data[i] == '0' {
+				i++
+			}
+			dp = j - i
+		}
+		if i, ndMant = dec.digits(data, i, ndMant); i == j {
+			d.off = i
+			return nil, dec, d.errorf("want a digit after the decimal point")
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		esign := 1
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			if data[i] == '-' {
+				esign = -1
+			}
 			i++
 		}
-		j := digits(d.data, i)
-		if j == i {
-			d.off = j
-			return nil, d.errorf("want a digit in the exponent")
+		j := i
+		e := 0
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			// Past 10000 the exponent only has to stay out of range.
+			if e < 10000 {
+				e = e*10 + int(data[i]-'0')
+			}
 		}
-		i = j
+		if i == j {
+			d.off = i
+			return nil, dec, d.errorf("want a digit in the exponent")
+		}
+		dp += e * esign
 	}
-	d.off = i
-	return d.data[start:i], nil
+	if dec.mant != 0 {
+		dec.exp = dp - ndMant
+	}
+	text, d.off = data[d.off:i], i
+	return text, dec, nil
 }
 
-// digits returns the offset of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits reads the decimal digits from data[i] on into dec: the mantissa
+// takes them while it holds fewer than maxMantDigits (ndMant, returned
+// updated), and a nonzero digit after that marks it truncated. It returns
+// the offset past the last digit.
+func (dec *decimal) digits(data []byte, i, ndMant int) (int, int) {
+	mant := dec.mant
+	for ; i < len(data) && ndMant < maxMantDigits; i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			dec.mant = mant
+			return i, ndMant
+		}
+		mant = mant*10 + uint64(c)
+		ndMant++
 	}
-	return i
+	dec.mant = mant
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		dec.trunc = dec.trunc || c != 0
+	}
+	return i, ndMant
 }
 
 // list decodes a JSON array (or a null, already consumed) of elements read

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -474,4 +475,84 @@ func BenchmarkDecodeDecideRequest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEncodeDecideResponse encodes the serving fleet's answer, one
+// plan of 1000 frequencies, with the pooled appender writeDecide uses and
+// with encoding/json. Once the pool is warm the appender allocates nothing.
+func BenchmarkEncodeDecideResponse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := &DecideResponse{Freqs: make([]float64, 1000), Count: 1, Layer: "drl", Mode: "guarded", Iter: 4321, Clock: 1230}
+	for i := range r.Freqs {
+		r.Freqs[i] = 1e9 + rng.Float64()*1e9
+	}
+	b.Run("appender", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bp := bodyPool.Get().(*[]byte)
+			body, ok := appendDecideResponse((*bp)[:0], r)
+			if !ok {
+				b.Fatal("refused")
+			}
+			*bp = body
+			putBody(bp)
+			b.SetBytes(int64(len(body)))
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(r); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+		}
+	})
+}
+
+// FuzzEncodeDecideResponse holds the response appender to encoding/json on
+// arbitrary responses: the same bytes, or a refusal exactly where
+// encoding/json refuses (a NaN or an infinity). Frequencies come from the
+// input's 8-byte words; non-finite ones become 0 unless the top bit of
+// plans is set, so most inputs are encodable. The low bits of plans pick up
+// to three plans, each a window of the frequencies (or nil).
+func FuzzEncodeDecideResponse(f *testing.F) {
+	word := func(fs ...float64) []byte {
+		var b []byte
+		for _, v := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(word(1.5e9, 2e9, 2.5e9), uint8(0), 1, 0, 120.0, "drl", "guarded")
+	f.Add(word(0, math.Copysign(0, -1), 1e-6, 1e-7, 1e21, 1e20), uint8(3), 4, 99, 1e21, "heuristic", "maxfreq")
+	f.Add(word(5e-324, math.MaxFloat64, -1.5e-9), uint8(2), -1, -7, -1e-7, "<&>", "\u2028\"")
+	f.Add(word(math.NaN(), 1), uint8(0x81), 1, 0, 0.0, "drl", "guarded")
+	f.Add([]byte{1}, uint8(1), 0, 0, 0.0, "\xff\x00", "\u2029")
+	f.Fuzz(func(t *testing.T, words []byte, plans uint8, count, iter int, clock float64, layer, mode string) {
+		r := &DecideResponse{Count: count, Layer: layer, Mode: mode, Iter: iter, Clock: clock}
+		if len(words)%8 != 1 {
+			r.Freqs = make([]float64, 0, len(words)/8)
+		}
+		for i := 0; i+8 <= len(words); i += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(words[i:]))
+			if !isFinite(v) && plans&0x80 == 0 {
+				v = 0
+			}
+			r.Freqs = append(r.Freqs, v)
+		}
+		if !isFinite(r.Clock) && plans&0x80 == 0 {
+			r.Clock = 0
+		}
+		for k := 0; k < int(plans&3); k++ {
+			var p []float64
+			if k < len(r.Freqs) {
+				p = r.Freqs[k:]
+			}
+			r.Plans = append(r.Plans, p)
+		}
+		checkEncode(t, r)
+	})
 }

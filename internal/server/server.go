@@ -284,12 +284,12 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The client's budget, server-capped.
+	// The client's budget, server-capped. It is compared in milliseconds
+	// before it becomes a Duration, whose int64 nanoseconds a deadline
+	// above ~9.2e12 ms would overflow to a negative budget.
 	budget := s.cfg.RequestTimeout
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS * float64(time.Millisecond)); d < budget {
-			budget = d
-		}
+	if ms := req.DeadlineMS; ms > 0 && ms < float64(budget)/float64(time.Millisecond) {
+		budget = time.Duration(ms * float64(time.Millisecond))
 	}
 
 	// Deadline-aware shedding: if the expected wait for the turn already
@@ -324,7 +324,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	switch res.status {
 	case http.StatusOK:
 		s.counters.Served.Add(1)
-		writeJSON(w, http.StatusOK, res.plan)
+		writeDecide(w, res.plan)
 		return
 	case http.StatusGatewayTimeout:
 		s.counters.Timeouts.Add(1)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -114,5 +115,21 @@ func BenchmarkTraceHistory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.History(float64(i%2900)*1.03, 10, 5)
+	}
+}
+
+// BenchmarkSlotTableFill builds the slot table of 1000 bench traces at
+// h = 10 s (300 rows), as a fleet tenant's first state does; -cpu 1,2
+// compares the serial fill with two blocks of columns.
+func BenchmarkSlotTableFill(b *testing.B) {
+	traces := make([]*Trace, 1000)
+	for i := range traces {
+		traces[i] = benchTrace(int64(i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if newSlotTable(traces, 10, runtime.GOMAXPROCS(0)).rows != 300 {
+			b.Fatal("no table")
+		}
 	}
 }

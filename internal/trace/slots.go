@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -93,8 +95,12 @@ func (t *SlotTable) Row(j int) []float64 {
 	return t.vals[r : r+n : r+n]
 }
 
-// newSlotTable builds the table of traces at width h.
-func newSlotTable(traces []*Trace, h float64) *SlotTable {
+// newSlotTable builds the table of traces at width h. Its columns, one per
+// trace, are filled by min(width, n) goroutines, the caller among them, each
+// taking one contiguous block of them, since adjacent columns share cache
+// lines. Each column is written by one goroutine, so the table has the same
+// bits at any width.
+func newSlotTable(traces []*Trace, h float64, width int) *SlotTable {
 	t := &SlotTable{width: h, traces: append([]*Trace(nil), traces...)}
 	n := len(traces)
 	periods := make([]int, n)
@@ -113,15 +119,28 @@ func newSlotTable(traces []*Trace, h float64) *SlotTable {
 		rows = l * q
 	}
 	vals := make([]float64, rows*n)
-	for i, tr := range traces {
-		q := periods[i]
-		for r := 0; r < q; r++ {
-			v := tr.slotDirect(r, h)
-			for k := r; k < rows; k += q {
-				vals[k*n+i] = v
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tr, q := traces[i], periods[i]
+			for r := 0; r < q; r++ {
+				v := tr.slotDirect(r, h)
+				for k := r; k < rows; k += q {
+					vals[k*n+i] = v
+				}
 			}
 		}
 	}
+	w := max(min(width, n), 1)
+	var wg sync.WaitGroup
+	for b := 1; b < w; b++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fill(lo, hi)
+		}(b*n/w, (b+1)*n/w)
+	}
+	fill(0, n/w)
+	wg.Wait()
 	t.rows, t.vals = rows, vals
 	return t
 }
@@ -153,7 +172,7 @@ func (c *SlotCache) Table(traces []*Trace, h float64) *SlotTable {
 	}
 	t := c.table.Load()
 	if t == nil || !t.builtFrom(traces, h) {
-		t = newSlotTable(traces, h)
+		t = newSlotTable(traces, h, runtime.GOMAXPROCS(0))
 		c.table.Store(t)
 	}
 	if t.rows == 0 {

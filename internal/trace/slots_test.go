@@ -42,6 +42,36 @@ func TestSlotTableRowsMatchSlot(t *testing.T) {
 	}
 }
 
+// TestSlotTableWidthInvariant builds one table of 23 traces of five
+// commensurate periods on 1, 2, 7 and n+3 goroutines: every width gives
+// the serial fill's bits, each entry its trace's own Slot.
+func TestSlotTableWidthInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, h = 23, 2.0
+	traces := make([]*Trace, n)
+	for i := range traces {
+		tr := randomTrace(rng, 20*[]int{1, 2, 3, 4, 6}[i%5])
+		tr.Interval = h / 2
+		traces[i] = tr
+	}
+	for _, width := range []int{1, 2, 7, n + 3} {
+		tbl := newSlotTable(traces, h, width)
+		if tbl.rows != 120 || len(tbl.vals) != 120*n {
+			t.Fatalf("width %d: %d rows, %d values", width, tbl.rows, len(tbl.vals))
+		}
+		for r := 0; r < tbl.rows; r++ {
+			for i, tr := range traces {
+				if got, want := tbl.vals[r*n+i], tr.Slot(r, h); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("width %d: row %d, trace %d: %v, want %v", width, r, i, got, want)
+				}
+			}
+		}
+	}
+	if tbl := newSlotTable(nil, h, 4); tbl.rows != 1 || len(tbl.vals) != 0 {
+		t.Fatalf("empty set: %d rows, %d values", tbl.rows, len(tbl.vals))
+	}
+}
+
 // TestSlotCacheInvalidation checks the cache's identity rule: the table is
 // reused while the width and the traces stay the same, rebuilt when a trace
 // is replaced or the width changes, and absent for a set without a common
