@@ -18,9 +18,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -341,7 +340,7 @@ func Bicycle4G() *Profile {
 // WalkingSet generates the bandwidth traces of an n-device fleet: trace i
 // replays WalkingProfiles()[i mod 5], is seeded seed + i·10007 and is named
 // fmt.Sprintf(nameFmt, profileName, i). The traces are generated, each with
-// its prefix index, on min(GOMAXPROCS, n) goroutines. A trace is a pure
+// its prefix index, on the job pool at width GOMAXPROCS. A trace is a pure
 // function of its index and each job writes only its own slot, so the set
 // is bit-identical at any width (DESIGN.md §8); on failure WalkingSet
 // returns the lowest failing index's error, as a serial loop would.
@@ -352,33 +351,14 @@ func WalkingSet(n int, nameFmt string, durationSec float64, seed int64) ([]*trac
 // generateSet is WalkingSet over the given profiles at the given width.
 func generateSet(profiles []*Profile, n int, nameFmt string, durationSec float64, seed int64, width int) ([]*trace.Trace, error) {
 	traces := make([]*trace.Trace, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			p := profiles[i%len(profiles)]
-			traces[i], errs[i] = p.Generate(fmt.Sprintf(nameFmt, p.Name, i), durationSec, seed+int64(i)*10007)
-		}
-	}
-	// The calling goroutine is one of the workers.
-	var wg sync.WaitGroup
-	for w := 1; w < min(width, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Run(n, width, func(i int) error {
+		p := profiles[i%len(profiles)]
+		var err error
+		traces[i], err = p.Generate(fmt.Sprintf(nameFmt, p.Name, i), durationSec, seed+int64(i)*10007)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return traces, nil
 }

@@ -45,7 +45,6 @@ type Checkpoint struct {
 	Stats    []EpisodeStats `json:"stats"`
 
 	Actor     rl.PolicyState     `json:"actor"`
-	ActorOld  rl.PolicyState     `json:"actor_old"`
 	Critic    nn.MLPState        `json:"critic"`
 	ActorOpt  nn.AdamState       `json:"actor_opt"`
 	CriticOpt nn.AdamState       `json:"critic_opt"`
@@ -106,7 +105,6 @@ func (t *Trainer) CaptureCheckpoint() (*Checkpoint, error) {
 		LastLoss:    t.lastLoss,
 		Stats:       t.statsCopy(),
 		Actor:       rl.CapturePolicy(t.actor),
-		ActorOld:    rl.CapturePolicy(t.actorOld),
 		Critic:      t.critic.State(),
 		ActorOpt:    actorOpt.State(t.actor.Params()),
 		CriticOpt:   criticOpt.State(t.critic.Params()),
@@ -166,7 +164,7 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	if t.norm != nil {
 		norm = t.norm.Clone()
 	}
-	if err := restoreNets(ck, t.actor.Clone(), t.actorOld.Clone(), t.critic.Clone(), nn.NewAdam(1), nn.NewAdam(1), norm); err != nil {
+	if err := restoreNets(ck, t.actor.Clone(), t.critic.Clone(), nn.NewAdam(1), nn.NewAdam(1), norm); err != nil {
 		return err
 	}
 	if cp := t.constrainedPPO(); cp != nil {
@@ -176,7 +174,7 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	} else if ck.Constrained != nil {
 		return fmt.Errorf("core: checkpoint is from a constrained run, trainer is unconstrained")
 	}
-	if err := restoreNets(ck, t.actor, t.actorOld, t.critic, actorOpt, criticOpt, t.norm); err != nil {
+	if err := restoreNets(ck, t.actor, t.critic, actorOpt, criticOpt, t.norm); err != nil {
 		return err
 	}
 	t.buffer.Clear()
@@ -194,12 +192,9 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 
 // restoreNets loads a checkpoint's networks, optimizer moments and
 // normalizer into targets shaped like the trainer's, in place.
-func restoreNets(ck *Checkpoint, actor, actorOld *rl.GaussianPolicy, critic *nn.MLP, actorOpt, criticOpt *nn.Adam, norm *rl.ObsNormalizer) error {
+func restoreNets(ck *Checkpoint, actor *rl.GaussianPolicy, critic *nn.MLP, actorOpt, criticOpt *nn.Adam, norm *rl.ObsNormalizer) error {
 	if err := rl.RestorePolicy(actor, ck.Actor); err != nil {
 		return fmt.Errorf("core: restore actor: %w", err)
-	}
-	if err := rl.RestorePolicy(actorOld, ck.ActorOld); err != nil {
-		return fmt.Errorf("core: restore θ_old: %w", err)
 	}
 	if err := critic.LoadState(ck.Critic); err != nil {
 		return fmt.Errorf("core: restore critic: %w", err)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -78,6 +80,50 @@ func TestSequentialResumeBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh, []int{4, 5, 6, 7}) {
 		t.Fatalf("progress fired for %v, want the resumed episodes only", fresh)
+	}
+	compareParamsBits(t, 0, "actor", resumed.actor.Params(), refTr.actor.Params())
+	compareParamsBits(t, 0, "critic", resumed.critic.Params(), refTr.critic.Params())
+}
+
+// TestCheckpointWithActorOldResumes: checkpoints written before the trainer
+// stopped keeping θ_old hold an "actor_old" copy of the actor. Decoding
+// ignores the field, so such a checkpoint still resumes bit-identically.
+func TestCheckpointWithActorOldResumes(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Episodes = 8
+	refStats, refTr := referenceRun(t, cfg)
+
+	path := trainInterrupted(t, cfg, 4)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["actor_old"]; ok {
+		t.Fatal("checkpoint still writes actor_old")
+	}
+	// The older format synced θ_old to the actor after every update, so
+	// at an episode boundary the two were equal.
+	fields["actor_old"] = fields["actor"]
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeTrainer(testbedSystem(2, 7), cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := resumed.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stats, refStats) {
+		t.Fatalf("resumed stats diverge:\n%+v\n%+v", stats, refStats)
 	}
 	compareParamsBits(t, 0, "actor", resumed.actor.Params(), refTr.actor.Params())
 	compareParamsBits(t, 0, "critic", resumed.critic.Params(), refTr.critic.Params())
@@ -359,7 +405,7 @@ func TestRestoreCheckpointRejectsNonFinite(t *testing.T) {
 		"critic second moment +Inf": func(ck *Checkpoint) { ck.CriticOpt.V[0][0] = math.Inf(1) },
 		"critic first moment NaN":   func(ck *Checkpoint) { ck.CriticOpt.M[2][0] = math.NaN() },
 		"actor log-σ +Inf":          func(ck *Checkpoint) { ck.Actor.LogStd[0] = math.Inf(1) },
-		"θ_old bias NaN":            func(ck *Checkpoint) { ck.ActorOld.Net.B[0][0] = math.NaN() },
+		"actor bias NaN":            func(ck *Checkpoint) { ck.Actor.Net.B[0][0] = math.NaN() },
 	} {
 		ck, err := LoadCheckpoint(path)
 		if err != nil {

@@ -373,7 +373,6 @@ type Trainer struct {
 	actor       *rl.GaussianPolicy
 	critic      *nn.MLP
 	algo        rl.Trainable
-	actorOld    *rl.GaussianPolicy
 	norm        *rl.ObsNormalizer
 	ref         *guard.Reference // the probed OOD reference, once Agent has run
 	buffer      *rl.Buffer
@@ -467,7 +466,6 @@ func NewTrainer(sys *fl.System, cfg Config) (*Trainer, error) {
 		actor:       actor,
 		critic:      critic,
 		algo:        algo,
-		actorOld:    actor.Clone(), // θ_old ← θ (line 4)
 		norm:        norm,
 		buffer:      rl.NewBuffer(cfg.BufferSize),
 		batch:       &rl.Batch{},
@@ -526,8 +524,11 @@ func (t *Trainer) RunEpisode(episode int) (EpisodeStats, error) {
 	steps := 0
 	cp := t.constrainedPPO()
 	for {
-		// Derive a_k from the sampling policy θ_old (line 12).
-		action, logp := t.actorOld.Sample(state, t.rng)
+		// Derive a_k from the sampling policy θ_old (line 12). θ_old is
+		// synced to θ after every update and nothing else writes either, so
+		// the two are equal here and the trainer samples from θ itself;
+		// PPO's ratio reads the log-probs stored with the transition.
+		action, logp := t.actor.Sample(state, t.rng)
 		value := t.algo.Value(state)
 		var costValue rl.CostVec
 		if cp != nil {
@@ -561,7 +562,7 @@ func (t *Trainer) RunEpisode(episode int) (EpisodeStats, error) {
 			state = t.norm.Normalize(state)
 		}
 
-		// Buffer full: update, sync θ_old, clear D (lines 17–23).
+		// Buffer full: update, clear D (lines 17–23).
 		if t.buffer.Full() {
 			if err := t.update(state, res.Done); err != nil {
 				return EpisodeStats{}, err
@@ -583,8 +584,8 @@ func (t *Trainer) RunEpisode(episode int) (EpisodeStats, error) {
 // update runs Algorithm 1's buffer-full step (lines 17–23) on the full
 // buffer D: bootstrap the value of next (and, under constrained PPO, its
 // cost values) unless the episode ended, turn D into a batch with γ and λ
-// of the configured algorithm, optimize for M epochs, sync θ_old and clear
-// D. next is the state after D's last transition.
+// of the configured algorithm, optimize for M epochs and clear D. next is
+// the state after D's last transition.
 func (t *Trainer) update(next tensor.Vector, done bool) error {
 	cp := t.constrainedPPO()
 	lastValue := 0.0
@@ -611,7 +612,6 @@ func (t *Trainer) update(next tensor.Vector, done bool) error {
 	}
 	t.lastLoss = st.Loss(t.Cfg.PPO)
 	t.updates++
-	t.actorOld.CopyFrom(t.actor)
 	t.buffer.Clear()
 	return nil
 }

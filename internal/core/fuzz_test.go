@@ -212,13 +212,13 @@ func checkRestoredNets(tr *Trainer) error {
 	if err != nil {
 		return err
 	}
-	nets := []nn.MLPState{ck.Actor.Net, ck.ActorOld.Net, ck.Critic}
+	nets := []nn.MLPState{ck.Actor.Net, ck.Critic}
 	opts := []nn.AdamState{ck.ActorOpt, ck.CriticOpt}
 	if ck.Constrained != nil {
 		nets = append(nets, ck.Constrained.CostCritic)
 		opts = append(opts, ck.Constrained.CostOpt)
 	}
-	if !tensor.Vector(ck.Actor.LogStd).AllFinite() || !tensor.Vector(ck.ActorOld.LogStd).AllFinite() {
+	if !tensor.Vector(ck.Actor.LogStd).AllFinite() {
 		return errors.New("restored a non-finite log-σ")
 	}
 	for _, st := range nets {

@@ -31,18 +31,13 @@ func episodeSeed(seed int64, episode int) int64 {
 }
 
 // runParallel is the Workers ≥ 1 training loop: episodes are collected in
-// fixed-size waves by a pool of rollout workers, then merged into the
-// shared experience buffer strictly in episode order, replaying the
-// buffer-full PPO updates of Algorithm 1 during the merge. Sampling uses
-// the θ_old/critic/normalizer snapshot taken at the wave boundary, which
-// makes the scheme slightly off-policy (up to one wave of update lag)
-// but worker-count invariant: runs with Workers=1 and Workers=N are
-// bit-identical under the same seed.
+// fixed-size waves on the job pool, then merged into the shared experience
+// buffer strictly in episode order, replaying the buffer-full PPO updates
+// of Algorithm 1 during the merge. Sampling uses the actor/critic/
+// normalizer of the wave boundary, which makes the scheme slightly
+// off-policy (up to one wave of update lag) but worker-count invariant:
+// runs with Workers=1 and Workers=N are bit-identical under the same seed.
 func (t *Trainer) runParallel(progress func(EpisodeStats)) ([]EpisodeStats, error) {
-	workers := t.Cfg.Workers
-	if workers > t.Cfg.Episodes {
-		workers = t.Cfg.Episodes // no point idling extra goroutines
-	}
 	// Resume keeps the absolute wave grid: RestoreCheckpoint only accepts
 	// wave-aligned episodes in parallel mode, so starting the loop at
 	// nextEpisode reproduces the same wave boundaries as an uninterrupted
@@ -51,33 +46,21 @@ func (t *Trainer) runParallel(progress func(EpisodeStats)) ([]EpisodeStats, erro
 		if t.stop.Load() {
 			return t.statsCopy(), ErrInterrupted
 		}
-		count := t.Cfg.Episodes - start
-		if count > waveSize {
-			count = waveSize
-		}
-		w := workers
-		if w > count {
-			w = count
-		}
-		// Snapshot the sampling state once per wave; every worker gets its
-		// own clones because network forward passes mutate scratch caches.
+		count := min(t.Cfg.Episodes-start, waveSize)
+		// Nothing writes the networks until the wave is merged, so every
+		// episode samples from its own clones of the wave-start state:
+		// forward passes mutate scratch caches.
 		cp := t.constrainedPPO()
-		actors := make([]rl.Policy, w)
-		critics := make([]*nn.MLP, w)
-		costCritics := make([]*nn.MLP, w)
-		norms := make([]*rl.ObsNormalizer, w)
-		for i := 0; i < w; i++ {
-			actors[i] = t.actorOld.ClonePolicy()
-			critics[i] = t.critic.Clone()
+		trajs, err := rl.CollectEpisodes(start, count, t.Cfg.Workers, func(ep int) (*rl.Trajectory, error) {
+			var costCritic *nn.MLP
 			if cp != nil {
-				costCritics[i] = cp.CostCritic.Clone()
+				costCritic = cp.CostCritic.Clone()
 			}
+			var norm *rl.ObsNormalizer
 			if t.norm != nil {
-				norms[i] = t.norm.Clone()
+				norm = t.norm.Clone()
 			}
-		}
-		trajs, err := rl.CollectEpisodes(start, count, w, func(worker, ep int) (*rl.Trajectory, error) {
-			return t.collectEpisode(ep, actors[worker], critics[worker], costCritics[worker], norms[worker])
+			return t.collectEpisode(ep, t.actor.ClonePolicy(), t.critic.Clone(), costCritic, norm)
 		})
 		if err != nil {
 			return t.statsCopy(), fmt.Errorf("core: parallel rollout: %w", err)
@@ -102,9 +85,9 @@ func (t *Trainer) runParallel(progress func(EpisodeStats)) ([]EpisodeStats, erro
 
 // collectEpisode rolls out one episode against a private environment whose
 // RNG is derived from (run seed, episode index), sampling from the given
-// wave-snapshot actor/critic/normalizer clones. It is safe to call from
-// concurrent workers as long as each worker passes its own clones; the
-// shared fl.System is read-only during simulation.
+// wave-start actor/critic/normalizer clones. It is safe to call from
+// concurrent jobs as long as each passes its own clones; the shared
+// fl.System is read-only during simulation.
 func (t *Trainer) collectEpisode(episode int, actor rl.Policy, critic, costCritic *nn.MLP, norm *rl.ObsNormalizer) (*rl.Trajectory, error) {
 	rng := rand.New(rand.NewSource(episodeSeed(t.Cfg.Seed, episode)))
 	e, err := env.New(t.Sys, t.Cfg.Env, rng)

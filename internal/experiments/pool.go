@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // MaxWorkers caps the concurrency of every worker pool in this package
@@ -31,58 +32,12 @@ func poolWidth(requested, jobs int) int {
 	return w
 }
 
-// RunJobs executes n independent jobs across at most `workers` goroutines
-// (workers <= 0 selects the MaxWorkers/NumCPU default) and returns the
-// first error encountered, after all in-flight jobs finish. Jobs must be
-// independent and deterministic given their index; because each job writes
-// only to its own output slot, results are identical at any worker count —
-// the same contract the parallel rollout layer follows. Remaining jobs are
-// skipped once a job fails.
+// RunJobs runs job(i) for every i in [0, n) on the job pool at width
+// poolWidth(workers, n) (workers <= 0 selects the MaxWorkers/NumCPU
+// default) and returns the lowest failing index's error, as a serial loop
+// would. Jobs must be independent and deterministic given their index and
+// write only their own output slot; the results are then identical at any
+// worker count (DESIGN.md §8).
 func RunJobs(n, workers int, job func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = poolWidth(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				mu.Lock()
-				skip := firstErr != nil
-				mu.Unlock()
-				if skip {
-					continue
-				}
-				if err := job(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+	return par.Run(n, poolWidth(workers, n), job)
 }

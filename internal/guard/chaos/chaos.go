@@ -27,12 +27,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/fl"
 	"repro/internal/guard"
+	"repro/internal/par"
 	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -433,31 +433,20 @@ func Run(pristine *fl.System, agent *core.Agent, cl Class, opts Options) (*Resul
 	return res, nil
 }
 
-// RunAll evaluates every class with a bounded worker pool. Results are in
-// class order and bit-identical at any worker count: each episode derives
-// everything from (pristine, agent, class, opts) alone.
+// RunAll evaluates every class on the job pool at the given width. Results
+// are in class order and bit-identical at any worker count: each episode
+// derives everything from (pristine, agent, class, opts) alone.
 func RunAll(pristine *fl.System, agent *core.Agent, classes []Class, opts Options, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = 1
-	}
 	results := make([]*Result, len(classes))
-	errs := make([]error, len(classes))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, cl := range classes {
-		wg.Add(1)
-		go func(i int, cl Class) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = Run(pristine, agent, cl, opts)
-		}(i, cl)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("chaos: class %s: %w", classes[i].Name, err)
+	err := par.Run(len(classes), workers, func(i int) error {
+		var err error
+		if results[i], err = Run(pristine, agent, classes[i], opts); err != nil {
+			return fmt.Errorf("chaos: class %s: %w", classes[i].Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

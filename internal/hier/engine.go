@@ -3,10 +3,9 @@ package hier
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fl"
+	"repro/internal/par"
 )
 
 // Config parameterizes the hierarchical engine around a fleet + topology.
@@ -35,9 +34,10 @@ type Config struct {
 	// every regional round (the edge tier's own uplink; 0 = colocated).
 	EdgeLatencySec float64
 	// Workers bounds the per-region event loops run in parallel; ≤ 1 runs
-	// regions serially. Results are bit-identical at any worker count: each
-	// region writes only its own result slot and the merge walks regions in
-	// index order (the PR 1 determinism invariant).
+	// regions serially. Results, and a failing step's error, are the same
+	// at any worker count: each region writes only its own result slot, the
+	// merge walks regions in index order and the pool returns the lowest
+	// failing region's error (DESIGN.md §8).
 	Workers int
 	// Seed drives cohort subsampling (a counter-based per-(step, region)
 	// stream, so sampling is independent of worker scheduling).
@@ -152,7 +152,6 @@ type Engine struct {
 	regCE     []float64
 	regTE     []float64
 	cohortN   []int32
-	errs      []error
 
 	// inFlight marks regions whose previous round has not been
 	// incorporated yet; they skip the dispatch. Every region is either
@@ -164,8 +163,9 @@ type Engine struct {
 
 	events *fl.Heap[flightEvent]
 
-	nextIdx atomic.Int64
-	wg      sync.WaitGroup
+	// regionJob runs the round of dispatch[i]. It is built once, so a
+	// serial step hands the pool no new closure.
+	regionJob func(i int) error
 }
 
 // NewEngine validates and assembles an engine starting at wall-clock 0.
@@ -197,7 +197,6 @@ func NewEngine(fleet *Fleet, top Topology, cfg Config) (*Engine, error) {
 		regCE:     make([]float64, r),
 		regTE:     make([]float64, r),
 		cohortN:   make([]int32, r),
-		errs:      make([]error, r),
 		inFlight:  make([]bool, r),
 		dispatch:  make([]int32, 0, r),
 		fracs:     make([]float64, r),
@@ -209,6 +208,7 @@ func NewEngine(fleet *Fleet, top Topology, cfg Config) (*Engine, error) {
 		e.work[i] = float64(cfg.Tau) * fleet.CyclesPerBit[i] * fleet.DataBits[i]
 		e.perm[i] = int32(i)
 	}
+	e.regionJob = func(i int) error { return e.regionRound(int(e.dispatch[i])) }
 	return e, nil
 }
 
@@ -252,12 +252,10 @@ func (e *Engine) StepInto(p CohortPlanner) (GlobalStats, error) {
 			e.dispatch = append(e.dispatch, int32(r))
 		}
 	}
-	e.runRegions()
-	for _, r := range e.dispatch {
-		if err := e.errs[r]; err != nil {
-			e.errs[r] = nil
-			return GlobalStats{}, err
-		}
+	// Each region writes only its own result slots, so the results are
+	// bit-identical at any worker count.
+	if err := par.Run(len(e.dispatch), e.Cfg.Workers, e.regionJob); err != nil {
+		return GlobalStats{}, err
 	}
 
 	// Merge in deterministic region order (dispatch is ascending, and the
@@ -340,45 +338,13 @@ func (e *Engine) StepInto(p CohortPlanner) (GlobalStats, error) {
 	return stats, nil
 }
 
-// runRegions executes every dispatched region's round, serially or on a
-// bounded worker pool. Each region writes only its own result slots, so
-// results are bit-identical at any worker count.
-func (e *Engine) runRegions() {
-	d := len(e.dispatch)
-	w := e.Cfg.Workers
-	if w > d {
-		w = d
-	}
-	if w <= 1 {
-		for _, r := range e.dispatch {
-			e.regionRound(int(r))
-		}
-		return
-	}
-	e.nextIdx.Store(0)
-	e.wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer e.wg.Done()
-			for {
-				i := int(e.nextIdx.Add(1)) - 1
-				if i >= d {
-					return
-				}
-				e.regionRound(int(e.dispatch[i]))
-			}
-		}()
-	}
-	e.wg.Wait()
-}
-
 // regionRound simulates region r's local round dispatched at the current
 // clock: cohort selection, per-device compute+upload timing against the
 // shared trace pool, the regional device barrier, and the aggregator's
 // uplink to the cloud. The per-device arithmetic mirrors
 // fl.RunIterationOptsInto expression by expression so the 1-region engine
 // stays bit-identical to the flat barrier.
-func (e *Engine) regionRound(r int) {
+func (e *Engine) regionRound(r int) error {
 	lo, hi := e.Top.Region(r)
 	size := hi - lo
 	frac := e.fracs[r]
@@ -421,8 +387,7 @@ func (e *Engine) regionRound(r int) {
 		ph := fleet.Phase[i]
 		upEnd, err := tr.UploadFinish(upStart+ph, bytes)
 		if err != nil {
-			e.errs[r] = fmt.Errorf("hier: region %d device %d upload: %w", r, i, err)
-			return
+			return fmt.Errorf("hier: region %d device %d upload: %w", r, i, err)
 		}
 		tcom := (upEnd - ph) - upStart
 		total := tcmp + tcom
@@ -437,6 +402,7 @@ func (e *Engine) regionRound(r int) {
 	e.cohortN[r] = int32(c)
 	e.regCE[r] = cE
 	e.regTE[r] = tE
+	return nil
 }
 
 // sampleSeed derives the counter-based RNG state for one (seed, step,

@@ -1,7 +1,7 @@
 // Package nn implements the small feed-forward neural networks used by the
-// DRL agent: fully-connected layers with a choice of activations, manual
-// reverse-mode backpropagation, standard initializers and the Adam
-// optimizer. Everything is float64 and pure stdlib; the tests check the
+// DRL agent: fully-connected layers with tanh or identity activations,
+// manual reverse-mode backpropagation, a Xavier-style initializer and the
+// Adam optimizer. Everything is float64 and pure stdlib; the tests check the
 // analytic gradients against finite differences.
 package nn
 
@@ -16,13 +16,11 @@ import (
 // Activation identifies an elementwise nonlinearity.
 type Activation int
 
-// Supported activations.
+// Supported activations: every network the repository builds is tanh in
+// its hidden layers and tanh or identity at its output.
 const (
 	Identity Activation = iota
 	Tanh
-	ReLU
-	Sigmoid
-	Softplus
 )
 
 // String returns the activation's name.
@@ -32,33 +30,18 @@ func (a Activation) String() string {
 		return "identity"
 	case Tanh:
 		return "tanh"
-	case ReLU:
-		return "relu"
-	case Sigmoid:
-		return "sigmoid"
-	case Softplus:
-		return "softplus"
 	default:
 		return fmt.Sprintf("Activation(%d)", int(a))
 	}
 }
 
-// deriv computes dσ/dx given the pre-activation x and post-activation y.
-func (a Activation) deriv(x, y float64) float64 {
+// deriv computes dσ/dx given the post-activation y.
+func (a Activation) deriv(y float64) float64 {
 	switch a {
 	case Identity:
 		return 1
 	case Tanh:
 		return 1 - y*y
-	case ReLU:
-		if x > 0 {
-			return 1
-		}
-		return 0
-	case Sigmoid:
-		return y * (1 - y)
-	case Softplus:
-		return 1 / (1 + math.Exp(-x)) // sigmoid(x)
 	default:
 		panic("nn: unknown activation")
 	}
@@ -77,55 +60,6 @@ func (a Activation) applyBatch(dst, src []float64) {
 		copy(dst, src)
 	case Tanh:
 		tensor.FastTanhInto(dst, src)
-	case ReLU:
-		for i, x := range src {
-			if x > 0 {
-				dst[i] = x
-			} else {
-				dst[i] = 0
-			}
-		}
-	case Sigmoid:
-		for i, x := range src {
-			dst[i] = 1 / (1 + math.Exp(-x))
-		}
-	case Softplus:
-		for i, x := range src {
-			if x > 30 {
-				dst[i] = x
-			} else {
-				dst[i] = math.Log1p(math.Exp(x))
-			}
-		}
-	default:
-		panic("nn: unknown activation")
-	}
-}
-
-// derivBatch computes dz[i] = dout[i] * deriv(z[i], y[i]) with the switch
-// hoisted out of the loop. Element i is bit-identical to the scalar form,
-// including NaN propagation through inactive ReLU units. Tanh layers take
-// tensor.TanhBackward instead, which fuses the bias-gradient sum.
-func (a Activation) derivBatch(dz, dout, z, y []float64) {
-	switch a {
-	case Identity:
-		copy(dz, dout)
-	case ReLU:
-		for i, zv := range z {
-			var d float64
-			if zv > 0 {
-				d = 1
-			}
-			dz[i] = dout[i] * d
-		}
-	case Sigmoid:
-		for i, yv := range y {
-			dz[i] = dout[i] * (yv * (1 - yv))
-		}
-	case Softplus:
-		for i, zv := range z {
-			dz[i] = dout[i] * (1 / (1 + math.Exp(-zv)))
-		}
 	default:
 		panic("nn: unknown activation")
 	}
@@ -179,17 +113,11 @@ func newLinear(in, out int, act Activation) *Linear {
 	}
 }
 
-// NewLinear creates a layer with Xavier/He initialization appropriate for
-// the activation, drawn from rng.
+// NewLinear creates a layer with Xavier-style initialization, N(0, 1/in),
+// drawn from rng.
 func NewLinear(in, out int, act Activation, rng *rand.Rand) *Linear {
 	l := newLinear(in, out, act)
-	var scale float64
-	switch act {
-	case ReLU:
-		scale = math.Sqrt(2 / float64(in)) // He
-	default:
-		scale = math.Sqrt(1 / float64(in)) // Xavier-ish
-	}
+	scale := math.Sqrt(1 / float64(in))
 	for i := range l.W.Data {
 		l.W.Data[i] = rng.NormFloat64() * scale
 	}
@@ -218,7 +146,7 @@ func (l *Linear) Backward(dout tensor.Vector) tensor.Vector {
 	}
 	dz := tensor.NewVector(l.Out)
 	for i, g := range dout {
-		dz[i] = g * l.Act.deriv(l.z[i], l.y[i])
+		dz[i] = g * l.Act.deriv(l.y[i])
 	}
 	l.GW.AddOuter(1, dz, l.x)
 	l.GB.Add(l.GB, dz)
@@ -269,8 +197,8 @@ func (l *Linear) backwardBatch(dout *tensor.Matrix, needDX bool) *tensor.Matrix 
 	// dZ and the bias gradient GB += Σ_rows dZ, in ascending row order.
 	if l.Act == Tanh {
 		tensor.TanhBackward(l.dzb, dout, l.yb, l.GB)
-	} else {
-		l.Act.derivBatch(l.dzb.Data, dout.Data[:n*l.Out], l.zb.Data, l.yb.Data)
+	} else { // identity: dZ = dout
+		copy(l.dzb.Data, dout.Data[:n*l.Out])
 		tensor.AddRowSums(l.GB, l.dzb)
 	}
 	if l.setGrads {

@@ -62,7 +62,7 @@ func MLPFromState(st MLPState) (*MLP, error) {
 			return nil, fmt.Errorf("nn: snapshot layer %d has no weights", i)
 		case int64(len(st.W[i])) != int64(in)*int64(out) || len(st.B[i]) != out:
 			return nil, fmt.Errorf("nn: snapshot layer %d shape mismatch", i)
-		case act < Identity || act > Softplus:
+		case act < Identity || act > Tanh:
 			return nil, fmt.Errorf("nn: snapshot layer %d has unknown activation %v", i, act)
 		}
 		ls = append(ls, newLinear(in, out, act))

@@ -57,9 +57,9 @@ func TestMLPLoadStateInPlace(t *testing.T) {
 func TestMLPLoadStateRejectsMismatch(t *testing.T) {
 	m := stateTestNet(1)
 	cases := []MLPState{
-		NewMLP([]int{3, 4, 4, 2}, Tanh, Identity, rand.New(rand.NewSource(1))).State(), // depth
-		NewMLP([]int{3, 5, 2}, Tanh, Identity, rand.New(rand.NewSource(1))).State(),    // width
-		NewMLP([]int{3, 4, 2}, ReLU, Identity, rand.New(rand.NewSource(1))).State(),    // activation
+		NewMLP([]int{3, 4, 4, 2}, Tanh, Identity, rand.New(rand.NewSource(1))).State(),  // depth
+		NewMLP([]int{3, 5, 2}, Tanh, Identity, rand.New(rand.NewSource(1))).State(),     // width
+		NewMLP([]int{3, 4, 2}, Identity, Identity, rand.New(rand.NewSource(1))).State(), // activation
 	}
 	for i, st := range cases {
 		if err := m.LoadState(st); err == nil {

@@ -55,7 +55,7 @@ func (l *Loop) retrain() (*Report, error) {
 		copy(S.Data[i*S.Cols:], t.State)
 		copy(A.Data[i*A.Cols:], t.Action)
 	}
-	im, err := rl.NewImitator(actor, candidate.Critic, l.cfg.LR, l.cfg.MaxGradNorm, l.cfg.Workers)
+	im, err := rl.NewImitator(actor, l.cfg.LR, l.cfg.MaxGradNorm, l.cfg.Workers)
 	if err != nil {
 		return rep, err
 	}

@@ -1,24 +1,23 @@
 package rl
 
 import (
-	"sync"
-
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
 // This file implements the deterministic data-parallel training engine used
 // by the PPO and A2C updates. A minibatch is cut into fixed gradShardRows-row
 // blocks; each block owns a gradient replica of the actor and critic
-// (weights shared, gradients and forward caches private), so any number of
-// workers can process disjoint blocks concurrently without synchronization.
-// The workers are the update's only parallelism: every kernel a block calls
-// runs on its worker's goroutine, the same code the primary networks run.
-// The per-block gradients are then folded into the primary networks by
-// nn.MergeGradTree, whose reduction shape depends only on the block count —
-// never on the worker count — so the merged gradient, and therefore the
-// entire training trajectory, is bit-identical whether the engine runs on
-// one goroutine or eight. This is the same invariance contract the rollout
+// (weights shared, gradients and forward caches private), so the job pool
+// (internal/par) can process disjoint blocks concurrently without
+// synchronization. The pool is the update's only parallelism: every kernel
+// a block calls runs on its worker's goroutine, the same code the primary
+// networks run. The per-block gradients are then folded into the primary
+// networks by nn.MergeGradTree, whose reduction shape depends only on the
+// block count — never on the worker count — so the merged gradient, and
+// therefore the entire training trajectory, is bit-identical whether the
+// engine runs on one goroutine or eight. This is the same invariance contract the rollout
 // collector (core.Config.Workers) and the hierarchical federation engine
 // already keep: parallelism changes wall-clock time, never results. The
 // actor's batched methods are bit-identical per row to its per-sample ones,
@@ -40,7 +39,7 @@ type shardEngine struct {
 	workers int
 
 	actor  *GaussianPolicy
-	critic *nn.MLP
+	critic *nn.MLP // nil for the imitator, which runs no critic
 
 	// Merge destinations, captured once: Policy.Params() appends the log-σ
 	// view to the network's cached slice and therefore allocates per call.
@@ -70,19 +69,31 @@ type shardEngine struct {
 
 	vbuf tensor.Vector // critic values of the forward wave
 	kbuf tensor.Vector // cost critic values, row-major m×NumConstraints
+
+	// The current wave's arguments, staged for the block jobs, which are
+	// built once so that a serial wave hands the pool no new closure.
+	s, a                *tensor.Matrix
+	logp, upstream      tensor.Vector
+	dV, dK              *tensor.Matrix
+	withCritic          bool
+	forwardJob, backJob func(b int) error
 }
 
+// newShardEngine builds the engine of an update; a nil critic (the
+// imitator's) clones no critic replicas.
 func newShardEngine(actor *GaussianPolicy, critic *nn.MLP, workers int) *shardEngine {
-	if workers < 1 {
-		workers = 1
+	e := &shardEngine{
+		workers:     workers,
+		actor:       actor,
+		critic:      critic,
+		actorParams: actor.Params(),
 	}
-	return &shardEngine{
-		workers:      workers,
-		actor:        actor,
-		critic:       critic,
-		actorParams:  actor.Params(),
-		criticParams: critic.Params(),
+	if critic != nil {
+		e.criticParams = critic.Params()
 	}
+	e.forwardJob = func(b int) error { e.forwardBlock(b); return nil }
+	e.backJob = func(b int) error { e.backwardBlock(b); return nil }
+	return e
 }
 
 // attachCostCritic registers the constrained update's cost critic. It must
@@ -96,14 +107,16 @@ func (e *shardEngine) attachCostCritic(k *nn.MLP) {
 func (e *shardEngine) ensure(blocks, m int) {
 	for len(e.ashards) < blocks {
 		as := e.actor.cloneGradShard()
-		cs := e.critic.CloneGradOnly()
 		e.ashards = append(e.ashards, as)
-		e.cshards = append(e.cshards, cs)
 		e.aparams = append(e.aparams, as.Params())
-		e.cparams = append(e.cparams, cs.Params())
 		e.sviews = append(e.sviews, &tensor.Matrix{})
 		e.aviews = append(e.aviews, &tensor.Matrix{})
-		e.dvviews = append(e.dvviews, &tensor.Matrix{})
+		if e.critic != nil {
+			cs := e.critic.CloneGradOnly()
+			e.cshards = append(e.cshards, cs)
+			e.cparams = append(e.cparams, cs.Params())
+			e.dvviews = append(e.dvviews, &tensor.Matrix{})
+		}
 		if e.costCritic != nil {
 			ks := e.costCritic.CloneGradOnly()
 			e.kshards = append(e.kshards, ks)
@@ -127,63 +140,31 @@ func blockCount(m int) int { return (m + gradShardRows - 1) / gradShardRows }
 
 // forward runs the forward wave over S/A: per-block policy log-probs into
 // logp and, when withCritic, critic values into the returned vector (owned
-// by the engine, valid until the next forward). Blocks are statically
-// assigned worker t ∈ [0,w) the blocks t, t+w, t+2w, …; since blocks touch
-// disjoint replicas and disjoint output rows, the assignment cannot affect
-// any result bit.
+// by the engine, valid until the next forward). Blocks touch disjoint
+// replicas and disjoint output rows, so which worker runs a block cannot
+// affect any result bit.
 func (e *shardEngine) forward(S, A *tensor.Matrix, logp tensor.Vector, withCritic bool) tensor.Vector {
 	m := S.Rows
 	blocks := blockCount(m)
 	e.ensure(blocks, m)
-	w := e.workers
-	if w > blocks {
-		w = blocks
-	}
-	if w <= 1 {
-		// Kept free of closures: a goroutine closure in this function body —
-		// even in a branch never taken — would move the captured arguments
-		// to the heap and break the zero-alloc steady state.
-		for b := 0; b < blocks; b++ {
-			e.forwardBlock(b, S, A, logp, withCritic)
-		}
-	} else {
-		e.forwardParallel(S, A, logp, withCritic, blocks, w)
-	}
+	e.s, e.a, e.logp, e.withCritic = S, A, logp, withCritic
+	_ = par.Run(blocks, e.workers, e.forwardJob) // block jobs cannot fail
 	if withCritic {
 		return e.vbuf
 	}
 	return nil
 }
 
-func (e *shardEngine) forwardParallel(S, A *tensor.Matrix, logp tensor.Vector, withCritic bool, blocks, w int) {
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for t := 1; t < w; t++ {
-		go func(t int) {
-			defer wg.Done()
-			for b := t; b < blocks; b += w {
-				e.forwardBlock(b, S, A, logp, withCritic)
-			}
-		}(t)
-	}
-	for b := 0; b < blocks; b += w {
-		e.forwardBlock(b, S, A, logp, withCritic)
-	}
-	wg.Wait()
-}
-
-func (e *shardEngine) forwardBlock(b int, S, A *tensor.Matrix, logp tensor.Vector, withCritic bool) {
+func (e *shardEngine) forwardBlock(b int) {
+	S, A := e.s, e.a
 	lo := b * gradShardRows
-	hi := lo + gradShardRows
-	if hi > S.Rows {
-		hi = S.Rows
-	}
+	hi := min(lo+gradShardRows, S.Rows)
 	sv := e.sviews[b]
 	sv.Rows, sv.Cols, sv.Data = hi-lo, S.Cols, S.Data[lo*S.Cols:hi*S.Cols]
 	av := e.aviews[b]
 	av.Rows, av.Cols, av.Data = hi-lo, A.Cols, A.Data[lo*A.Cols:hi*A.Cols]
-	e.ashards[b].LogProbBatch(sv, av, logp[lo:hi])
-	if withCritic {
+	e.ashards[b].LogProbBatch(sv, av, e.logp[lo:hi])
+	if e.withCritic {
 		out := e.cshards[b].ForwardBatch(sv)
 		copy(e.vbuf[lo:hi], out.Data)
 		if e.costCritic != nil {
@@ -199,20 +180,9 @@ func (e *shardEngine) forwardBlock(b int, S, A *tensor.Matrix, logp tensor.Vecto
 // critic, overwriting their gradient accumulators. dK is the cost critic's
 // upstream (row-major m×NumConstraints); nil skips the cost wave.
 func (e *shardEngine) backward(upstream tensor.Vector, dV, dK *tensor.Matrix, withCritic bool) {
-	m := len(upstream)
-	blocks := blockCount(m)
-	w := e.workers
-	if w > blocks {
-		w = blocks
-	}
-	if w <= 1 {
-		// Closure-free for the same reason as forward.
-		for b := 0; b < blocks; b++ {
-			e.backwardBlock(b, m, upstream, dV, dK, withCritic)
-		}
-	} else {
-		e.backwardParallel(upstream, dV, dK, withCritic, m, blocks, w)
-	}
+	blocks := blockCount(len(upstream))
+	e.upstream, e.dV, e.dK, e.withCritic = upstream, dV, dK, withCritic
+	_ = par.Run(blocks, e.workers, e.backJob) // block jobs cannot fail
 	nn.MergeGradTree(e.actorParams, e.aparams[:blocks])
 	if withCritic {
 		nn.MergeGradTree(e.criticParams, e.cparams[:blocks])
@@ -222,37 +192,17 @@ func (e *shardEngine) backward(upstream tensor.Vector, dV, dK *tensor.Matrix, wi
 	}
 }
 
-func (e *shardEngine) backwardParallel(upstream tensor.Vector, dV, dK *tensor.Matrix, withCritic bool, m, blocks, w int) {
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for t := 1; t < w; t++ {
-		go func(t int) {
-			defer wg.Done()
-			for b := t; b < blocks; b += w {
-				e.backwardBlock(b, m, upstream, dV, dK, withCritic)
-			}
-		}(t)
-	}
-	for b := 0; b < blocks; b += w {
-		e.backwardBlock(b, m, upstream, dV, dK, withCritic)
-	}
-	wg.Wait()
-}
-
-func (e *shardEngine) backwardBlock(b, m int, upstream tensor.Vector, dV, dK *tensor.Matrix, withCritic bool) {
+func (e *shardEngine) backwardBlock(b int) {
 	lo := b * gradShardRows
-	hi := lo + gradShardRows
-	if hi > m {
-		hi = m
-	}
-	e.ashards[b].BackwardLogProbBatch(e.sviews[b], e.aviews[b], upstream[lo:hi])
-	if withCritic {
+	hi := min(lo+gradShardRows, len(e.upstream))
+	e.ashards[b].BackwardLogProbBatch(e.sviews[b], e.aviews[b], e.upstream[lo:hi])
+	if e.withCritic {
 		dv := e.dvviews[b]
-		dv.Rows, dv.Cols, dv.Data = hi-lo, 1, dV.Data[lo:hi]
+		dv.Rows, dv.Cols, dv.Data = hi-lo, 1, e.dV.Data[lo:hi]
 		e.cshards[b].BackwardBatchParams(dv)
-		if e.costCritic != nil && dK != nil {
+		if e.costCritic != nil && e.dK != nil {
 			dk := e.dkviews[b]
-			dk.Rows, dk.Cols, dk.Data = hi-lo, NumConstraints, dK.Data[lo*NumConstraints:hi*NumConstraints]
+			dk.Rows, dk.Cols, dk.Data = hi-lo, NumConstraints, e.dK.Data[lo*NumConstraints:hi*NumConstraints]
 			e.kshards[b].BackwardBatchParams(dk)
 		}
 	}

@@ -44,7 +44,7 @@ type Policy interface {
 	ZeroGrad()
 	// Params exposes all trainable parameters.
 	Params() []nn.Param
-	// ClonePolicy deep-copies the policy (the θ_old snapshot).
+	// ClonePolicy deep-copies the policy (a rollout job's private copy).
 	ClonePolicy() Policy
 	// CopyFrom copies parameters from a policy of the same concrete type.
 	CopyFrom(src Policy)
@@ -370,7 +370,7 @@ func (p *GaussianPolicy) Params() []nn.Param {
 	return ps
 }
 
-// Clone deep-copies the policy (for the θ_old snapshot of Algorithm 1).
+// Clone deep-copies the policy.
 func (p *GaussianPolicy) Clone() *GaussianPolicy {
 	return &GaussianPolicy{
 		Net:     p.Net.Clone(),

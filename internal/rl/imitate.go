@@ -28,12 +28,12 @@ type Imitator struct {
 	upstream tensor.Vector
 }
 
-// NewImitator builds an imitation fine-tuner around the actor. The critic
-// rides along only to satisfy the engine's replica pool (imitation never
-// touches it); lr and maxGradNorm mirror PPOConfig.LR/MaxGradNorm.
-func NewImitator(actor *GaussianPolicy, critic *nn.MLP, lr, maxGradNorm float64, workers int) (*Imitator, error) {
-	if actor == nil || critic == nil {
-		return nil, fmt.Errorf("rl: imitator needs an actor and a critic")
+// NewImitator builds an imitation fine-tuner around the actor; lr and
+// maxGradNorm mirror PPOConfig.LR/MaxGradNorm. Imitation runs no critic, so
+// its engine holds none and clones no critic replicas.
+func NewImitator(actor *GaussianPolicy, lr, maxGradNorm float64, workers int) (*Imitator, error) {
+	if actor == nil {
+		return nil, fmt.Errorf("rl: imitator needs an actor")
 	}
 	if lr <= 0 {
 		return nil, fmt.Errorf("rl: imitation learning rate %v must be positive", lr)
@@ -45,7 +45,7 @@ func NewImitator(actor *GaussianPolicy, critic *nn.MLP, lr, maxGradNorm float64,
 		actor:       actor,
 		params:      actor.Params(),
 		opt:         nn.NewAdam(lr),
-		engine:      newShardEngine(actor, critic, workers),
+		engine:      newShardEngine(actor, nil, workers),
 		maxGradNorm: maxGradNorm,
 	}, nil
 }

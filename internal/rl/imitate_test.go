@@ -3,18 +3,16 @@ package rl
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// imitateFixture builds a policy, critic and a synthetic (S, A) batch.
-func imitateFixture(rows int) (*GaussianPolicy, *nn.MLP, *tensor.Matrix, *tensor.Matrix) {
+// imitateFixture builds a policy and a synthetic (S, A) batch.
+func imitateFixture(rows int) (*GaussianPolicy, *tensor.Matrix, *tensor.Matrix) {
 	rng := rand.New(rand.NewSource(5))
 	p := NewGaussianPolicy(6, 3, []int{16}, 0.4, rng)
-	critic := nn.NewMLP([]int{6, 16, 1}, nn.Tanh, nn.Identity, rng)
 	S := tensor.NewMatrix(rows, 6)
 	A := tensor.NewMatrix(rows, 3)
 	for i := range S.Data {
@@ -23,13 +21,13 @@ func imitateFixture(rows int) (*GaussianPolicy, *nn.MLP, *tensor.Matrix, *tensor
 	for i := range A.Data {
 		A.Data[i] = 0.8 * math.Tanh(rng.NormFloat64())
 	}
-	return p, critic, S, A
+	return p, S, A
 }
 
 // TestImitatorReducesNLL: behavior cloning must actually fit the batch.
 func TestImitatorReducesNLL(t *testing.T) {
-	p, critic, S, A := imitateFixture(50)
-	im, err := NewImitator(p, critic, 1e-2, 0.5, 1)
+	p, S, A := imitateFixture(50)
+	im, err := NewImitator(p, 1e-2, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +51,8 @@ func TestImitatorReducesNLL(t *testing.T) {
 // worker count.
 func TestImitatorWorkerInvariance(t *testing.T) {
 	run := func(workers int) []nn.Param {
-		p, critic, S, A := imitateFixture(50)
-		im, err := NewImitator(p, critic, 1e-2, 0.5, workers)
+		p, S, A := imitateFixture(50)
+		im, err := NewImitator(p, 1e-2, 0.5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +83,8 @@ func TestImitatorWorkerInvariance(t *testing.T) {
 // TestImitatorRejectsBadBatches: dimension mismatches and empty batches
 // error before touching parameters.
 func TestImitatorRejectsBadBatches(t *testing.T) {
-	p, critic, S, A := imitateFixture(10)
-	im, err := NewImitator(p, critic, 1e-2, 0.5, 1)
+	p, S, A := imitateFixture(10)
+	im, err := NewImitator(p, 1e-2, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,43 +104,23 @@ func TestImitatorRejectsBadBatches(t *testing.T) {
 	}
 }
 
-// TestImitatorsShareCritic: two imitators on one critic loaded from a
-// snapshot, as the daemon's DRL tenants share the loaded agent's critic,
-// build and step on two goroutines. Under -race this fails if either
-// writes the critic (Params once filled a cache on first call); it also
-// checks that the critic's weights and gradients are as loaded.
-func TestImitatorsShareCritic(t *testing.T) {
-	p, critic, S, A := imitateFixture(50)
-	shared, err := nn.MLPFromState(critic.State())
+// TestImitatorClonesNoCritic: imitation runs no critic, so its engine
+// holds none and clones no critic replica for any of a batch's blocks; a
+// replica of an N=1000 tenant's critic is megabytes per block.
+func TestImitatorClonesNoCritic(t *testing.T) {
+	p, S, A := imitateFixture(50)
+	im, err := NewImitator(p, 1e-2, 0.5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for g := range errs {
-		actor := p.Clone()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			im, err := NewImitator(actor, shared, 1e-2, 0.5, 2)
-			for e := 0; err == nil && e < 3; e++ {
-				_, err = im.Step(S, A)
-			}
-			errs[g] = err
-		}()
+	if _, err := im.Step(S, A); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("imitator %d: %v", g, err)
-		}
+	e := im.engine
+	if e.critic != nil || len(e.cshards) != 0 || len(e.cparams) != 0 || len(e.dvviews) != 0 {
+		t.Fatalf("imitator holds a critic (%v) or %d critic replicas", e.critic != nil, len(e.cshards))
 	}
-	want := critic.Params()
-	for i, q := range shared.Params() {
-		for k := range q.W {
-			if math.Float64bits(q.W[k]) != math.Float64bits(want[i].W[k]) || q.G[k] != 0 {
-				t.Fatalf("%s[%d]: weight %v (loaded %v), gradient %v", q.Name, k, q.W[k], want[i].W[k], q.G[k])
-			}
-		}
+	if len(e.ashards) != blockCount(50) {
+		t.Fatalf("%d actor replicas for %d blocks", len(e.ashards), blockCount(50))
 	}
 }

@@ -1,12 +1,11 @@
 package rl
 
 import (
-	"sync"
-
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
-// Trajectory is one complete episode collected by a rollout worker: the
+// Trajectory is one complete episode collected by a rollout job: the
 // transitions in step order plus the bookkeeping the trainer needs to merge
 // the episode into the shared experience buffer after the fact (bootstrap
 // state, cost/reward sums, and — when observation normalization is on —
@@ -19,7 +18,7 @@ type Trajectory struct {
 	// owned by the trajectory.
 	Steps []Transition
 	// FinalState is the state observed after the last step (normalized
-	// with the same statistics the worker sampled under, when
+	// with the same statistics the episode sampled under, when
 	// normalization is active). It bootstraps the value target when the
 	// buffer fills on the episode's last transition.
 	FinalState tensor.Vector
@@ -33,75 +32,23 @@ type Trajectory struct {
 }
 
 // CollectEpisodes runs collect for the episode indices first … first+count-1
-// across min(workers, count) goroutines and returns the trajectories ordered
-// by episode index. The ordering contract is what makes parallel collection
-// deterministic: as long as collect(_, ep) depends only on ep (per-episode
-// seeding, snapshot parameters), the returned slice — and therefore
-// everything merged from it — is independent of the worker count and of
-// goroutine scheduling. The worker index is passed through so callers can
-// hand each goroutine its own cloned networks. The first error observed
-// cancels the remaining episodes and is returned.
-func CollectEpisodes(first, count, workers int, collect func(worker, episode int) (*Trajectory, error)) ([]*Trajectory, error) {
+// as jobs of the pool (par.Run) at the given width and returns the
+// trajectories ordered by episode index. As long as collect(ep) depends
+// only on ep (per-episode seeding, its own clones of the wave-start
+// networks), the returned slice — and everything merged from it — is
+// independent of the width and of goroutine scheduling. On failure it
+// returns the lowest failing episode's error, the serial loop's at any
+// width, and no trajectories.
+func CollectEpisodes(first, count, width int, collect func(episode int) (*Trajectory, error)) ([]*Trajectory, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	if workers > count {
-		workers = count
-	}
 	out := make([]*Trajectory, count)
-	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			tr, err := collect(0, first+i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = tr
-		}
-		return out, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			failed := false
-			for i := range jobs {
-				if failed {
-					continue // drain remaining jobs without working them
-				}
-				tr, err := collect(worker, first+i)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					failed = true
-					continue
-				}
-				out[i] = tr
-			}
-		}(w)
-	}
-	for i := 0; i < count; i++ {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := par.Run(count, width, func(i int) (err error) {
+		out[i], err = collect(first + i)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

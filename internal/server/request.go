@@ -19,6 +19,11 @@ const (
 	MaxTenantName = 128
 	// MaxTenantDevices bounds a tenant's fleet size.
 	MaxTenantDevices = 4096
+	// MaxClockSec bounds a tenant clock, in seconds (2^53 s). A pinned
+	// clock, a tick and the clock a decide request leaves behind all stay
+	// within it, so a tenant clock is always finite and a snapshot of it
+	// always restores.
+	MaxClockSec = 1 << 53
 )
 
 // DecideRequest asks for one frequency-plan decision.
@@ -69,8 +74,8 @@ func (r *DecideRequest) Validate() error {
 		return err
 	}
 	if r.Clock != nil {
-		if c := *r.Clock; math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-			return fmt.Errorf("server: clock %v must be finite and non-negative", c)
+		if c := *r.Clock; !(c >= 0 && c <= MaxClockSec) {
+			return fmt.Errorf("server: clock %v outside [0, %v]", c, float64(MaxClockSec))
 		}
 	}
 	if len(r.LastBW) > MaxTenantDevices {

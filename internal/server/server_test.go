@@ -225,6 +225,89 @@ func TestLengthMismatchCountedMalformed(t *testing.T) {
 	}
 }
 
+// TestClockStaysBounded replays a request sequence that once overflowed a
+// tenant clock to +Inf: every later decide was answered 200 with an empty
+// body and every snapshot failed to encode. A tick or a clock past
+// MaxClockSec, and a request whose decisions would carry the clock past
+// it, are now refused 400 before any tenant state changes and counted as
+// malformed; every answer has a body that parses, and the drained
+// snapshot restores the clock.
+func TestClockStaysBounded(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "reg.snap.json")
+	cfg := DefaultServerConfig()
+	cfg.SnapshotPath = snap
+	s, ts := newTestServer(t, cfg)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(data) {
+			t.Fatalf("POST %s %s: %d with body %q", path, body, resp.StatusCode, data)
+		}
+		return resp.StatusCode
+	}
+	const (
+		maxClock  = "9007199254740992" // MaxClockSec, 2^53 s
+		halfClock = "4503599627370496" // 2^52 s
+	)
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/tenants", `{"name":"x","n":3,"primary":"heuristic","tick_sec":1e308}`, http.StatusBadRequest},
+		{"/v1/tenants", `{"name":"x","n":3,"primary":"heuristic","tick_sec":9007199254740994}`, http.StatusBadRequest},
+		{"/v1/tenants", `{"name":"x","n":3,"primary":"heuristic","tick_sec":` + halfClock + `}`, http.StatusCreated},
+		{"/v1/decide", `{"tenant":"x","clock":1.7976931348623157e308}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","clock":1e16}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","clock":` + maxClock + `}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","clock":0,"count":3}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","clock":0,"count":2}`, http.StatusOK},
+		{"/v1/decide", `{"tenant":"x"}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","observed_cost":1}`, http.StatusBadRequest},
+		{"/v1/decide", `{"tenant":"x","clock":` + halfClock + `}`, http.StatusOK},
+	} {
+		if got := post(c.path, c.body); got != c.want {
+			t.Fatalf("POST %s %s: %d, want %d", c.path, c.body, got, c.want)
+		}
+	}
+	tn := s.Tenant("x")
+	tn.mu.Lock()
+	iter, clock := tn.iter, tn.clock
+	tn.mu.Unlock()
+	if iter != 3 || clock != MaxClockSec {
+		t.Fatalf("tenant at iter %d, clock %v; want 3 and %v", iter, clock, float64(MaxClockSec))
+	}
+	c := s.Counters().Snapshot()
+	if c["malformed"] != 6 || c["decisions"] != 3 || c["requests"] != terminalSum(c) {
+		t.Fatalf("counters after 6 refusals and 3 decisions: %v", c)
+	}
+	if rep := s.BeginDrainForTest(t); rep.Snapshot != snap {
+		t.Fatalf("drain wrote snapshot %q, want %q", rep.Snapshot, snap)
+	}
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn = s2.Tenant("x")
+	if tn == nil {
+		t.Fatal("tenant not restored from snapshot")
+	}
+	tn.mu.Lock()
+	iter, clock = tn.iter, tn.clock
+	tn.mu.Unlock()
+	if iter != 3 || clock != MaxClockSec {
+		t.Fatalf("restored iter %d, clock %v; want 3 and %v", iter, clock, float64(MaxClockSec))
+	}
+	s2.BeginDrainForTest(t)
+}
+
 // TestCountersReconcileOverServed checks the conservation identity where
 // plans made and requests served part: a 5-plan batch is one request and
 // five decisions, and a request whose deadline passes during its decision
@@ -961,6 +1044,7 @@ func TestRestoreSnapshotRejectsInvalidRows(t *testing.T) {
 	dir := t.TempDir()
 	for i, tc := range []struct{ row, field string }{
 		{`"iter": 2, "clock": -5`, "clock"},
+		{`"iter": 2, "clock": 1e16`, "clock"},
 		{`"iter": -3, "clock": 20`, "iter"},
 		{`"iter": 9223372036854775807, "clock": 20`, "iter"},
 	} {

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/report"
@@ -63,11 +62,11 @@ func (s *Server) SaveSnapshot(path string) error {
 
 // RestoreSnapshot re-registers every tenant from a snapshot file. A missing
 // file is a clean cold start, not an error. A row whose progress markers
-// the decide path could not have produced (a negative or non-finite clock,
-// an iter outside [0, 2^53]) rejects the whole file before any tenant is
-// registered. Tenants that fail to rebuild (e.g. the daemon restarted
-// without the agent a drl tenant requires) are reported but do not block
-// the rest.
+// the decide path could not have produced (a clock outside [0,
+// MaxClockSec], an iter outside [0, 2^53]) rejects the whole file before
+// any tenant is registered. Tenants that fail to rebuild (e.g. the daemon
+// restarted without the agent a drl tenant requires) are reported but do
+// not block the rest.
 func (s *Server) RestoreSnapshot(path string) (restored int, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -84,8 +83,8 @@ func (s *Server) RestoreSnapshot(path string) (restored int, err error) {
 		return 0, fmt.Errorf("server: snapshot %s version %d, want %d", path, snap.Version, snapshotVersion)
 	}
 	for _, ts := range snap.Tenants {
-		if c := ts.Clock; math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-			return 0, fmt.Errorf("server: snapshot %s: tenant %q: clock %v must be finite and non-negative", path, ts.Spec.Name, c)
+		if c := ts.Clock; !(c >= 0 && c <= MaxClockSec) {
+			return 0, fmt.Errorf("server: snapshot %s: tenant %q: clock %v outside [0, %v]", path, ts.Spec.Name, c, float64(MaxClockSec))
 		}
 		if ts.Iter < 0 || int64(ts.Iter) > maxSnapshotIter {
 			return 0, fmt.Errorf("server: snapshot %s: tenant %q: iter %d outside [0, %d]", path, ts.Spec.Name, ts.Iter, maxSnapshotIter)

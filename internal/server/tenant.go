@@ -77,7 +77,7 @@ type TenantSpec struct {
 	// inherits).
 	QueueCap int `json:"queue_cap,omitempty"`
 	// TickSec advances the tenant clock per decision when requests do not
-	// pin one (0 keeps 10s, one bandwidth slot).
+	// pin one (0 keeps 10s, one bandwidth slot; at most MaxClockSec).
 	TickSec float64 `json:"tick_sec,omitempty"`
 }
 
@@ -104,8 +104,8 @@ func (s *TenantSpec) Validate() error {
 	if s.QueueCap < 0 || s.QueueCap > 1<<20 {
 		return fmt.Errorf("server: tenant %q queue capacity %d outside [0,%d]", s.Name, s.QueueCap, 1<<20)
 	}
-	if s.TickSec < 0 || math.IsNaN(s.TickSec) || math.IsInf(s.TickSec, 0) {
-		return fmt.Errorf("server: tenant %q tick %vs must be finite and non-negative", s.Name, s.TickSec)
+	if !(s.TickSec >= 0 && s.TickSec <= MaxClockSec) {
+		return fmt.Errorf("server: tenant %q tick %vs outside [0, %v]", s.Name, s.TickSec, float64(MaxClockSec))
 	}
 	if s.OODThreshold != 0 && (math.IsNaN(s.OODThreshold) || math.IsInf(s.OODThreshold, 0)) {
 		return fmt.Errorf("server: tenant %q non-finite OOD threshold", s.Name)
@@ -516,8 +516,9 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	// A request that does not fit the fleet is refused before it touches
-	// any tenant state (the handler counts it as malformed).
+	// A request that does not fit the fleet, or whose decisions would carry
+	// the clock past MaxClockSec, is refused before it touches any tenant
+	// state (the handler counts it as malformed).
 	if len(req.LastBW) > 0 && len(req.LastBW) != t.sys.N() {
 		return callResult{status: http.StatusBadRequest,
 			errMsg: fmt.Sprintf("%d bandwidth observations for %d devices", len(req.LastBW), t.sys.N())}
@@ -526,6 +527,19 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 		return callResult{status: http.StatusBadRequest,
 			errMsg: fmt.Sprintf("%d down flags for %d devices", len(req.Down), t.sys.N())}
 	}
+	n := max(req.Count, 1)
+	clock := t.clock
+	if req.Clock != nil {
+		clock = *req.Clock
+	}
+	end := clock
+	for k := 0; k < n; k++ { // decideOne's own additions, so end is exact
+		end += t.tick()
+	}
+	if end > MaxClockSec {
+		return callResult{status: http.StatusBadRequest,
+			errMsg: fmt.Sprintf("%d decisions from clock %v would end at %v, past %v", n, clock, end, float64(MaxClockSec))}
+	}
 
 	if req.ObservedCost != nil {
 		// Close the realized-cost loop on the previous decision before
@@ -533,14 +547,8 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 		t.guard.Observe(fl.IterationStats{Cost: *req.ObservedCost})
 		t.trackLevel(s)
 	}
-	if req.Clock != nil {
-		t.clock = *req.Clock
-	}
+	t.clock = clock
 
-	n := req.Count
-	if n < 1 {
-		n = 1
-	}
 	resp := &DecideResponse{Iter: t.iter, Clock: t.clock, Count: n}
 	if n > 1 {
 		resp.Plans = make([][]float64, 0, n)
@@ -562,6 +570,14 @@ func (t *Tenant) decide(s *Server, req *DecideRequest) callResult {
 	}
 	resp.Mode = t.mode().String()
 	return callResult{status: http.StatusOK, plan: resp}
+}
+
+// tick is the clock advance of one decision.
+func (t *Tenant) tick() float64 {
+	if t.spec.TickSec == 0 {
+		return 10
+	}
+	return t.spec.TickSec
 }
 
 // decideOne serves one decision through the guard. Must hold t.mu. It
@@ -589,11 +605,7 @@ func (t *Tenant) decideOne(s *Server, ctx sched.Context) (fs []float64, layer st
 	}
 
 	t.iter++
-	tick := t.spec.TickSec
-	if tick == 0 {
-		tick = 10
-	}
-	t.clock += tick
+	t.clock += t.tick()
 
 	t.trackLevel(s)
 	s.counters.Decisions.Add(1)

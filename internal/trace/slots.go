@@ -3,8 +3,9 @@ package trace
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // This file holds the slot averages behind the paper's state s_k: Slot and
@@ -96,10 +97,10 @@ func (t *SlotTable) Row(j int) []float64 {
 }
 
 // newSlotTable builds the table of traces at width h. Its columns, one per
-// trace, are filled by min(width, n) goroutines, the caller among them, each
-// taking one contiguous block of them, since adjacent columns share cache
-// lines. Each column is written by one goroutine, so the table has the same
-// bits at any width.
+// trace, are cut into min(width, n) contiguous blocks, since adjacent
+// columns share cache lines, and each block is one job of the pool. Each
+// column is written by one job, so the table has the same bits at any
+// width.
 func newSlotTable(traces []*Trace, h float64, width int) *SlotTable {
 	t := &SlotTable{width: h, traces: append([]*Trace(nil), traces...)}
 	n := len(traces)
@@ -119,8 +120,9 @@ func newSlotTable(traces []*Trace, h float64, width int) *SlotTable {
 		rows = l * q
 	}
 	vals := make([]float64, rows*n)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	w := max(min(width, n), 1)
+	_ = par.Run(w, w, func(b int) error { // a block cannot fail
+		for i := b * n / w; i < (b+1)*n/w; i++ {
 			tr, q := traces[i], periods[i]
 			for r := 0; r < q; r++ {
 				v := tr.slotDirect(r, h)
@@ -129,18 +131,8 @@ func newSlotTable(traces []*Trace, h float64, width int) *SlotTable {
 				}
 			}
 		}
-	}
-	w := max(min(width, n), 1)
-	var wg sync.WaitGroup
-	for b := 1; b < w; b++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(b*n/w, (b+1)*n/w)
-	}
-	fill(0, n/w)
-	wg.Wait()
+		return nil
+	})
 	t.rows, t.vals = rows, vals
 	return t
 }
